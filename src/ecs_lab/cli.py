@@ -42,11 +42,11 @@ import json
 import os
 import platform
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .geodesics import (
@@ -323,6 +323,14 @@ def _require_homogeneous(model: ModelManifold, task: str) -> HomogeneousModel:
         raise ScenarioError(f"task {task!r}: {exc}") from exc
 
 
+def _count(params: dict, key: str, default: int) -> int:
+    """A task's sample count; fewer than one sample would pass vacuously."""
+    value = int(params.get(key, default))
+    if value < 1:
+        raise ScenarioError(f"{key!r} must be at least 1, got {value}")
+    return value
+
+
 def _valid_isometries(model: ModelManifold, rng: np.random.Generator,
                       count: int) -> list[IsoElement]:
     """Sample elements that genuinely belong to the isometry group.
@@ -351,7 +359,7 @@ def _valid_isometries(model: ModelManifold, rng: np.random.Generator,
 
 def task_verify_model(model: ModelManifold, params: dict, tol: Tolerances,
                       rng: np.random.Generator) -> list[CheckRow]:
-    points = int(params.get("points", 25))
+    points = _count(params, "points", 25)
     res = model.validation_residuals()
     rows = [tol.check("verify-model", "structural residuals of (A, f)",
                       "validate.structure",
@@ -371,7 +379,7 @@ def task_verify_model(model: ModelManifold, params: dict, tol: Tolerances,
         worst["leaf"] = max(worst["leaf"], christoffel_pattern_residual(model, pt, pack))
         worst["tidal"] = max(worst["tidal"], float(np.max(np.abs(
             weyl_tidal_operator(model, pt, pack) - model.A))))
-        ol = olszak_span_check(model, pt)
+        ol = olszak_span_check(model, pt, pack)
         worst["olszak"] = max(worst["olszak"], max(ol.values()))
         idn = curvature_identity_residuals(pack)
         worst["bianchi"] = max(worst["bianchi"], max(idn.values()))
@@ -441,8 +449,8 @@ def task_spectra(model: ModelManifold, params: dict, tol: Tolerances,
 
 def task_isometry_check(model: ModelManifold, params: dict, tol: Tolerances,
                         rng: np.random.Generator) -> list[CheckRow]:
-    n_elements = int(params.get("elements", 10))
-    n_points = int(params.get("points", 5))
+    n_elements = _count(params, "elements", 10)
+    n_points = _count(params, "points", 5)
     elems = _valid_isometries(model, rng, n_elements)
     pts = [random_chart_point(model, rng) for _ in range(n_points)]
     worst_member = 0.0
@@ -492,9 +500,9 @@ def task_isometry_check(model: ModelManifold, params: dict, tol: Tolerances,
 def task_tcp_check(model: ModelManifold, params: dict, tol: Tolerances,
                    rng: np.random.Generator) -> list[CheckRow]:
     hm = _require_homogeneous(model, "tcp-check")
-    n_classes = int(params.get("classes", 5))
-    per_class = int(params.get("per_class", 3))
-    round_trips = int(params.get("round_trips", 20))
+    n_classes = _count(params, "classes", 5)
+    per_class = _count(params, "per_class", 3)
+    round_trips = _count(params, "round_trips", 20)
     m2 = 2 * hm.m
     split = spectral_split(hm)
 
@@ -537,7 +545,7 @@ def task_tcp_check(model: ModelManifold, params: dict, tol: Tolerances,
             least_across = min(least_across,
                                commute_residual(hm, classes[i][0], classes[j][0]))
 
-    agreement_pairs = int(params.get("agreement_pairs", 30))
+    agreement_pairs = _count(params, "agreement_pairs", 30)
     disagreements = 0
     for k in range(agreement_pairs):
         if k % 3 == 0 and classes:
@@ -552,7 +560,7 @@ def task_tcp_check(model: ModelManifold, params: dict, tol: Tolerances,
         if not outcome.agree:
             disagreements += 1
 
-    n_triples = int(params.get("triples", 20))
+    n_triples = _count(params, "triples", 20)
     transitivity = transitive_commutation_check(hm, split, n_triples, rng)
 
     worst_conj = 0.0
@@ -603,7 +611,7 @@ def task_tcp_check(model: ModelManifold, params: dict, tol: Tolerances,
 
 def task_geodesic(model: ModelManifold, params: dict, tol: Tolerances,
                   rng: np.random.Generator) -> list[CheckRow]:
-    count = int(params.get("count", 20))
+    count = _count(params, "count", 20)
     tau = float(params.get("tau", 2.0))
     worst_energy = 0.0
     worst_affine = 0.0
@@ -669,7 +677,7 @@ def task_classify_group(model: ModelManifold, params: dict, tol: Tolerances,
 
 def task_appendix_a(model: ModelManifold, params: dict, tol: Tolerances,
                     rng: np.random.Generator) -> list[CheckRow]:
-    count = int(params.get("count", 5))
+    count = _count(params, "count", 5)
     lo, hi = model.compact_window()
     worst_terminal = 0.0
     worst_affine = 0.0
@@ -692,7 +700,7 @@ def task_appendix_a(model: ModelManifold, params: dict, tol: Tolerances,
 
 def task_appendix_b(model: ModelManifold, params: dict, tol: Tolerances,
                     rng: np.random.Generator) -> list[CheckRow]:
-    count = int(params.get("count", 3))
+    count = _count(params, "count", 3)
     lo, hi = model.compact_window()
     t0 = 0.5 * (lo + hi)
     worst = 0.0
@@ -731,29 +739,13 @@ TASK_RUNNERS = {
 # runner
 # ---------------------------------------------------------------------------
 
-def run_scenario(scenario: Scenario, tol_scale: float = 1.0,
-                 parallel: int = 1) -> dict:
-    build_model(scenario.model_spec)  # surface validation errors up front
+def run_scenario(scenario: Scenario, tol_scale: float = 1.0) -> dict:
+    model = build_model(scenario.model_spec)
     tol = Tolerances(scenario.tolerances, scale=tol_scale)
-
-    def run_one(indexed) -> list[CheckRow]:
-        # Each task gets a private model instance: the lazily grown ODE flow
-        # cache depends on query order, so sharing it across concurrent
-        # tasks would make reports depend on thread interleaving.
-        index, entry = indexed
-        model = build_model(scenario.model_spec)
+    rows = []
+    for index, entry in enumerate(scenario.tasks):
         rng = np.random.default_rng([scenario.seed, index])
-        runner = TASK_RUNNERS[entry["task"]]
-        return runner(model, entry, tol, rng)
-
-    indexed_tasks = list(enumerate(scenario.tasks))
-    if parallel > 1:
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            groups = list(pool.map(run_one, indexed_tasks))
-    else:
-        groups = [run_one(item) for item in indexed_tasks]
-
-    rows = [row for group in groups for row in group]
+        rows.extend(TASK_RUNNERS[entry["task"]](model, entry, tol, rng))
     passed = sum(1 for r in rows if r.passed)
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -761,6 +753,7 @@ def run_scenario(scenario: Scenario, tol_scale: float = 1.0,
         "environment": {
             "python": platform.python_version(),
             "numpy": np.__version__,
+            "scipy": scipy.__version__,
             "platform": platform.system().lower(),
         },
         "scenario": {
@@ -804,8 +797,8 @@ def _tol_scale_from_env() -> float:
         scale = float(raw)
     except ValueError as exc:
         raise ScenarioError(f"ECS_LAB_TOL_SCALE is not a number: {raw!r}") from exc
-    if scale <= 0:
-        raise ScenarioError("ECS_LAB_TOL_SCALE must be positive")
+    if not (np.isfinite(scale) and scale > 0):
+        raise ScenarioError("ECS_LAB_TOL_SCALE must be finite and positive")
     return scale
 
 
@@ -819,18 +812,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     run_p.add_argument("--report", required=True, help="report JSON output path")
     run_p.add_argument("--csv", help="also write check rows as CSV")
     run_p.add_argument("--seed", type=int, help="override the scenario seed")
-    run_p.add_argument("--parallel", type=int, default=1,
-                       help="run tasks in up to this many threads")
     args = parser.parse_args(argv)
 
     if args.command == "run":
         try:
             scale = _tol_scale_from_env()
             scenario = Scenario.load(args.scenario, seed_override=args.seed)
-            if args.parallel < 1:
-                raise ScenarioError("--parallel must be at least 1")
-            report = run_scenario(scenario, tol_scale=scale,
-                                  parallel=args.parallel)
+            report = run_scenario(scenario, tol_scale=scale)
         except ScenarioError as exc:
             print(f"scenario error: {exc}", file=sys.stderr)
             return 2

@@ -80,7 +80,7 @@ class ProfileF:
             return HomogeneousProfile(c)
         if kind == "polynomial":
             return PolynomialProfile(d["coefficients"])
-        if kind == "sum_of_powers":
+        if kind in ("sum_of_powers", "sum-of-powers"):
             return SumOfPowersProfile([tuple(term) for term in d["terms"]])
         raise ValueError(f"unknown profile kind: {kind!r}")
 
@@ -570,10 +570,6 @@ def ricci_profile_residual(model: ModelManifold, point: ChartPoint,
     return float(np.max(np.abs(pack.ricci - expected))) / scale
 
 
-def scalar_curvature(pack: CurvaturePack) -> float:
-    return pack.scalar
-
-
 def weyl_nonzero_norm(pack: CurvaturePack) -> float:
     """max |W| relative to curvature scale; bounded away from 0 on the family
     because the Weyl V-block is the nonzero endomorphism A."""
@@ -622,7 +618,8 @@ def weyl_tidal_full(model: ModelManifold, point: ChartPoint) -> np.ndarray:
     return np.einsum("abcd,b,c->ad", w_up, u, u) / u[0] ** 2
 
 
-def olszak_span_check(model: ModelManifold, point: ChartPoint) -> dict:
+def olszak_span_check(model: ModelManifold, point: ChartPoint,
+                      pack: Optional[CurvaturePack] = None) -> dict:
     """Residuals showing span(d/ds) is the distinguished null parallel line.
 
     null_residual: |g(d/ds, d/ds)|. parallel_residual: max |Gamma^a_{b s}|,
@@ -630,7 +627,8 @@ def olszak_span_check(model: ModelManifold, point: ChartPoint) -> dict:
     dt_residual: the 1-form g(2 d/ds, .) equals dt entrywise.
     """
     g = metric_at(model, point)
-    pack = curvature_at(model, point)
+    if pack is None:
+        pack = curvature_at(model, point)
     n = model.dim
     dt = np.zeros(n)
     dt[0] = 1.0

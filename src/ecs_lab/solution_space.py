@@ -19,12 +19,16 @@ acts on the model by isometries; its group law and commutator live here,
 the full isometry group in isometry_group.
 
 Propagation uses the fundamental matrix of the first-order system,
-integrated once with a high-order adaptive scheme and dense output, then
-evaluated in O(1) per query. Flows are cached on the model instance.
+integrated with a high-order adaptive scheme and dense output over fixed
+segments on either side of the base time. The segment edges depend only on
+the model interval and the base time, so a query's answer never depends on
+the queries before it. Flows are cached on the model instance and shared by
+everything that uses the model.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -57,19 +61,23 @@ class CauchyFlow:
     """Fundamental solution Phi(t <- t0) of u'' = (f + A) u.
 
     Phi(t) is the 2m x 2m matrix sending Cauchy data (value, deriv) at t0 to
-    Cauchy data at t. Integration happens lazily: the first query beyond the
-    covered range triggers a fresh dense integration out to that time, and
-    later queries inside the range are interpolant lookups.
+    Cauchy data at t. Each direction from t0 is cut into fixed segments:
+    toward an infinite end the distance from t0 doubles (1, 2, 4, ...),
+    toward a finite end the distance left to it halves, down to the endpoint
+    barrier. A segment is integrated once, on first use, from the end state
+    of the segment before it. A query is a bisect over the segment ends and
+    one dense-output evaluation, so matrix(t) is the same whatever was
+    queried before.
     """
 
     def __init__(self, model: ModelManifold, base_t: float):
         self.model = model
         self.base_t = _check_t(model, base_t)
         self.m = model.m
-        self._fwd = None   # dense solution on [base_t, hi_reached]
-        self._bwd = None   # dense solution on [lo_reached, base_t]
-        self._hi = self.base_t
-        self._lo = self.base_t
+        # Per direction (+1 forward, -1 backward): sign * t at the end of each
+        # integrated segment, and the segment's dense solution.
+        self._ends = {1.0: [], -1.0: []}
+        self._sols = {1.0: [], -1.0: []}
 
     def _rhs(self, t, y):
         m = self.m
@@ -78,42 +86,38 @@ class CauchyFlow:
         bot = self.model.f_plus_A(t) @ M[:m, :]
         return np.vstack([top, bot]).ravel()
 
-    def _integrate(self, t_target: float):
-        m = self.m
-        y0 = np.eye(2 * m).ravel()
-        sol = solve_ivp(
-            self._rhs, (self.base_t, t_target), y0,
-            method="DOP853", rtol=_RTOL, atol=_ATOL, dense_output=True,
-        )
-        if not sol.success:
-            raise RuntimeError(f"flow integration failed: {sol.message}")
-        return sol
-
-    def _ensure(self, t: float):
-        pad = 0.05 * max(1e-6, abs(t - self.base_t))
-        if t > self._hi:
-            target = t + pad
-            hi = self.model.interval[1]
-            if np.isfinite(hi):
-                target = min(target, hi - ENDPOINT_BARRIER)
-            self._fwd = self._integrate(target)
-            self._hi = target
-        elif t < self._lo:
-            target = t - pad
-            lo = self.model.interval[0]
-            if np.isfinite(lo):
-                target = max(target, lo + ENDPOINT_BARRIER)
-            self._bwd = self._integrate(target)
-            self._lo = target
+    def _edge(self, sign: float, k: int) -> float:
+        """End time of segment k = 0, 1, ... in the given direction."""
+        end = self.model.interval[1] if sign > 0 else self.model.interval[0]
+        if not np.isfinite(end):
+            return self.base_t + sign * 2.0 ** k
+        gap = abs(end - self.base_t) / 2.0 ** (k + 1)
+        return end - sign * max(gap, ENDPOINT_BARRIER)
 
     def matrix(self, t: float) -> np.ndarray:
         """Phi(t <- base_t) as a (2m, 2m) array."""
         t = _check_t(self.model, t)
+        n = 2 * self.m
         if t == self.base_t:
-            return np.eye(2 * self.m)
-        self._ensure(t)
-        sol = self._fwd if t >= self.base_t else self._bwd
-        return sol.sol(t).reshape(2 * self.m, 2 * self.m)
+            return np.eye(n)
+        sign = 1.0 if t > self.base_t else -1.0
+        ends, sols = self._ends[sign], self._sols[sign]
+        while not ends or sign * t > ends[-1]:
+            stop = self._edge(sign, len(ends))
+            if ends and sign * stop <= ends[-1]:
+                break   # the barrier edge; t lies past it only by rounding
+            start = sign * ends[-1] if ends else self.base_t
+            y0 = sols[-1].y[:, -1] if sols else np.eye(n).ravel()
+            sol = solve_ivp(
+                self._rhs, (start, stop), y0,
+                method="DOP853", rtol=_RTOL, atol=_ATOL, dense_output=True,
+            )
+            if not sol.success:
+                raise RuntimeError(f"flow integration failed: {sol.message}")
+            sols.append(sol)
+            ends.append(sign * stop)
+        i = min(bisect_left(ends, sign * t), len(ends) - 1)
+        return sols[i].sol(t).reshape(n, n)
 
 
 def flow(model: ModelManifold, base_t: Optional[float] = None) -> CauchyFlow:

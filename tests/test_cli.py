@@ -1,5 +1,5 @@
-"""Command line runner: exit codes, report schema, determinism, seed and
-parallelism behavior, CSV output, and the tolerance-scale environment knob."""
+"""Command line runner: exit codes, report schema, determinism, seed
+behavior, CSV output, and the tolerance-scale environment knob."""
 
 import copy
 import json
@@ -118,9 +118,45 @@ class TestExitCodes:
         code, _ = run_cli(tmp_path, payload)
         assert code == 2
 
-    def test_bad_parallel_is_two(self, tmp_path):
-        code, _ = run_cli(tmp_path, HOMOGENEOUS, extra_args=("--parallel", "0"))
+    def test_unknown_option_is_two(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(tmp_path, HOMOGENEOUS, extra_args=("--parallel", "2"))
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("task,key,value", [
+        ("verify-model", "points", 0),
+        ("geodesic", "count", 0),
+        ("isometry-check", "elements", -3),
+        ("isometry-check", "points", 0),
+        ("appendix-a", "count", 0),
+        ("appendix-b", "count", 0),
+        ("tcp-check", "classes", 0),
+        ("tcp-check", "per_class", 0),
+        ("tcp-check", "round_trips", 0),
+        ("tcp-check", "agreement_pairs", 0),
+        ("tcp-check", "triples", 0),
+    ])
+    def test_count_below_one_is_two(self, tmp_path, task, key, value):
+        payload = copy.deepcopy(HOMOGENEOUS)
+        payload["tasks"] = [{"task": task, key: value}]
+        code, _ = run_cli(tmp_path, payload)
         assert code == 2
+
+    def test_documented_sum_of_powers_spelling(self, tmp_path):
+        payload = {
+            "schema_version": "1",
+            "seed": 1,
+            "model": {
+                "gram": [[1.0, 0.0], [0.0, 1.0]],
+                "A": [[1.0, 0.0], [0.0, -1.0]],
+                "profile": {"kind": "sum-of-powers", "terms": [[1.0, 1.0]]},
+                "interval": [0.0, None],
+            },
+            "tasks": [{"task": "verify-model", "points": 2}],
+        }
+        code, report = run_cli(tmp_path, payload)
+        assert code == 0
+        assert report["summary"]["failed"] == 0
 
     def test_task_crash_is_three(self, tmp_path):
         payload = copy.deepcopy(HOMOGENEOUS)
@@ -143,6 +179,12 @@ class TestExitCodes:
         code, _ = run_cli(tmp_path, HOMOGENEOUS)
         assert code == 2
 
+    @pytest.mark.parametrize("raw", ["inf", "nan"])
+    def test_nonfinite_tol_scale_is_two(self, tmp_path, monkeypatch, raw):
+        monkeypatch.setenv("ECS_LAB_TOL_SCALE", raw)
+        code, _ = run_cli(tmp_path, HOMOGENEOUS)
+        assert code == 2
+
 
 class TestReportSchema:
     def test_check_row_keys(self, tmp_path):
@@ -161,7 +203,7 @@ class TestReportSchema:
         assert report["scenario"]["seed"] == 7
         assert report["scenario"]["tasks"] == [
             "verify-model", "spectra", "geodesic", "classify-group"]
-        assert {"python", "numpy", "platform"} <= set(report["environment"])
+        assert {"python", "numpy", "scipy", "platform"} <= set(report["environment"])
 
     def test_tolerance_override_applies(self, tmp_path):
         payload = copy.deepcopy(HOMOGENEOUS)
@@ -192,13 +234,22 @@ class TestDeterminism:
         assert main(["run", "--scenario", scenario, "--report", str(r2)]) == 0
         assert r1.read_bytes() == r2.read_bytes()
 
-    def test_parallel_matches_serial(self, tmp_path):
-        scenario = write_scenario(tmp_path, HOMOGENEOUS)
-        r1, r2 = tmp_path / "serial.json", tmp_path / "par.json"
-        assert main(["run", "--scenario", scenario, "--report", str(r1)]) == 0
-        assert main(["run", "--scenario", scenario, "--report", str(r2),
-                     "--parallel", "4"]) == 0
-        assert r1.read_bytes() == r2.read_bytes()
+    def test_task_rows_ignore_earlier_tasks(self, tmp_path):
+        # Tasks share one model and its flows; a task's rows depend only on
+        # the seed and its own index, not on what ran before it.
+        checked = [{"task": "isometry-check", "elements": 4, "points": 3},
+                   {"task": "tcp-check", "classes": 2, "round_trips": 3,
+                    "agreement_pairs": 3, "triples": 2}]
+        reports = []
+        for first in ({"task": "spectra", "q_values": [0.3, 3.5]},
+                      {"task": "verify-model", "points": 1}):
+            payload = copy.deepcopy(HOMOGENEOUS)
+            payload["tasks"] = [first, *checked]
+            _, report = run_cli(tmp_path, payload,
+                                report_name=f"{first['task']}.json")
+            reports.append([row for row in report["checks"]
+                            if row["task"] != first["task"]])
+        assert reports[0] and reports[0] == reports[1]
 
     def test_seed_override_changes_values(self, tmp_path):
         scenario = write_scenario(tmp_path, HOMOGENEOUS)

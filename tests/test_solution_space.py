@@ -129,6 +129,38 @@ class TestFlow:
         back = propagate(propagate(u, 3.5), u.base_t)
         assert np.max(np.abs(back.data() - u.data())) < 1e-9
 
+    @pytest.mark.parametrize("make,window,pairs", [
+        (lambda: HomogeneousModel.standard(3, 1.5).model, (0.3, 4.0), 30),
+        (lambda: ModelManifold.ecs(               # n5-poly, base 0 in (-2, 2)
+            PseudoEuclideanSpace(np.diag([1.0, 1.0, -1.0])),
+            np.diag([1.0, 2.0, -3.0]),
+            PolynomialProfile([0.0, 2.0, 0.0, 1.0 / 6.0])), (-2.0, 2.0), 10),
+    ], ids=["n5-homog", "n5-poly"])
+    def test_lookup_ignores_query_history(self, make, window, pairs):
+        # matrix(b) must not depend on an earlier query at another time a
+        rng = np.random.default_rng(11)
+        base = make().default_base_t()
+        for _ in range(pairs):
+            a, b = rng.uniform(*window, size=2)
+            fresh, used = make(), make()
+            flow(used, base).matrix(a)
+            assert np.array_equal(flow(fresh, base).matrix(b),
+                                  flow(used, base).matrix(b))
+
+    def test_segments_chain_from_base(self):
+        # only the first segment of each direction starts at the base time
+        model = HomogeneousModel.standard(3, 1.5).model
+        fl = flow(model, 1.0)
+        fl.matrix(0.3)
+        fl.matrix(4.0)
+        for sign in (1.0, -1.0):
+            sols = fl._sols[sign]
+            assert len(sols) >= 2
+            assert sols[0].t[0] == 1.0
+            for prev, seg in zip(sols, sols[1:]):
+                assert seg.t[0] == prev.t[-1]
+                assert np.array_equal(seg.y[:, 0], prev.y[:, -1])
+
     def test_barrier_refuses_endpoint(self, roster):
         model = roster[1].model           # interval (0, inf)
         u = SolutionE(model, 1.0, [1.0, 0.0], [0.0, 0.0])
