@@ -64,7 +64,6 @@ from .homogeneous import (
     HomogeneousModel,
     class_map,
     class_map_inverse,
-    commute_residual,
     commute_test,
     transitive_commutation_check,
     conjugation_spectrum_check,
@@ -72,7 +71,6 @@ from .homogeneous import (
     exponential_consistency_residual,
     expected_kernel_dim,
     g0_element,
-    generator_matrix,
     generator_spectrum_check,
     shifted_invertibility,
     spectral_split,
@@ -331,6 +329,24 @@ def _count(params: dict, key: str, default: int) -> int:
     return value
 
 
+def _pair_count(params: dict, key: str, default: int) -> int:
+    """A sample count for a check over pairs; one sample forms no pair."""
+    value = _count(params, key, default)
+    if value < 2:
+        raise ScenarioError(f"{key!r} must be at least 2, got {value}")
+    return value
+
+
+def _q_values(params: dict, task: str, default: list) -> list[float]:
+    """A task's dilation parameters: at least one, all positive."""
+    q_values = [float(q) for q in params.get("q_values", default)]
+    if not q_values:
+        raise ScenarioError(f"{task} q_values must not be empty")
+    if any(q <= 0 for q in q_values):
+        raise ScenarioError(f"{task} q_values must be positive")
+    return q_values
+
+
 def _valid_isometries(model: ModelManifold, rng: np.random.Generator,
                       count: int) -> list[IsoElement]:
     """Sample elements that genuinely belong to the isometry group.
@@ -411,18 +427,14 @@ def task_verify_model(model: ModelManifold, params: dict, tol: Tolerances,
 def task_spectra(model: ModelManifold, params: dict, tol: Tolerances,
                  rng: np.random.Generator) -> list[CheckRow]:
     hm = _require_homogeneous(model, "spectra")
-    q_values = [float(q) for q in params.get("q_values", [0.25, 0.5, 2.0, 4.0])]
-    for q in q_values:
-        if q <= 0:
-            raise ScenarioError("spectra q_values must be positive")
-    B = generator_matrix(hm)
+    q_values = _q_values(params, "spectra", [0.25, 0.5, 2.0, 4.0])
     rows = []
-    gchk = generator_spectrum_check(hm, B)
+    gchk = generator_spectrum_check(hm)
     rows.append(tol.check(
         "spectra", "generator eigenvalues match m + 1/2 - 2j -+ c",
         "spectra.generator-eigenvalues", gchk.max_rel_error,
         detail={"predicted": gchk.predicted, "computed": np.sort_complex(gchk.computed)}))
-    split = spectral_split(hm, B)
+    split = spectral_split(hm)
     rows.append(tol.check(
         "spectra", "kernel dimension matches the odd-integer rule for 2c",
         "spectra.kernel-dimension",
@@ -437,7 +449,7 @@ def task_spectra(model: ModelManifold, params: dict, tol: Tolerances,
         rows.append(tol.check(
             "spectra", f"exp(log(q) B) reproduces the dilation at q = {q:g}",
             "spectra.exponential-consistency",
-            exponential_consistency_residual(hm, q, B)))
+            exponential_consistency_residual(hm, q)))
         if abs(q - 1.0) > 1e-10:
             inv = shifted_invertibility(hm, q, split)
             rows.append(tol.check(
@@ -449,7 +461,7 @@ def task_spectra(model: ModelManifold, params: dict, tol: Tolerances,
 
 def task_isometry_check(model: ModelManifold, params: dict, tol: Tolerances,
                         rng: np.random.Generator) -> list[CheckRow]:
-    n_elements = _count(params, "elements", 10)
+    n_elements = _pair_count(params, "elements", 10)
     n_points = _count(params, "points", 5)
     elems = _valid_isometries(model, rng, n_elements)
     pts = [random_chart_point(model, rng) for _ in range(n_points)]
@@ -501,7 +513,7 @@ def task_tcp_check(model: ModelManifold, params: dict, tol: Tolerances,
                    rng: np.random.Generator) -> list[CheckRow]:
     hm = _require_homogeneous(model, "tcp-check")
     n_classes = _count(params, "classes", 5)
-    per_class = _count(params, "per_class", 3)
+    per_class = _pair_count(params, "per_class", 3)
     round_trips = _count(params, "round_trips", 20)
     m2 = 2 * hm.m
     split = spectral_split(hm)
@@ -538,12 +550,12 @@ def task_tcp_check(model: ModelManifold, params: dict, tol: Tolerances,
         classes.append(members)
         for i in range(per_class):
             for j in range(i + 1, per_class):
-                worst_within = max(worst_within,
-                                   commute_residual(hm, members[i], members[j]))
+                worst_within = max(worst_within, commute_test(
+                    hm, members[i], members[j]).direct_residual)
     for i in range(n_classes):
         for j in range(i + 1, n_classes):
-            least_across = min(least_across,
-                               commute_residual(hm, classes[i][0], classes[j][0]))
+            least_across = min(least_across, commute_test(
+                hm, classes[i][0], classes[j][0]).direct_residual)
 
     agreement_pairs = _count(params, "agreement_pairs", 30)
     disagreements = 0
@@ -648,10 +660,7 @@ def task_geodesic(model: ModelManifold, params: dict, tol: Tolerances,
 
 def task_classify_group(model: ModelManifold, params: dict, tol: Tolerances,
                         rng: np.random.Generator) -> list[CheckRow]:
-    q_values = [float(q) for q in params.get("q_values", [1.0])]
-    for q in q_values:
-        if q <= 0:
-            raise ScenarioError("classify-group q_values must be positive")
+    q_values = _q_values(params, "classify-group", [1.0])
     homogeneous = isinstance(model.profile, HomogeneousProfile)
     if not homogeneous and any(abs(q - 1.0) > 1e-12 for q in q_values):
         raise ScenarioError(

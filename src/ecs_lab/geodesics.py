@@ -189,17 +189,6 @@ def t_affinity_report(result: GeodesicResult) -> dict:
             "slope": float(coef[0]), "intercept": float(coef[1])}
 
 
-def geodesic_between_leaves(model: ModelManifold, result: GeodesicResult) -> dict:
-    """Convenience summary: where the run started/ended in t and whether it
-    stopped at the barrier."""
-    ts = result.t_values()
-    return {
-        "t_start": float(ts[0]),
-        "t_end": float(ts[-1]),
-        "hit_boundary": result.hit_boundary,
-    }
-
-
 def leaf_exp(model: ModelManifold, point: ChartPoint, leaf_vector) -> ChartPoint:
     """Exponential map inside the leaf {t} x R x V: coordinate addition.
 

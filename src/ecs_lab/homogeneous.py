@@ -47,8 +47,8 @@ from .isometry_group import IsoElement, SElement, sigma_act, sigma_matrix
 
 # Relative singular-value cutoff separating the kernel of the generator from
 # its range. The smallest nonzero |kappa| across the supported parameter
-# range stays above 0.2 while integrator noise sits near 1e-9, so the gap is
-# wide; 1e-4 splits it safely.
+# range stays above 0.2, while the closed-form B puts a kernel singular value
+# at roundoff (near 1e-16 relative), so 1e-4 splits the gap safely.
 KERNEL_RTOL = 1e-4
 
 
@@ -150,38 +150,34 @@ def dilation_spectrum_check(hm: HomogeneousModel, q: float) -> SpectrumCheck:
                          _match_multisets(predicted, computed))
 
 
-def generator_matrix(hm: HomogeneousModel, h: float = 1e-3) -> np.ndarray:
-    """Generator B = d/dr|_{r=0} sigma_{e^r} by Richardson-extrapolated
-    central differences in q around 1. With the smooth q-dependence of the
-    flow the O(h^4) truncation sits near 1e-13 for h = 1e-3."""
+def generator_matrix(hm: HomogeneousModel) -> np.ndarray:
+    """Generator B = d/dr|_{r=0} sigma_{e^r} in closed form.
 
-    def central(step: float) -> np.ndarray:
-        return (hm.sigma_q_matrix(1.0 + step) - hm.sigma_q_matrix(1.0 - step)) / (2.0 * step)
+    sigma_q = diag(C_q, C_q / q) Phi(1/q <- 1) with C_q = P diag(q^{m+1-2j})
+    P^{-1}; differentiating at q = 1 and using u'' = (f + A) u at t = 1 gives
+    B = [[D, -I], [-(f(1) + A), D - I]] with D = P diag(m+1-2j) P^{-1}.
+    """
+    m = hm.m
+    P = hm.fit.vectors
+    D = P @ np.diag([m + 1.0 - 2 * j for j in range(1, m + 1)]) @ np.linalg.inv(P)
+    eye = np.eye(m)
+    return np.block([[D, -eye], [-hm.model.f_plus_A(hm.base_t), D - eye]])
 
-    d1 = central(h)
-    d2 = central(h / 2.0)
-    return (4.0 * d2 - d1) / 3.0
 
-
-def generator_spectrum_check(hm: HomogeneousModel,
-                             B: Optional[np.ndarray] = None) -> SpectrumCheck:
-    if B is None:
-        B = generator_matrix(hm)
-    computed = np.linalg.eigvals(B)
+def generator_spectrum_check(hm: HomogeneousModel) -> SpectrumCheck:
+    computed = np.linalg.eigvals(generator_matrix(hm))
     predicted = spectral_exponents(hm.m, hm.c)
     return SpectrumCheck(predicted, computed,
                          _match_multisets(predicted, computed))
 
 
-def exponential_consistency_residual(hm: HomogeneousModel, q: float,
-                                     B: Optional[np.ndarray] = None) -> float:
-    """Residual of expm(log(q) B) = sigma_q, tying generator and group."""
+def exponential_consistency_residual(hm: HomogeneousModel, q: float) -> float:
+    """Residual of expm(log(q) B) = sigma_q: the closed-form generator
+    against the integrated dilation."""
     from scipy.linalg import expm
 
-    if B is None:
-        B = generator_matrix(hm)
     M = hm.sigma_q_matrix(q)
-    E = expm(np.log(q) * B)
+    E = expm(np.log(q) * generator_matrix(hm))
     return float(np.max(np.abs(E - M))) / max(1.0, float(np.max(np.abs(M))))
 
 
@@ -220,11 +216,8 @@ def expected_kernel_dim(c: complex) -> int:
     return 1 if abs(two_c - round(two_c)) < 1e-12 and round(two_c) % 2 != 0 else 0
 
 
-def spectral_split(hm: HomogeneousModel,
-                   B: Optional[np.ndarray] = None) -> SpectralSplit:
-    if B is None:
-        B = generator_matrix(hm)
-    U, sv, Vt = np.linalg.svd(B)
+def spectral_split(hm: HomogeneousModel) -> SpectralSplit:
+    U, sv, Vt = np.linalg.svd(generator_matrix(hm))
     small = sv <= KERNEL_RTOL * sv[0]
     k = int(np.sum(small))
     e0 = Vt[2 * hm.m - k:, :].T if k else np.zeros((2 * hm.m, 0))
@@ -283,11 +276,6 @@ def g0_distance(a: G0Element, b: G0Element) -> float:
         abs(a.r - b.r),
         float(np.max(np.abs(a.u.data() - b.u.data()))),
     )
-
-
-def commute_residual(hm: HomogeneousModel, a: G0Element, b: G0Element) -> float:
-    """Coordinate distance between ab and ba; 0 means the pair commutes."""
-    return g0_distance(g0_compose(hm, a, b), g0_compose(hm, b, a))
 
 
 @dataclass

@@ -235,21 +235,6 @@ def iso_inverse(model: ModelManifold, a: IsoElement) -> IsoElement:
     return IsoElement(inv_sigma, -sa.q * a.r, u_star)
 
 
-def hom_q(a: IsoElement) -> float:
-    """Dilation character of the isometry."""
-    return a.sigma.q
-
-
-def hom_qp(a: IsoElement) -> tuple[float, float]:
-    """Affine part acting on the t-line."""
-    return (a.sigma.q, a.sigma.p)
-
-
-def hom_C(a: IsoElement) -> np.ndarray:
-    """Linear part acting on V."""
-    return a.sigma.C
-
-
 def classify_holonomy(elements: list[IsoElement], tol: float = 1e-12) -> str:
     """'dilational' when some element genuinely rescales t, else
     'translational'. Raises on nonpositive q, which cannot occur in the

@@ -608,16 +608,6 @@ def weyl_tidal_operator(model: ModelManifold, point: ChartPoint,
     return M[2:, 2:]
 
 
-def weyl_tidal_full(model: ModelManifold, point: ChartPoint) -> np.ndarray:
-    """Full n x n matrix of the normalized tidal map (t and s rows vanish)."""
-    pack = curvature_at(model, point)
-    n = model.dim
-    w_up = np.einsum("ax,xbcd->abcd", pack.g_inv, pack.weyl)
-    u = np.zeros(n)
-    u[0] = 2.0
-    return np.einsum("abcd,b,c->ad", w_up, u, u) / u[0] ** 2
-
-
 def olszak_span_check(model: ModelManifold, point: ChartPoint,
                       pack: Optional[CurvaturePack] = None) -> dict:
     """Residuals showing span(d/ds) is the distinguished null parallel line.

@@ -90,18 +90,6 @@ class PseudoEuclideanSpace:
                 out.append(self._gram_inv @ s)
         return out
 
-    def self_adjoint_basis(self) -> list[np.ndarray]:
-        """Basis of the space of self-adjoint endomorphisms, gram^{-1} Sym."""
-        m = self.dim
-        out = []
-        for i in range(m):
-            for j in range(i, m):
-                s = np.zeros((m, m))
-                s[i, j] = 1.0
-                s[j, i] = 1.0
-                out.append(self._gram_inv @ s)
-        return out
-
 
 @dataclass
 class AValidation:

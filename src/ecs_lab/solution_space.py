@@ -290,11 +290,6 @@ def heisenberg_inverse(a: HeisenbergElement) -> HeisenbergElement:
     return HeisenbergElement(-a.r, -a.u)
 
 
-def heisenberg_identity(model: ModelManifold,
-                        base_t: Optional[float] = None) -> HeisenbergElement:
-    return HeisenbergElement(0.0, zero_solution(model, base_t))
-
-
 def heisenberg_commutator(a: HeisenbergElement, b: HeisenbergElement) -> HeisenbergElement:
     """a b a^{-1} b^{-1}; lands in the center with charge -2 Omega(u_a, u_b)."""
     ab = heisenberg_mul(a, b)

@@ -35,7 +35,6 @@ from ecs_lab.homogeneous import (
     exponential_consistency_residual,
     g0_distance,
     g0_element,
-    generator_matrix,
     generator_spectrum_check,
     shifted_invertibility,
     spectral_split,
@@ -116,12 +115,11 @@ def curvature_survey(roster):
 @pytest.fixture(scope="session")
 def spectral_grid():
     """The (m, c) grid for the scaling-family checks, one imaginary c
-    included, with the generator and kernel/range split precomputed."""
+    included, with the kernel/range split precomputed."""
     out = []
     for m, c in [(2, 0.3), (2, 1.5), (3, 0.25), (3, 0.7j)]:
         hm = HomogeneousModel.standard(m, c)
-        B = generator_matrix(hm)
-        out.append((m, c, hm, B, spectral_split(hm, B)))
+        out.append((m, c, hm, spectral_split(hm)))
     return out
 
 
@@ -285,13 +283,13 @@ def test_ac07_scaling_spectra_and_generator(spectral_grid, capsys):
     worst_exp = 0.0
     kernel_hits = 0
     cases = 0
-    for m, c, hm, B, split in spectral_grid:
-        worst_gen = max(worst_gen, generator_spectrum_check(hm, B).max_rel_error)
+    for m, c, hm, split in spectral_grid:
+        worst_gen = max(worst_gen, generator_spectrum_check(hm).max_rel_error)
         for q in Q_SAMPLES:
             worst_sigma = max(
                 worst_sigma, dilation_spectrum_check(hm, q).max_rel_error)
             worst_exp = max(
-                worst_exp, exponential_consistency_residual(hm, q, B))
+                worst_exp, exponential_consistency_residual(hm, q))
         cases += 1
         if split.kernel_dim == expected_kernel_dim(c):
             kernel_hits += 1
@@ -310,7 +308,7 @@ def test_ac07_scaling_spectra_and_generator(spectral_grid, capsys):
 def test_ac08_shifted_scaling_invertibility(spectral_grid, capsys):
     min_sv = np.inf
     worst_kernel = 0.0
-    for m, c, hm, B, split in spectral_grid:
+    for m, c, hm, split in spectral_grid:
         for q in Q_SAMPLES:
             rep = shifted_invertibility(hm, q, split)
             min_sv = min(min_sv, rep["min_singular_value"])
@@ -334,7 +332,7 @@ def test_ac09_commuting_class_suite(spectral_grid, capsys):
     premise_failures = 0
     counterexamples = 0
     triple_count = 0
-    for m, c, hm, B, split in spectral_grid[:2]:
+    for m, c, hm, split in spectral_grid[:2]:
         m2 = 2 * hm.m
         kdim = split.kernel_dim
 
@@ -412,7 +410,7 @@ def test_ac10_conjugation_spectrum(spectral_grid, capsys):
     worst = 0.0
     count = 0
     picks = [spectral_grid[0], spectral_grid[2], spectral_grid[1]]
-    for (m, c, hm, B, split), n_elems in zip(picks, (7, 7, 6)):
+    for (m, c, hm, split), n_elems in zip(picks, (7, 7, 6)):
         m2 = 2 * hm.m
         for _ in range(n_elems):
             q = float(np.exp(rng.uniform(-np.log(4.0), np.log(4.0))))

@@ -127,11 +127,13 @@ class TestExitCodes:
         ("verify-model", "points", 0),
         ("geodesic", "count", 0),
         ("isometry-check", "elements", -3),
+        ("isometry-check", "elements", 1),
         ("isometry-check", "points", 0),
         ("appendix-a", "count", 0),
         ("appendix-b", "count", 0),
         ("tcp-check", "classes", 0),
         ("tcp-check", "per_class", 0),
+        ("tcp-check", "per_class", 1),
         ("tcp-check", "round_trips", 0),
         ("tcp-check", "agreement_pairs", 0),
         ("tcp-check", "triples", 0),
@@ -139,6 +141,13 @@ class TestExitCodes:
     def test_count_below_one_is_two(self, tmp_path, task, key, value):
         payload = copy.deepcopy(HOMOGENEOUS)
         payload["tasks"] = [{"task": task, key: value}]
+        code, _ = run_cli(tmp_path, payload)
+        assert code == 2
+
+    @pytest.mark.parametrize("task", ["spectra", "classify-group"])
+    def test_empty_q_values_is_two(self, tmp_path, task):
+        payload = copy.deepcopy(HOMOGENEOUS)
+        payload["tasks"] = [{"task": task, "q_values": []}]
         code, _ = run_cli(tmp_path, payload)
         assert code == 2
 

@@ -113,6 +113,11 @@ class TestGeneratorB:
         eigs = np.linalg.eigvals(B)
         assert multiset_close(eigs, [0.2, 0.8, -1.8, -1.2])
 
+    def test_closed_form_needs_no_flow(self):
+        hm = model_for(3, 1.5)
+        generator_matrix(hm)
+        assert not hm.model._flows
+
     def test_trace_checksum(self):
         for m, c in GRID:
             hm = model_for(m, c)
@@ -126,9 +131,8 @@ class TestGeneratorB:
     def test_exponential_consistency(self):
         for m, c in [(2, 0.3), (3, 1.5)]:
             hm = model_for(m, c)
-            B = generator_matrix(hm)
             for q in (0.5, 2.0, 4.0):
-                assert exponential_consistency_residual(hm, q, B) < 1e-6
+                assert exponential_consistency_residual(hm, q) < 1e-6
 
 
 class TestKernelSplit:
@@ -149,7 +153,7 @@ class TestKernelSplit:
     def test_kernel_annihilated(self):
         hm = model_for(2, 1.5)
         B = generator_matrix(hm)
-        split = spectral_split(hm, B)
+        split = spectral_split(hm)
         assert split.kernel_dim == 1
         assert np.max(np.abs(B @ split.e0)) < 1e-8
 

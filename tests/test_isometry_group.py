@@ -9,9 +9,6 @@ from ecs_lab.isometry_group import (
     IsoElement,
     SElement,
     classify_holonomy,
-    hom_C,
-    hom_q,
-    hom_qp,
     iso_apply,
     iso_compose,
     iso_from_heisenberg,
@@ -242,11 +239,11 @@ class TestGroupOperations:
         model = entry.model
         a, b = iso_sampler(entry, rng, 2)
         ab = iso_compose(model, a, b)
-        assert hom_q(ab) == pytest.approx(hom_q(a) * hom_q(b), rel=1e-14)
-        qa, pa = hom_qp(a)
-        qb, pb = hom_qp(b)
-        assert hom_qp(ab) == pytest.approx((qa * qb, qa * pb + pa), rel=1e-14)
-        assert np.allclose(hom_C(ab), hom_C(a) @ hom_C(b), atol=1e-13)
+        # q, (q, p) and C are homomorphisms of the composition law.
+        sa, sb, sab = a.sigma, b.sigma, ab.sigma
+        assert (sab.q, sab.p) == pytest.approx((sa.q * sb.q, sa.q * sb.p + sa.p),
+                                               rel=1e-14)
+        assert np.allclose(sab.C, sa.C @ sb.C, atol=1e-13)
 
     def test_heisenberg_embedding_is_homomorphism(self, roster):
         rng = np.random.default_rng(75)

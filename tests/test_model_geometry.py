@@ -30,7 +30,6 @@ from ecs_lab.model_geometry import (
     random_chart_point,
     ricci_profile_residual,
     weyl_nonzero_norm,
-    weyl_tidal_full,
     weyl_tidal_operator,
 )
 from ecs_lab.pseudo_linear import PseudoEuclideanSpace
@@ -384,9 +383,12 @@ class TestStructuralChecks:
             norm_A = np.max(np.abs(model.A))
             for _ in range(5):
                 pt = random_chart_point(model, rng)
-                M = weyl_tidal_operator(model, pt)
+                pack = curvature_at(model, pt)
+                M = weyl_tidal_operator(model, pt, pack)
                 assert np.max(np.abs(M - model.A)) / norm_A < 1e-10
-                full = weyl_tidal_full(model, pt)
+                # Full tidal map v -> W(d/dt, v) d/dt: its t and s rows vanish.
+                w_up = np.einsum("ax,xbcd->abcd", pack.g_inv, pack.weyl)
+                full = w_up[:, 0, 0, :]
                 assert np.max(np.abs(full[:2, :])) < 1e-10 * max(1.0, norm_A)
 
     def test_tidal_operator_linear_in_A(self):

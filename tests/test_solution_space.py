@@ -11,8 +11,9 @@ The closed-form oracles are hand-checked solutions of u'' = f u + A u:
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from ecs_lab.homogeneous import HomogeneousModel
+from ecs_lab.homogeneous import HomogeneousModel, generator_matrix
 from ecs_lab.model_geometry import (
     HomogeneousProfile,
     ModelManifold,
@@ -25,7 +26,6 @@ from ecs_lab.solution_space import (
     basis_E,
     flow,
     heisenberg_commutator,
-    heisenberg_identity,
     heisenberg_inverse,
     heisenberg_mul,
     isotropic_span_residual,
@@ -161,6 +161,20 @@ class TestFlow:
                 assert seg.t[0] == prev.t[-1]
                 assert np.array_equal(seg.y[:, 0], prev.y[:, -1])
 
+    @pytest.mark.parametrize("m,c", [(2, 0.3), (3, 1.5), (5, 0.25), (3, 0.7j)])
+    def test_matches_dilation_closed_form(self, m, c):
+        # sigma_q = diag(C_q, C_q / q) Phi(1/q <- 1) = expm(log q B) on a
+        # homogeneous model, so with q = 1/t and C_{1/t}^{-1} = C_t:
+        # Phi(t <- 1) = diag(C_t, C_t / t) expm(-log t B), B in closed form.
+        hm = HomogeneousModel.standard(m, c)
+        B = generator_matrix(hm)
+        zero = np.zeros((m, m))
+        for t in (0.05, 0.2, 0.5, 0.9, 1.3, 3.0, 7.0, 20.0):
+            C = hm.c_matrix(t)
+            exact = np.block([[C, zero], [zero, C / t]]) @ expm(-np.log(t) * B)
+            got = flow(hm.model, 1.0).matrix(t)
+            assert np.max(np.abs(got - exact)) < 1e-9 * np.max(np.abs(exact))
+
     def test_barrier_refuses_endpoint(self, roster):
         model = roster[1].model           # interval (0, inf)
         u = SolutionE(model, 1.0, [1.0, 0.0], [0.0, 0.0])
@@ -242,7 +256,7 @@ class TestHeisenberg:
     def test_identity_and_inverse(self, roster):
         rng = np.random.default_rng(21)
         model = roster[0].model
-        e = heisenberg_identity(model)
+        e = HeisenbergElement(0.0, zero_solution(model))
         a = self.sample(model, rng)
         left = heisenberg_mul(heisenberg_inverse(a), a)
         right = heisenberg_mul(a, heisenberg_inverse(a))
