@@ -41,14 +41,10 @@ from .model_geometry import (
 )
 from .solution_space import (
     SolutionE,
-    HeisenbergElement,
     basis_E,
     propagate,
     omega,
     omega_matrix,
-    heisenberg_mul,
-    heisenberg_inverse,
-    heisenberg_commutator,
 )
 from .isometry_group import (
     SElement,
@@ -64,7 +60,6 @@ from .isometry_group import (
 )
 from .homogeneous import (
     HomogeneousModel,
-    G0Element,
     spectral_exponents,
     dilation_spectrum_check,
     generator_matrix,

@@ -88,7 +88,6 @@ from .isometry_group import (
     sigma_det_residual,
 )
 from .model_geometry import (
-    ChartPoint,
     HomogeneousProfile,
     ModelManifold,
     ProfileF,
@@ -104,13 +103,7 @@ from .model_geometry import (
     weyl_tidal_operator,
 )
 from .model_geometry import curvature_identity_residuals
-from .solution_space import (
-    HeisenbergElement,
-    heisenberg_commutator,
-    omega,
-    omega_drift,
-    random_solution,
-)
+from .solution_space import omega, random_solution
 
 SCHEMA_VERSION = "1"
 
@@ -581,10 +574,15 @@ def task_tcp_check(model: ModelManifold, params: dict, tol: Tolerances,
         worst_conj = max(worst_conj, chk.max_rel_error)
 
     worst_central = 0.0
+    sigma_id = SElement(1.0, 0.0, np.eye(model.m))
     for _ in range(10):
-        h1 = HeisenbergElement(float(rng.standard_normal()), random_solution(model, rng))
-        h2 = HeisenbergElement(float(rng.standard_normal()), random_solution(model, rng))
-        comm = heisenberg_commutator(h1, h2)
+        h1 = IsoElement(sigma_id, float(rng.standard_normal()),
+                        random_solution(model, rng))
+        h2 = IsoElement(sigma_id, float(rng.standard_normal()),
+                        random_solution(model, rng))
+        comm = iso_compose(model, iso_compose(model, h1, h2),
+                           iso_compose(model, iso_inverse(model, h1),
+                                       iso_inverse(model, h2)))
         expected = -2.0 * omega(h1.u, h2.u)
         worst_central = max(worst_central, abs(comm.r - expected),
                             float(np.max(np.abs(comm.u.data()))))

@@ -22,15 +22,16 @@ On the subgroup G_0 (elements with sigma = sigma_q) the map
                      (sigma_q - 1) z + w),      z in E_plus, w in E_0,
 
 parametrizes elements by their maximal commuting class: two elements with
-q, q' != 1 commute exactly when they share (a, z). This module carries the
-dilations, the generator, the splitting, J and its inverse, the commutation
-test, and the conjugation spectrum.
+q, q' != 1 commute exactly when they share (a, z). Elements of G_0 are
+plain isometry_group.IsoElement values with sigma = sigma_q, and they
+compose by iso_compose. This module carries the dilations, the generator,
+the splitting, J and its inverse, the commutation test, and the conjugation
+spectrum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -42,8 +43,8 @@ from .pseudo_linear import (
     fit_basis,
     scaling_isometry,
 )
-from .solution_space import SolutionE, omega, omega_matrix, zero_solution
-from .isometry_group import IsoElement, SElement, sigma_act, sigma_matrix
+from .solution_space import SolutionE, omega, omega_matrix
+from .isometry_group import IsoElement, SElement, iso_compose, sigma_act, sigma_matrix
 
 # Relative singular-value cutoff separating the kernel of the generator from
 # its range. The smallest nonzero |kappa| across the supported parameter
@@ -229,53 +230,11 @@ def spectral_split(hm: HomogeneousModel) -> SpectralSplit:
 # the subgroup G_0 and its commuting classes
 # ---------------------------------------------------------------------------
 
-@dataclass
-class G0Element:
-    """Element (q, r, u) of the subgroup with sigma = sigma_q, p = 0."""
-
-    q: float
-    r: float
-    u: SolutionE
-
-    def __post_init__(self):
-        self.q = float(self.q)
-        self.r = float(self.r)
-        if self.q <= 0:
-            raise ValueError("q must be positive")
-
-
-def g0_element(hm: HomogeneousModel, q: float, r: float, data) -> G0Element:
+def g0_element(hm: HomogeneousModel, q: float, r: float, data) -> IsoElement:
+    """The element (sigma_q, r, u) of G_0, with u given as Cauchy data at
+    the base time."""
     u = SolutionE.from_data(hm.model, hm.base_t, data)
-    return G0Element(q, r, u)
-
-
-def g0_to_iso(hm: HomogeneousModel, g: G0Element) -> IsoElement:
-    return IsoElement(hm.dilation(g.q), g.r, g.u)
-
-
-def g0_compose(hm: HomogeneousModel, a: G0Element, b: G0Element) -> G0Element:
-    moved = sigma_act(hm.model, hm.dilation(a.q), b.u)
-    return G0Element(a.q * b.q,
-                     a.r + b.r / a.q - omega(a.u, moved),
-                     a.u + moved)
-
-
-def g0_inverse(hm: HomogeneousModel, a: G0Element) -> G0Element:
-    moved = sigma_act(hm.model, hm.dilation(1.0 / a.q), a.u)
-    return G0Element(1.0 / a.q, -a.q * a.r, moved.scaled(-1.0))
-
-
-def g0_identity(hm: HomogeneousModel) -> G0Element:
-    return G0Element(1.0, 0.0, zero_solution(hm.model, hm.base_t))
-
-
-def g0_distance(a: G0Element, b: G0Element) -> float:
-    """Coordinate distance used by equality-style assertions."""
-    return max(
-        abs(a.q - b.q),
-        abs(a.r - b.r),
-        float(np.max(np.abs(a.u.data() - b.u.data()))),
-    )
+    return IsoElement(hm.dilation(q), r, u)
 
 
 @dataclass
@@ -299,22 +258,23 @@ class CommuteTest:
         return self.direct == self.criterion
 
 
-def commute_test(hm: HomogeneousModel, a: G0Element, b: G0Element,
+def commute_test(hm: HomogeneousModel, a: IsoElement, b: IsoElement,
                  tol: float = 1e-8) -> CommuteTest:
     model = hm.model
-    moved_b = sigma_act(model, hm.dilation(a.q), b.u)
-    moved_a = sigma_act(model, hm.dilation(b.q), a.u)
-
+    # The dilation parts of G_0 commute, so ab = ba is decided by r and u.
+    ab = iso_compose(model, a, b)
+    ba = iso_compose(model, b, a)
     direct_residual = max(
-        abs((a.r + b.r / a.q - omega(a.u, moved_b))
-            - (b.r + a.r / b.q - omega(b.u, moved_a))),
-        float(np.max(np.abs((a.u + moved_b).data() - (b.u + moved_a).data()))),
+        abs(ab.r - ba.r),
+        float(np.max(np.abs(ab.u.data() - ba.u.data()))),
     )
 
+    moved_b = sigma_act(model, a.sigma, b.u)
+    moved_a = sigma_act(model, b.sigma, a.u)
     solution_eq = float(np.max(np.abs(
         (moved_b - b.u).data() - (moved_a - a.u).data())))
     central_eq = abs(
-        a.r * (1.0 - 1.0 / b.q) - b.r * (1.0 - 1.0 / a.q)
+        a.r * (1.0 - 1.0 / b.sigma.q) - b.r * (1.0 - 1.0 / a.sigma.q)
         - omega(a.u, moved_b) + omega(b.u, moved_a))
     criterion_residual = max(solution_eq, central_eq)
 
@@ -375,34 +335,36 @@ def transitive_commutation_check(hm: HomogeneousModel,
     return TransitivityReport(n_triples, premise_failures, counterexamples, worst)
 
 
-def conjugation_matrix(hm: HomogeneousModel, g: G0Element) -> np.ndarray:
+def conjugation_matrix(hm: HomogeneousModel, g: IsoElement) -> np.ndarray:
     """Matrix of x -> g x g^{-1} restricted to the Heisenberg factor, in
     coordinates (r, u-data). Block triangular: the center scales by 1/q and
     the E-block is sigma_q, so the spectrum is {1/q} union spec(sigma_q)."""
     m2 = 2 * hm.m
-    M = hm.sigma_q_matrix(g.q)
+    q = g.sigma.q
+    M = hm.sigma_q_matrix(q)
     J = omega_matrix(hm.model)
     out = np.zeros((1 + m2, 1 + m2))
-    out[0, 0] = 1.0 / g.q
+    out[0, 0] = 1.0 / q
     # r-row: conjugating (0, u') picks up -2 Omega(u, sigma_q u').
     out[0, 1:] = -2.0 * (g.u.data() @ J @ M)
     out[1:, 1:] = M
     return out
 
 
-def conjugation_spectrum_check(hm: HomogeneousModel, g: G0Element) -> SpectrumCheck:
+def conjugation_spectrum_check(hm: HomogeneousModel, g: IsoElement) -> SpectrumCheck:
     M = conjugation_matrix(hm, g)
     computed = np.linalg.eigvals(M)
     kappa = spectral_exponents(hm.m, hm.c)
+    q = g.sigma.q
     predicted = np.concatenate([
-        [complex(1.0 / g.q)],
-        np.exp(np.log(g.q) * kappa),
+        [complex(1.0 / q)],
+        np.exp(np.log(q) * kappa),
     ])
     return SpectrumCheck(predicted, computed,
                          _match_multisets(predicted, computed))
 
 
-def class_map(hm: HomogeneousModel, a: float, z_data, q: float, w_data) -> G0Element:
+def class_map(hm: HomogeneousModel, a: float, z_data, q: float, w_data) -> IsoElement:
     """J(a, z, q, w): the element of the commuting class labeled (a, z) with
     dilation q and kernel displacement w."""
     model = hm.model
@@ -412,24 +374,23 @@ def class_map(hm: HomogeneousModel, a: float, z_data, q: float, w_data) -> G0Ele
     sz = sigma_act(model, sq, z)
     r = a * (1.0 - 1.0 / q) + omega(z, sz + w.scaled(1.0 + 1.0 / q))
     u = (sz - z) + w
-    return G0Element(q, r, u)
+    return IsoElement(sq, r, u)
 
 
-def class_map_inverse(hm: HomogeneousModel, g: G0Element,
-                      split: Optional[SpectralSplit] = None) -> tuple[float, np.ndarray, float, np.ndarray]:
+def class_map_inverse(hm: HomogeneousModel, g: IsoElement,
+                      split: SpectralSplit) -> tuple[float, np.ndarray, float, np.ndarray]:
     """Recover (a, z, q, w) from an element with q != 1.
 
     u decomposes along E = E_plus + E_0; z solves (sigma_q - 1) z = u_plus on
     E_plus (invertible there for q != 1), w is the kernel part, and a is read
     off the r-equation.
     """
-    if abs(g.q - 1.0) < 1e-10:
+    q = g.sigma.q
+    if abs(q - 1.0) < 1e-10:
         raise ValueError("class parametrization needs q != 1")
-    if split is None:
-        split = spectral_split(hm)
     model = hm.model
     m2 = 2 * hm.m
-    M = hm.sigma_q_matrix(g.q)
+    M = hm.sigma_q_matrix(q)
     u_plus_coeff, u_zero_coeff = split.decompose(g.u.data())
     u_plus = split.eplus @ u_plus_coeff
     w_data = split.e0 @ u_zero_coeff if split.kernel_dim else np.zeros(m2)
@@ -441,19 +402,17 @@ def class_map_inverse(hm: HomogeneousModel, g: G0Element,
 
     z = SolutionE.from_data(model, hm.base_t, z_data)
     w = SolutionE.from_data(model, hm.base_t, w_data)
-    sz = sigma_act(model, hm.dilation(g.q), z)
-    off = omega(z, sz + w.scaled(1.0 + 1.0 / g.q))
-    a = (g.r - off) / (1.0 - 1.0 / g.q)
-    return a, z_data, g.q, w_data
+    sz = sigma_act(model, g.sigma, z)
+    off = omega(z, sz + w.scaled(1.0 + 1.0 / q))
+    a = (g.r - off) / (1.0 - 1.0 / q)
+    return a, z_data, q, w_data
 
 
 def shifted_invertibility(hm: HomogeneousModel, q: float,
-                          split: Optional[SpectralSplit] = None) -> dict:
+                          split: SpectralSplit) -> dict:
     """Smallest singular value of (sigma_q - 1)|E_plus (in the split basis)
     and the norm of (sigma_q - 1) on E_0; the first must stay away from 0
     for q != 1, the second near 0 always."""
-    if split is None:
-        split = spectral_split(hm)
     m2 = 2 * hm.m
     M = hm.sigma_q_matrix(q)
     shifted = M - np.eye(m2)

@@ -36,13 +36,7 @@ import numpy as np
 
 from .model_geometry import ChartPoint, ModelManifold, metric_at
 from .pseudo_linear import _as_matrix
-from .solution_space import (
-    HeisenbergElement,
-    SolutionE,
-    flow,
-    omega,
-    zero_solution,
-)
+from .solution_space import SolutionE, flow, omega, zero_solution
 
 
 @dataclass
@@ -166,11 +160,6 @@ def sigma_matrix(model: ModelManifold, elem: SElement,
 def iso_identity(model: ModelManifold) -> IsoElement:
     m = model.m
     return IsoElement(SElement(1.0, 0.0, np.eye(m)), 0.0, zero_solution(model))
-
-
-def iso_from_heisenberg(model: ModelManifold, h: HeisenbergElement) -> IsoElement:
-    """Embed the Heisenberg factor as isometries with trivial sigma."""
-    return IsoElement(SElement(1.0, 0.0, np.eye(model.m)), h.r, h.u)
 
 
 def iso_apply(model: ModelManifold, g: IsoElement, point: ChartPoint) -> ChartPoint:

@@ -559,11 +559,9 @@ def nabla_riemann_norm(pack: CurvaturePack) -> float:
 
 
 def ricci_profile_residual(model: ModelManifold, point: ChartPoint,
-                           pack: Optional[CurvaturePack] = None) -> float:
+                           pack: CurvaturePack) -> float:
     """Residual of Ric = (2 - n) f dt x dt at the point."""
     n = model.dim
-    if pack is None:
-        pack = curvature_at(model, point)
     expected = np.zeros((n, n))
     expected[0, 0] = (2.0 - n) * float(model.profile.value(point.t))
     scale = max(1.0, float(np.max(np.abs(expected))))
@@ -577,20 +575,18 @@ def weyl_nonzero_norm(pack: CurvaturePack) -> float:
 
 
 def christoffel_pattern_residual(model: ModelManifold, point: ChartPoint,
-                                 pack: Optional[CurvaturePack] = None) -> float:
+                                 pack: CurvaturePack) -> float:
     """max |Gamma^a_{bc}| over pairs (b, c) tangent to the leaf {t} x R x V.
 
     Identically zero on the family: both lower indices in every nonzero
     Christoffel symbol involve t. This is the structural fact behind the
     leaves being flat and totally geodesic with exp = coordinate addition.
     """
-    if pack is None:
-        pack = curvature_at(model, point)
     return float(np.max(np.abs(pack.christoffel[:, 1:, 1:])))
 
 
 def weyl_tidal_operator(model: ModelManifold, point: ChartPoint,
-                        pack: Optional[CurvaturePack] = None) -> np.ndarray:
+                        pack: CurvaturePack) -> np.ndarray:
     """The V-block of v -> W(u, v) u for the observer u = 2 d/dt, divided by
     dt(u)^2 so the result is independent of the observer's scale.
 
@@ -598,8 +594,6 @@ def weyl_tidal_operator(model: ModelManifold, point: ChartPoint,
     curvature observable rather than a construction input. Here dt is the
     1-form g(2 d/ds, .), i.e. dt(u) = u^t.
     """
-    if pack is None:
-        pack = curvature_at(model, point)
     n = model.dim
     w_up = np.einsum("ax,xbcd->abcd", pack.g_inv, pack.weyl)
     u = np.zeros(n)
@@ -609,7 +603,7 @@ def weyl_tidal_operator(model: ModelManifold, point: ChartPoint,
 
 
 def olszak_span_check(model: ModelManifold, point: ChartPoint,
-                      pack: Optional[CurvaturePack] = None) -> dict:
+                      pack: CurvaturePack) -> dict:
     """Residuals showing span(d/ds) is the distinguished null parallel line.
 
     null_residual: |g(d/ds, d/ds)|. parallel_residual: max |Gamma^a_{b s}|,
@@ -617,8 +611,6 @@ def olszak_span_check(model: ModelManifold, point: ChartPoint,
     dt_residual: the 1-form g(2 d/ds, .) equals dt entrywise.
     """
     g = metric_at(model, point)
-    if pack is None:
-        pack = curvature_at(model, point)
     n = model.dim
     dt = np.zeros(n)
     dt[0] = 1.0

@@ -10,7 +10,7 @@ Everything here is plain numpy on small dense matrices (dim V = m, typically
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np

@@ -15,8 +15,9 @@ Heisenberg group R x E with product
 
     (r, u)(r', u') = (r + r' - Omega(u, u'), u + u')
 
-acts on the model by isometries; its group law and commutator live here,
-the full isometry group in isometry_group.
+acts on the model by isometries. It is the subgroup sigma = id of the full
+isometry group; elements and the group law (IsoElement, iso_compose) live
+in isometry_group.
 
 Propagation uses the fundamental matrix of the first-order system,
 integrated with a high-order adaptive scheme and dense output over fixed
@@ -35,7 +36,7 @@ from typing import Iterable, Optional
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .model_geometry import ChartPoint, ModelManifold
+from .model_geometry import ModelManifold
 
 # Queries are refused closer than this to a finite interval endpoint, where
 # singular profiles blow up.
@@ -167,9 +168,6 @@ class SolutionE:
         return SolutionE(self.model, self.base_t,
                          self.value - other.value, self.deriv - other.deriv)
 
-    def __neg__(self) -> "SolutionE":
-        return SolutionE(self.model, self.base_t, -self.value, -self.deriv)
-
     def scaled(self, a: float) -> "SolutionE":
         return SolutionE(self.model, self.base_t, a * self.value, a * self.deriv)
 
@@ -265,32 +263,3 @@ def random_solution(model: ModelManifold, rng: np.random.Generator,
                      scale * rng.standard_normal(m),
                      scale * rng.standard_normal(m))
 
-
-# ---------------------------------------------------------------------------
-# Heisenberg group of the pairing
-# ---------------------------------------------------------------------------
-
-@dataclass
-class HeisenbergElement:
-    """Element (r, u) of the central extension R x E."""
-
-    r: float
-    u: SolutionE
-
-    def __post_init__(self):
-        self.r = float(self.r)
-
-
-def heisenberg_mul(a: HeisenbergElement, b: HeisenbergElement) -> HeisenbergElement:
-    return HeisenbergElement(a.r + b.r - omega(a.u, b.u), a.u + b.u)
-
-
-def heisenberg_inverse(a: HeisenbergElement) -> HeisenbergElement:
-    # Omega(u, -u) = 0, so the central part just flips sign.
-    return HeisenbergElement(-a.r, -a.u)
-
-
-def heisenberg_commutator(a: HeisenbergElement, b: HeisenbergElement) -> HeisenbergElement:
-    """a b a^{-1} b^{-1}; lands in the center with charge -2 Omega(u_a, u_b)."""
-    ab = heisenberg_mul(a, b)
-    return heisenberg_mul(ab, heisenberg_mul(heisenberg_inverse(a), heisenberg_inverse(b)))

@@ -96,3 +96,15 @@ def sample_isometries(entry: RosterEntry, rng: np.random.Generator,
 @pytest.fixture(scope="session")
 def iso_sampler():
     return sample_isometries
+
+
+def iso_distance(a: IsoElement, b: IsoElement) -> float:
+    """Coordinate distance between two group elements, for equality-style
+    assertions."""
+    return max(
+        abs(a.sigma.q - b.sigma.q),
+        abs(a.sigma.p - b.sigma.p),
+        float(np.max(np.abs(a.sigma.C - b.sigma.C))),
+        abs(a.r - b.r),
+        float(np.max(np.abs(a.u.data() - b.u.data()))),
+    )

@@ -33,7 +33,6 @@ from ecs_lab.homogeneous import (
     dilation_spectrum_check,
     expected_kernel_dim,
     exponential_consistency_residual,
-    g0_distance,
     g0_element,
     generator_spectrum_check,
     shifted_invertibility,
@@ -72,6 +71,8 @@ from ecs_lab.pseudo_linear import (
 )
 from ecs_lab.solution_space import omega_drift, random_solution
 
+from conftest import iso_distance
+
 Q_SAMPLES = (0.25, 0.5, 2.0, 4.0)
 
 
@@ -81,16 +82,6 @@ def _conclude(capsys, label: str, ok: bool, detail: str) -> None:
     with capsys.disabled():
         print(line, flush=True)
     assert ok, line
-
-
-def _iso_distance(a: IsoElement, b: IsoElement) -> float:
-    return max(
-        abs(a.sigma.q - b.sigma.q),
-        abs(a.sigma.p - b.sigma.p),
-        float(np.max(np.abs(a.sigma.C - b.sigma.C))),
-        abs(a.r - b.r),
-        float(np.max(np.abs(a.u.data() - b.u.data()))),
-    )
 
 
 @pytest.fixture(scope="session")
@@ -220,8 +211,8 @@ def test_ac05_isometry_pullback_compose_inverse(roster, iso_sampler, capsys):
             ginv = iso_inverse(model, g)
             worst_inverse = max(
                 worst_inverse,
-                _iso_distance(iso_compose(model, g, ginv), ident),
-                _iso_distance(iso_compose(model, ginv, g), ident),
+                iso_distance(iso_compose(model, g, ginv), ident),
+                iso_distance(iso_compose(model, ginv, g), ident),
             )
         for _ in range(9):
             a = elems[int(rng.integers(50))]
@@ -367,7 +358,7 @@ def test_ac09_commuting_class_suite(spectral_grid, capsys):
             labels = class_map_inverse(hm, g, split)
             back = class_map(hm, *labels)
             scale = max(1.0, abs(g.r), float(np.max(np.abs(g.u.data()))))
-            worst_rt = max(worst_rt, g0_distance(g, back) / scale)
+            worst_rt = max(worst_rt, iso_distance(g, back) / scale)
             round_trips += 1
 
         for _ in range(125):

@@ -25,12 +25,7 @@ from ecs_lab.homogeneous import (
     dilation_spectrum_check,
     expected_kernel_dim,
     exponential_consistency_residual,
-    g0_compose,
-    g0_distance,
     g0_element,
-    g0_identity,
-    g0_inverse,
-    g0_to_iso,
     generator_matrix,
     generator_spectrum_check,
     normalize_to_standard,
@@ -40,8 +35,17 @@ from ecs_lab.homogeneous import (
     standard_homogeneous_space,
     transitive_commutation_check,
 )
-from ecs_lab.isometry_group import iso_compose
-from ecs_lab.solution_space import omega, zero_solution
+from ecs_lab.isometry_group import (
+    iso_apply,
+    iso_compose,
+    iso_identity,
+    iso_inverse,
+    pullback_residual,
+)
+from ecs_lab.model_geometry import random_chart_point
+from ecs_lab.solution_space import zero_solution
+
+from conftest import iso_distance
 
 GRID = [(2, 0.3), (2, 1.5), (3, 0.25), (3, 0.7j)]
 
@@ -192,27 +196,18 @@ class TestG0:
     def test_group_axioms(self):
         rng = np.random.default_rng(91)
         hm = model_for(2, 1.5)
-        e = g0_identity(hm)
+        model = hm.model
+        e = iso_identity(model)
         for _ in range(5):
             a = self.rand_element(hm, rng)
             b = self.rand_element(hm, rng)
             c = self.rand_element(hm, rng)
-            assert g0_distance(g0_compose(hm, a, g0_inverse(hm, a)), e) < 1e-9
-            assert g0_distance(g0_compose(hm, g0_inverse(hm, a), a), e) < 1e-9
-            lhs = g0_compose(hm, g0_compose(hm, a, b), c)
-            rhs = g0_compose(hm, a, g0_compose(hm, b, c))
-            assert g0_distance(lhs, rhs) < 1e-9
-
-    def test_embedding_agrees_with_full_group(self):
-        rng = np.random.default_rng(92)
-        hm = model_for(3, 0.25)
-        a = self.rand_element(hm, rng)
-        b = self.rand_element(hm, rng)
-        via_g0 = g0_to_iso(hm, g0_compose(hm, a, b))
-        via_iso = iso_compose(hm.model, g0_to_iso(hm, a), g0_to_iso(hm, b))
-        assert abs(via_g0.sigma.q - via_iso.sigma.q) < 1e-12
-        assert abs(via_g0.r - via_iso.r) < 1e-10
-        assert np.max(np.abs(via_g0.u.data() - via_iso.u.data())) < 1e-10
+            ainv = iso_inverse(model, a)
+            assert iso_distance(iso_compose(model, a, ainv), e) < 1e-9
+            assert iso_distance(iso_compose(model, ainv, a), e) < 1e-9
+            lhs = iso_compose(model, iso_compose(model, a, b), c)
+            rhs = iso_compose(model, a, iso_compose(model, b, c))
+            assert iso_distance(lhs, rhs) < 1e-9
 
     def test_nonpositive_q_rejected(self):
         hm = model_for(2, 0.3)
@@ -224,7 +219,7 @@ class TestCommuteTest:
     def test_identity_commutes_with_everything(self):
         rng = np.random.default_rng(93)
         hm = model_for(2, 0.3)
-        e = g0_identity(hm)
+        e = iso_identity(hm.model)
         for _ in range(5):
             g = g0_element(hm, float(np.exp(rng.normal())),
                            float(rng.normal()), rng.standard_normal(4))
@@ -269,6 +264,32 @@ class TestCommuteTest:
             chk = commute_test(hm, x, y)
             assert chk.direct and chk.criterion
             assert chk.direct_residual < 1e-10
+
+    def test_same_class_members_commute_as_chart_maps(self):
+        # Class members are isometries of the chart, and they commute as
+        # maps, not only as coordinates; a member of another class does not.
+        rng = np.random.default_rng(102)
+        for m, c in [(2, 0.3), (3, 1.5), (3, 0.7j)]:
+            hm = model_for(m, c)
+            model = hm.model
+            split = spectral_split(hm)
+            z = split.eplus @ rng.standard_normal(split.eplus.shape[1])
+            w = split.e0 @ rng.standard_normal(split.kernel_dim) \
+                if split.kernel_dim else np.zeros(2 * hm.m)
+            x = class_map(hm, 0.8, z, 2.0, w)
+            y = class_map(hm, 0.8, z, 0.3, w)
+            other = class_map(hm, -0.5, z, 0.3, w)
+
+            def defect(g, h, pt):
+                gh = iso_apply(model, g, iso_apply(model, h, pt))
+                hg = iso_apply(model, h, iso_apply(model, g, pt))
+                return float(np.max(np.abs(gh.coords() - hg.coords())))
+
+            pts = [random_chart_point(model, rng) for _ in range(4)]
+            assert max(defect(x, y, pt) for pt in pts) < 1e-8
+            assert max(pullback_residual(model, g, pt)
+                       for g in (x, y) for pt in pts) < 1e-8
+            assert max(defect(x, other, pt) for pt in pts) > 1e-3
 
     def test_routes_agree_on_random_pairs(self):
         rng = np.random.default_rng(95)
@@ -327,27 +348,28 @@ class TestClassMap:
                            float(rng.normal()), rng.standard_normal(4))
             a, z, q, w = class_map_inverse(hm, g, split)
             back = class_map(hm, a, z, q, w)
-            assert g0_distance(back, g) < 1e-8
+            assert iso_distance(back, g) < 1e-8
 
     def test_q_one_rejected(self):
         hm = model_for(2, 0.3)
         g = g0_element(hm, 1.0, 0.5, np.ones(4))
         with pytest.raises(ValueError):
-            class_map_inverse(hm, g)
+            class_map_inverse(hm, g, spectral_split(hm))
 
 
 class TestConjugation:
     def test_matrix_matches_group_conjugation(self):
         rng = np.random.default_rng(99)
         hm = model_for(2, 0.3)
+        model = hm.model
         g = g0_element(hm, 1.7, 0.4, rng.standard_normal(4))
         M = conjugation_matrix(hm, g)
-        ginv = g0_inverse(hm, g)
+        ginv = iso_inverse(model, g)
         for _ in range(5):
             h = g0_element(hm, 1.0, float(rng.normal()),
                            rng.standard_normal(4))
-            conj = g0_compose(hm, g0_compose(hm, g, h), ginv)
-            assert abs(conj.q - 1.0) < 1e-12
+            conj = iso_compose(model, iso_compose(model, g, h), ginv)
+            assert abs(conj.sigma.q - 1.0) < 1e-12
             vec = np.concatenate([[h.r], h.u.data()])
             out = M @ vec
             assert abs(out[0] - conj.r) < 1e-9

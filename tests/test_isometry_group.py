@@ -4,14 +4,12 @@ the chart action with its analytic Jacobian, and the group operations."""
 import numpy as np
 import pytest
 
-from ecs_lab.homogeneous import HomogeneousModel
 from ecs_lab.isometry_group import (
     IsoElement,
     SElement,
     classify_holonomy,
     iso_apply,
     iso_compose,
-    iso_from_heisenberg,
     iso_identity,
     iso_inverse,
     iso_jacobian,
@@ -22,22 +20,9 @@ from ecs_lab.isometry_group import (
     sigma_matrix,
 )
 from ecs_lab.model_geometry import ChartPoint, random_chart_point
-from ecs_lab.solution_space import (
-    HeisenbergElement,
-    heisenberg_mul,
-    random_solution,
-    zero_solution,
-)
+from ecs_lab.solution_space import random_solution, zero_solution
 
-
-def iso_distance(a: IsoElement, b: IsoElement) -> float:
-    return max(
-        abs(a.sigma.q - b.sigma.q),
-        abs(a.sigma.p - b.sigma.p),
-        float(np.max(np.abs(a.sigma.C - b.sigma.C))),
-        abs(a.r - b.r),
-        float(np.max(np.abs(a.u.data() - b.u.data()))),
-    )
+from conftest import iso_distance
 
 
 class TestSMembership:
@@ -245,16 +230,6 @@ class TestGroupOperations:
                                                rel=1e-14)
         assert np.allclose(sab.C, sa.C @ sb.C, atol=1e-13)
 
-    def test_heisenberg_embedding_is_homomorphism(self, roster):
-        rng = np.random.default_rng(75)
-        model = roster[2].model
-        h1 = HeisenbergElement(0.7, random_solution(model, rng))
-        h2 = HeisenbergElement(-1.2, random_solution(model, rng))
-        lhs = iso_from_heisenberg(model, heisenberg_mul(h1, h2))
-        rhs = iso_compose(model, iso_from_heisenberg(model, h1),
-                          iso_from_heisenberg(model, h2))
-        assert iso_distance(lhs, rhs) < 1e-12
-
 
 class TestClassifyHolonomy:
     def test_dilational_when_q_moves(self, roster):
@@ -267,10 +242,10 @@ class TestClassifyHolonomy:
     def test_translational_when_q_fixed(self, roster):
         rng = np.random.default_rng(81)
         model = roster[0].model
-        els = [iso_from_heisenberg(
-            model, HeisenbergElement(rng.standard_normal(),
-                                     random_solution(model, rng)))
-            for _ in range(5)]
+        sigma_id = SElement(1.0, 0.0, np.eye(model.m))
+        els = [IsoElement(sigma_id, rng.standard_normal(),
+                          random_solution(model, rng))
+               for _ in range(5)]
         assert classify_holonomy(els) == "translational"
         assert classify_holonomy([]) == "translational"
 

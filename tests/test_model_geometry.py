@@ -33,7 +33,7 @@ from ecs_lab.model_geometry import (
     weyl_tidal_operator,
 )
 from ecs_lab.pseudo_linear import PseudoEuclideanSpace
-from ecs_lab.homogeneous import HomogeneousModel, standard_homogeneous_space
+from ecs_lab.homogeneous import HomogeneousModel
 
 
 def oracle_model(curvature_oracle):
@@ -327,7 +327,7 @@ class TestNegativeControls:
                                   PolynomialProfile([0.0, 1.0]),
                                   (-np.inf, np.inf))
         pt = ChartPoint(0.8, 0.0, np.array([0.7, -0.4]))
-        assert ricci_profile_residual(model, pt) > 1e-3
+        assert ricci_profile_residual(model, pt, curvature_at(model, pt)) > 1e-3
 
     def test_zero_A_kills_weyl(self):
         space = PseudoEuclideanSpace(np.eye(2))
@@ -374,7 +374,8 @@ class TestStructuralChecks:
         for entry in roster:
             for _ in range(5):
                 pt = random_chart_point(entry.model, rng)
-                assert christoffel_pattern_residual(entry.model, pt) < 1e-13
+                pack = curvature_at(entry.model, pt)
+                assert christoffel_pattern_residual(entry.model, pt, pack) < 1e-13
 
     def test_tidal_operator_recovers_A(self, roster):
         rng = np.random.default_rng(52)
@@ -396,8 +397,10 @@ class TestStructuralChecks:
         f = PolynomialProfile([0.0, 1.0])
         A = np.diag([1.0, -1.0])
         pt = ChartPoint(0.9, 0.2, np.array([0.3, 0.8]))
-        one = weyl_tidal_operator(ModelManifold.ecs(space, A, f), pt)
-        two = weyl_tidal_operator(ModelManifold.ecs(space, 2 * A, f), pt)
+        one_model = ModelManifold.ecs(space, A, f)
+        two_model = ModelManifold.ecs(space, 2 * A, f)
+        one = weyl_tidal_operator(one_model, pt, curvature_at(one_model, pt))
+        two = weyl_tidal_operator(two_model, pt, curvature_at(two_model, pt))
         assert np.allclose(two, 2 * one, atol=1e-12)
 
     def test_tidal_operator_zero_for_zero_A(self):
@@ -406,13 +409,14 @@ class TestStructuralChecks:
                                   PolynomialProfile([0.0, 1.0]),
                                   (-np.inf, np.inf))
         pt = ChartPoint(0.9, 0.2, np.array([0.3, 0.8]))
-        assert np.max(np.abs(weyl_tidal_operator(model, pt))) < 1e-14
+        pack = curvature_at(model, pt)
+        assert np.max(np.abs(weyl_tidal_operator(model, pt, pack))) < 1e-14
 
     def test_distinguished_null_direction(self, roster):
         rng = np.random.default_rng(53)
         for entry in roster:
             pt = random_chart_point(entry.model, rng)
-            res = olszak_span_check(entry.model, pt)
+            res = olszak_span_check(entry.model, pt, curvature_at(entry.model, pt))
             assert res["null_residual"] == 0.0
             assert res["parallel_residual"] == 0.0
             assert res["dt_residual"] == 0.0

@@ -14,6 +14,13 @@ import pytest
 from scipy.linalg import expm
 
 from ecs_lab.homogeneous import HomogeneousModel, generator_matrix
+from ecs_lab.isometry_group import (
+    IsoElement,
+    SElement,
+    iso_compose,
+    iso_identity,
+    iso_inverse,
+)
 from ecs_lab.model_geometry import (
     HomogeneousProfile,
     ModelManifold,
@@ -21,13 +28,9 @@ from ecs_lab.model_geometry import (
 )
 from ecs_lab.pseudo_linear import PseudoEuclideanSpace
 from ecs_lab.solution_space import (
-    HeisenbergElement,
     SolutionE,
     basis_E,
     flow,
-    heisenberg_commutator,
-    heisenberg_inverse,
-    heisenberg_mul,
     isotropic_span_residual,
     omega,
     omega_drift,
@@ -249,21 +252,27 @@ class TestOmega:
 
 
 class TestHeisenberg:
+    """The factor R x E as the isometries with sigma = id, under the full
+    group law."""
+
+    def element(self, model, r, u):
+        return IsoElement(SElement(1.0, 0.0, np.eye(model.m)), r, u)
+
     def sample(self, model, rng):
-        return HeisenbergElement(float(rng.standard_normal()),
-                                 random_solution(model, rng))
+        return self.element(model, float(rng.standard_normal()),
+                            random_solution(model, rng))
 
     def test_identity_and_inverse(self, roster):
         rng = np.random.default_rng(21)
         model = roster[0].model
-        e = HeisenbergElement(0.0, zero_solution(model))
+        e = iso_identity(model)
         a = self.sample(model, rng)
-        left = heisenberg_mul(heisenberg_inverse(a), a)
-        right = heisenberg_mul(a, heisenberg_inverse(a))
+        left = iso_compose(model, iso_inverse(model, a), a)
+        right = iso_compose(model, a, iso_inverse(model, a))
         for prod in (left, right):
             assert abs(prod.r) < 1e-12
             assert np.max(np.abs(prod.u.data())) < 1e-12
-        ae = heisenberg_mul(a, e)
+        ae = iso_compose(model, a, e)
         assert ae.r == pytest.approx(a.r, abs=1e-14)
         assert np.array_equal(ae.u.data(), a.u.data())
 
@@ -272,8 +281,8 @@ class TestHeisenberg:
         model = roster[3].model
         for _ in range(20):
             a, b, c = (self.sample(model, rng) for _ in range(3))
-            lhs = heisenberg_mul(heisenberg_mul(a, b), c)
-            rhs = heisenberg_mul(a, heisenberg_mul(b, c))
+            lhs = iso_compose(model, iso_compose(model, a, b), c)
+            rhs = iso_compose(model, a, iso_compose(model, b, c))
             assert abs(lhs.r - rhs.r) < 1e-11
             assert np.max(np.abs(lhs.u.data() - rhs.u.data())) < 1e-12
 
@@ -282,17 +291,19 @@ class TestHeisenberg:
         model = roster[1].model
         for _ in range(10):
             a, b = self.sample(model, rng), self.sample(model, rng)
-            com = heisenberg_commutator(a, b)
+            com = iso_compose(model, iso_compose(model, a, b),
+                              iso_compose(model, iso_inverse(model, a),
+                                          iso_inverse(model, b)))
             assert np.max(np.abs(com.u.data())) < 1e-12
             assert com.r == pytest.approx(-2.0 * omega(a.u, b.u), abs=1e-11)
 
     def test_noncommutative(self, roster):
         model = roster[0].model
         bas = basis_E(model)
-        a = HeisenbergElement(0.0, bas[0])
-        b = HeisenbergElement(0.0, bas[model.m])
-        ab = heisenberg_mul(a, b)
-        ba = heisenberg_mul(b, a)
+        a = self.element(model, 0.0, bas[0])
+        b = self.element(model, 0.0, bas[model.m])
+        ab = iso_compose(model, a, b)
+        ba = iso_compose(model, b, a)
         assert abs(ab.r - ba.r) > 0.5
 
 
