@@ -281,6 +281,10 @@ def affine_transport_residual(model: ModelManifold,
 # leafwise geodesic variations
 # ---------------------------------------------------------------------------
 
+def _polyder(c: np.ndarray, order: int, axis: int = 0) -> np.ndarray:
+    return np.polynomial.polynomial.polyder(c, m=order, axis=axis) if order else c
+
+
 class PolyCurve:
     """A t-parametrized transverse curve y(t) = (t, s_y(t), v_y(t)) with
     polynomial components, so derivatives of any order are exact."""
@@ -290,23 +294,22 @@ class PolyCurve:
         self.v_coeffs = np.asarray(v_coeffs, dtype=float)
         if self.v_coeffs.ndim != 2:
             raise ValueError("v_coeffs must be (m, degree+1)")
+        # Coefficients of orders 0-2, v's as (degree+1, m) columns, so that
+        # one polyval evaluates every component.
+        self._s = [_polyder(self.s_coeffs, k) for k in range(3)]
+        self._v = [_polyder(self.v_coeffs, k, axis=1).T for k in range(3)]
 
     @property
     def m(self) -> int:
         return self.v_coeffs.shape[0]
 
     def s(self, t: float, order: int = 0) -> float:
-        c = self.s_coeffs if order == 0 else np.polynomial.polynomial.polyder(self.s_coeffs, m=order)
+        c = self._s[order] if order < 3 else _polyder(self.s_coeffs, order)
         return float(np.polynomial.polynomial.polyval(t, c))
 
     def v(self, t: float, order: int = 0) -> np.ndarray:
-        out = np.empty(self.m)
-        for i in range(self.m):
-            c = self.v_coeffs[i]
-            if order:
-                c = np.polynomial.polynomial.polyder(c, m=order)
-            out[i] = np.polynomial.polynomial.polyval(t, c)
-        return out
+        c = self._v[order] if order < 3 else _polyder(self.v_coeffs, order, axis=1).T
+        return np.polynomial.polynomial.polyval(t, c)
 
     def point(self, t: float) -> ChartPoint:
         return ChartPoint(t, self.s(t), self.v(t))

@@ -135,12 +135,17 @@ class PolynomialProfile(ProfileF):
         self.coefficients = np.asarray(coefficients, dtype=float)
         if self.coefficients.ndim != 1 or self.coefficients.size == 0:
             raise ValueError("coefficients must be a nonempty 1-d sequence")
+        # The ODE right-hand sides ask for f' on every call: derive once.
+        self._derived = {k: np.polynomial.polynomial.polyder(self.coefficients, m=k)
+                         for k in (1, 2, 3)}
 
     def value(self, t):
         return np.polynomial.polynomial.polyval(t, self.coefficients)
 
     def derivative(self, t, order: int = 1):
-        d = np.polynomial.polynomial.polyder(self.coefficients, m=order)
+        d = self._derived.get(order)
+        if d is None:
+            d = np.polynomial.polynomial.polyder(self.coefficients, m=order)
         return np.polynomial.polynomial.polyval(t, d)
 
     def natural_interval(self):
@@ -310,7 +315,9 @@ class ModelManifold:
 
     def f_plus_A(self, t: float) -> np.ndarray:
         """The endomorphism f(t) Id + A that drives every ODE in sight."""
-        return float(self.profile.value(t)) * np.eye(self.m) + self.A
+        fa = self.A.copy()
+        fa.flat[::self.m + 1] += float(self.profile.value(t))
+        return fa
 
     def require_t(self, t: float):
         if not self.contains_t(t):
