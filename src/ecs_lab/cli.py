@@ -385,7 +385,7 @@ def task_verify_model(model: ModelManifold, params: dict, tol: Tolerances,
         worst["ricci"] = max(worst["ricci"], ricci_profile_residual(model, pt, pack))
         worst["scalar"] = max(worst["scalar"], abs(pack.scalar))
         worst["weyl_par"] = max(worst["weyl_par"], parallel_weyl_residual(pack))
-        worst["leaf"] = max(worst["leaf"], christoffel_pattern_residual(model, pt, pack))
+        worst["leaf"] = max(worst["leaf"], christoffel_pattern_residual(pack))
         worst["tidal"] = max(worst["tidal"], float(np.max(np.abs(
             weyl_tidal_operator(model, pt, pack) - model.A))))
         ol = olszak_span_check(model, pt, pack)
@@ -623,18 +623,17 @@ def task_geodesic(model: ModelManifold, params: dict, tol: Tolerances,
                   rng: np.random.Generator) -> list[CheckRow]:
     count = _count(params, "count", 20)
     tau = float(params.get("tau", 2.0))
-    worst_energy = 0.0
-    worst_affine = 0.0
+    energies, affines, starts = [], [], []
     worst_boundary = 0.0
     hits = 0
     for _ in range(count):
         pt = random_chart_point(model, rng)
         vel = rng.standard_normal(model.dim)
         res = geodesic(model, pt, vel, (0.0, tau))
-        worst_energy = max(worst_energy, energy_report(model, res)["drift_rel"])
+        starts.append((pt.t, float(vel[0])))
+        energies.append(energy_report(model, res)["drift_rel"])
         aff = t_affinity_report(res)
-        worst_affine = max(worst_affine,
-                           aff["residual"] / max(aff["t_range"], 1.0))
+        affines.append(aff["residual"] / max(aff["t_range"], 1.0))
         if res.hit_boundary:
             hits += 1
             t_end = res.t_values()[-1]
@@ -642,11 +641,17 @@ def task_geodesic(model: ModelManifold, params: dict, tol: Tolerances,
             dist = min(abs(t_end - lo) if np.isfinite(lo) else float("inf"),
                        abs(hi - t_end) if np.isfinite(hi) else float("inf"))
             worst_boundary = max(worst_boundary, dist)
+
+    def worst_run(values):
+        """The largest value and the run it came from, to replay it alone."""
+        i = int(np.argmax(values))
+        return values[i], {"worst_index": i, "t0": starts[i][0], "dt0": starts[i][1]}
+
     rows = [
         tol.check("geodesic", f"energy conservation over {count} geodesics",
-                  "geodesic.energy", worst_energy),
+                  "geodesic.energy", *worst_run(energies)),
         tol.check("geodesic", "t is affine in the parameter",
-                  "geodesic.t-affine", worst_affine),
+                  "geodesic.t-affine", *worst_run(affines)),
     ]
     if np.isfinite(model.interval[0]) or np.isfinite(model.interval[1]):
         rows.append(tol.check(

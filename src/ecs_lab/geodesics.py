@@ -15,8 +15,11 @@ leaf vanishes), and the transverse dynamics is the same linear operator
 f + A that drives the solution space.
 
 Integration uses an explicit high-order adaptive scheme at tight tolerances
-with dense output. Runs that head for a finite interval endpoint stop at a
-small barrier before it rather than integrating into the singularity.
+with dense output. Since t is affine, a run that heads for a finite interval
+endpoint is known to do so in advance: it stops at a small barrier before
+the endpoint, at a parameter given in closed form, and is integrated in
+x = log|t - endpoint| so that its steps need not shrink near the
+singularity. The right-hand sides apply f v + A v rather than forming f + A.
 """
 
 from __future__ import annotations
@@ -55,26 +58,25 @@ def christoffel_closed_form(model: ModelManifold, t: float, v: np.ndarray) -> np
     return G
 
 
-def _geodesic_rhs(model: ModelManifold):
+def _geodesic_rhs(model: ModelManifold, edge: Optional[float] = None,
+                  dt0: float = 1.0):
+    """The geodesic equations as a first-order system in tau or, given a
+    finite interval end `edge` and the constant t' = dt0, in
+    x = log|t - edge|, where dtau/dx = (t - edge) / dt0."""
     gram = model.space.gram
+    A, profile = model.A, model.profile
     m = model.m
 
     def rhs(tau, y):
-        t, s = y[0], y[1]
-        v = y[2:2 + m]
-        dt, ds = y[2 + m], y[3 + m]
-        dv = y[4 + m:]
-        fa = model.f_plus_A(t)
-        f1 = float(model.profile.derivative(t, 1))
-        kappa_t = f1 * float(v @ gram @ v)
-        kappa_v = 2.0 * (gram @ (fa @ v))
-        dds = -kappa_t * dt * dt - 2.0 * float(kappa_v @ dv) * dt
-        ddv = dt * dt * (fa @ v)
-        out = np.empty_like(y)
-        out[0], out[1] = dt, ds
-        out[2:2 + m] = dv
-        out[2 + m], out[3 + m] = 0.0, dds
-        out[4 + m:] = ddv
+        t, dt = float(y[0]), float(y[2 + m])
+        v, dv = y[2:2 + m], y[4 + m:]
+        f, f1 = profile.value_slope(t)
+        fav = f * v + A @ v
+        # s'' = -kappa_t t'^2 - 2 (kappa_v . v') t' with kappa_v = 2 gram fav
+        dds = -dt * (f1 * float(v @ gram @ v) * dt + 4.0 * float(fav @ gram @ dv))
+        out = np.concatenate((y[2 + m:], (0.0, dds), dt * dt * fav))
+        if edge is not None:
+            out *= (t - edge) / dt0
         return out
 
     return rhs
@@ -104,45 +106,60 @@ class GeodesicResult:
         return self.states[:, 0]
 
 
+def _plunge_edge(model: ModelManifold, t0: float, t_end: float) -> Optional[float]:
+    """The finite interval end whose barrier a run from t0 to t_end crosses,
+    or None. t is affine along geodesics, so this is known in advance."""
+    lo, hi = model.interval
+    if not lo + ENDPOINT_BARRIER < t0 < hi - ENDPOINT_BARRIER:
+        return None
+    if t_end <= lo + ENDPOINT_BARRIER:
+        return lo
+    if t_end >= hi - ENDPOINT_BARRIER:
+        return hi
+    return None
+
+
 def geodesic(model: ModelManifold, point: ChartPoint, velocity,
              tau_span: tuple[float, float], samples: int = 129) -> GeodesicResult:
     """Integrate the geodesic with given initial point and velocity.
 
-    The parameter runs over tau_span (tau = 0 is the initial condition; the
-    span may be backward). If the t-coordinate approaches a finite interval
-    endpoint the run terminates at the barrier and hit_boundary is set.
+    The parameter runs over tau_span, from the initial condition at
+    tau_span[0]; the span may be backward. Since t = t0 + t0' (tau - tau0),
+    a run whose t would pass within ENDPOINT_BARRIER of a finite interval
+    end is known to do so before integrating. Such a run stops at that
+    barrier, at boundary_tau = tau0 + (barrier - t0) / t0' in closed form,
+    and sets hit_boundary. It is integrated in x = log|t - edge| down to
+    log(ENDPOINT_BARRIER), where steps need not shrink with the distance to
+    the edge, and sampled at x(tau). Every other run integrates in tau.
     """
     velocity = np.asarray(velocity, dtype=float).reshape(-1)
     if velocity.shape != (model.dim,):
         raise ValueError("velocity must have the chart dimension")
     y0 = np.concatenate([point.coords(), velocity])
+    tau0, tau1 = tau_span
+    t0, dt0 = point.t, velocity[0]
+    edge = _plunge_edge(model, t0, t0 + dt0 * (tau1 - tau0))
 
-    events = []
-    lo, hi = model.interval
-    if np.isfinite(lo):
-        def ev_lo(tau, y, _lo=lo):
-            return y[0] - (_lo + ENDPOINT_BARRIER)
-        ev_lo.terminal = True
-        events.append(ev_lo)
-    if np.isfinite(hi):
-        def ev_hi(tau, y, _hi=hi):
-            return (_hi - ENDPOINT_BARRIER) - y[0]
-        ev_hi.terminal = True
-        events.append(ev_hi)
-
+    if edge is None:
+        span, end = tau_span, tau1
+    else:
+        barrier = edge + np.sign(t0 - edge) * ENDPOINT_BARRIER
+        end = tau0 + (barrier - t0) / dt0
+        span = (np.log(abs(t0 - edge)), np.log(ENDPOINT_BARRIER))
     sol = solve_ivp(
-        _geodesic_rhs(model), tau_span, y0, method="DOP853",
-        rtol=_RTOL, atol=_ATOL, dense_output=True, events=events or None,
+        _geodesic_rhs(model, edge, dt0), span, y0, method="DOP853",
+        rtol=_RTOL, atol=_ATOL, dense_output=True,
     )
-    if sol.status == -1:
+    if not sol.success:
         raise RuntimeError(f"geodesic integration failed: {sol.message}")
 
-    hit = sol.status == 1
-    end = sol.t[-1]
-    taus = np.linspace(tau_span[0], end, samples)
-    states = sol.sol(taus).T
-    return GeodesicResult(taus=taus, states=states, hit_boundary=hit,
-                          boundary_tau=end if hit else None)
+    taus = np.linspace(tau0, end, samples)
+    if edge is None:
+        return GeodesicResult(taus=taus, states=sol.sol(taus).T,
+                              hit_boundary=False, boundary_tau=None)
+    xs = np.log(np.abs(t0 - edge + dt0 * (taus - tau0)))
+    return GeodesicResult(taus=taus, states=sol.sol(xs).T,
+                          hit_boundary=True, boundary_tau=float(end))
 
 
 def energy_report(model: ModelManifold, result: GeodesicResult) -> dict:
@@ -350,28 +367,30 @@ def variation_field(model: ModelManifold, curve: PolyCurve,
     """
     m = model.m
     gram = model.space.gram
+    A, profile = model.A, model.profile
 
     def rhs(t, y):
         z_s, zd_s = y[0], y[1]
         z_v = y[2:2 + m]
         zd_v = y[2 + m:]
-        fa = model.f_plus_A(t)
-        f1 = float(model.profile.derivative(t, 1))
+        f, f1 = profile.value_slope(t)
         v_y = curve.v(t)
         vd_y = curve.v(t, 1)
         vdd_y = curve.v(t, 2)
         sdd_y = curve.s(t, 2)
+        fa_z = f * z_v + A @ z_v
+        fa_v = f * v_y + A @ v_y
 
-        zdd_v = fa @ z_v + fa @ v_y - vdd_y
+        zdd_v = fa_z + fa_v - vdd_y
         linear = (
             2.0 * f1 * float(v_y @ gram @ z_v)
-            + 4.0 * float(vd_y @ gram @ (fa @ z_v))
-            + 4.0 * float((fa @ v_y) @ gram @ zd_v)
+            + 4.0 * float(vd_y @ gram @ fa_z)
+            + 4.0 * float(fa_v @ gram @ zd_v)
         )
         source = sdd_y + f1 * float(v_y @ gram @ v_y) \
-            + 4.0 * float((fa @ v_y) @ gram @ vd_y)
+            + 4.0 * float(fa_v @ gram @ vd_y)
         quadratic = f1 * float(z_v @ gram @ z_v) \
-            + 4.0 * float((fa @ z_v) @ gram @ zd_v)
+            + 4.0 * float(fa_z @ gram @ zd_v)
         zdd_s = -(linear + source + quadratic)
 
         out = np.empty_like(y)
@@ -496,19 +515,20 @@ def transverse_null_geodesic(model: ModelManifold, t0: float, s0: float,
     kap0 = float(model.profile.value(t0)) * float(v0 @ gram @ v0) \
         + float((model.A @ v0) @ gram @ v0)
     sdot0 = -kap0 - float(vdot0 @ gram @ vdot0)
+    A, profile = model.A, model.profile
 
     def rhs(t, y):
         v = y[2:2 + m]
         vd = y[2 + m:]
-        fa = model.f_plus_A(t)
-        f1 = float(model.profile.derivative(t, 1))
+        f, f1 = profile.value_slope(t)
+        fav = f * v + A @ v
         kappa_t = f1 * float(v @ gram @ v)
-        kappa_v = 2.0 * (gram @ (fa @ v))
+        kappa_v = 2.0 * (gram @ fav)
         out = np.empty_like(y)
         out[0] = y[1]
         out[1] = -kappa_t - 2.0 * float(kappa_v @ vd)
         out[2:2 + m] = vd
-        out[2 + m:] = fa @ v
+        out[2 + m:] = fav
         return out
 
     y0 = np.concatenate([[s0, sdot0], v0, vdot0])

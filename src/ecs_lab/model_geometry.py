@@ -57,6 +57,10 @@ class ProfileF:
     def derivative(self, t, order: int = 1):
         raise NotImplementedError
 
+    def value_slope(self, t: float) -> tuple[float, float]:
+        """f(t) and f'(t) at one scalar t, as floats."""
+        return float(self.value(t)), float(self.derivative(t, 1))
+
     def natural_interval(self) -> tuple[float, float]:
         raise NotImplementedError
 
@@ -116,6 +120,10 @@ class HomogeneousProfile(ProfileF):
         sign = -1.0 if k % 2 else 1.0
         return sign * self.h * float(math.factorial(k + 1)) / np.asarray(t) ** (k + 2)
 
+    def value_slope(self, t: float) -> tuple[float, float]:
+        f = self.h / (t * t)
+        return f, -2.0 * f / t
+
     def natural_interval(self):
         return (0.0, _INF)
 
@@ -135,9 +143,11 @@ class PolynomialProfile(ProfileF):
         self.coefficients = np.asarray(coefficients, dtype=float)
         if self.coefficients.ndim != 1 or self.coefficients.size == 0:
             raise ValueError("coefficients must be a nonempty 1-d sequence")
-        # The ODE right-hand sides ask for f' on every call: derive once.
+        # Metric jets and the Christoffel symbols ask for orders 1-3 on every
+        # call; value_slope serves the ODE right-hand sides.
         self._derived = {k: np.polynomial.polynomial.polyder(self.coefficients, m=k)
                          for k in (1, 2, 3)}
+        self._descending = [float(a) for a in self.coefficients[::-1]]
 
     def value(self, t):
         return np.polynomial.polynomial.polyval(t, self.coefficients)
@@ -147,6 +157,13 @@ class PolynomialProfile(ProfileF):
         if d is None:
             d = np.polynomial.polynomial.polyder(self.coefficients, m=order)
         return np.polynomial.polynomial.polyval(t, d)
+
+    def value_slope(self, t: float) -> tuple[float, float]:
+        f = f1 = 0.0
+        for a in self._descending:
+            f1 = f1 * t + f
+            f = f * t + a
+        return f, f1
 
     def natural_interval(self):
         return (-_INF, _INF)
@@ -581,8 +598,7 @@ def weyl_nonzero_norm(pack: CurvaturePack) -> float:
     return float(np.max(np.abs(pack.weyl))) / _scale(pack)
 
 
-def christoffel_pattern_residual(model: ModelManifold, point: ChartPoint,
-                                 pack: CurvaturePack) -> float:
+def christoffel_pattern_residual(pack: CurvaturePack) -> float:
     """max |Gamma^a_{bc}| over pairs (b, c) tangent to the leaf {t} x R x V.
 
     Identically zero on the family: both lower indices in every nonzero

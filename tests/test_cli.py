@@ -6,9 +6,12 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from ecs_lab.cli import main
+from ecs_lab.cli import build_model, main
+from ecs_lab.geodesics import energy_report, geodesic, t_affinity_report
+from ecs_lab.model_geometry import random_chart_point
 
 HOMOGENEOUS = {
     "schema_version": "1",
@@ -233,6 +236,34 @@ class TestReportSchema:
         lines = csv_path.read_text().strip().splitlines()
         assert len(lines) == len(data["checks"]) + 1
         assert lines[0].startswith("task,name,anchor,value,tolerance")
+
+
+class TestWorstRunDetail:
+    def test_geodesic_rows_replay_their_worst_run(self, tmp_path):
+        # The task draws from default_rng([seed, task index]); the detail
+        # names the run, which replays alone to the reported value.
+        payload = copy.deepcopy(HOMOGENEOUS)
+        payload["tasks"] = [{"task": "geodesic", "count": 4, "tau": 2.0}]
+        _, report = run_cli(tmp_path, payload)
+        model = build_model(payload["model"])
+
+        def affinity(res):
+            aff = t_affinity_report(res)
+            return aff["residual"] / max(aff["t_range"], 1.0)
+
+        measures = {
+            "geodesic.energy": lambda res: energy_report(model, res)["drift_rel"],
+            "geodesic.t-affine": affinity,
+        }
+        for anchor, measure in measures.items():
+            row = next(r for r in report["checks"] if r["anchor"] == anchor)
+            detail = row["detail"]
+            rng = np.random.default_rng([payload["seed"], 0])
+            for _ in range(detail["worst_index"] + 1):
+                pt = random_chart_point(model, rng)
+                vel = rng.standard_normal(model.dim)
+            assert (pt.t, vel[0]) == (detail["t0"], detail["dt0"])
+            assert measure(geodesic(model, pt, vel, (0.0, 2.0))) == row["value"]
 
 
 class TestDeterminism:

@@ -1,9 +1,11 @@
 """Geodesics and transport: conservation laws, leaf flatness, boundary
-behavior on (0, inf), deviation fields with geodesic endpoint curves, and
-the straightening of transverse null geodesics."""
+behavior on (0, inf) and on a bounded interval, plunges against the exact
+dilation flow, deviation fields with geodesic endpoint curves, and the
+straightening of transverse null geodesics."""
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from ecs_lab.geodesics import (
     GeodesicResult,
@@ -21,7 +23,14 @@ from ecs_lab.geodesics import (
     transverse_null_geodesic,
     variation_field,
 )
-from ecs_lab.model_geometry import ChartPoint, random_chart_point
+from ecs_lab.homogeneous import HomogeneousModel, generator_matrix
+from ecs_lab.model_geometry import (
+    ChartPoint,
+    ModelManifold,
+    PolynomialProfile,
+    random_chart_point,
+)
+from ecs_lab.pseudo_linear import PseudoEuclideanSpace
 from ecs_lab.solution_space import ENDPOINT_BARRIER
 
 
@@ -104,6 +113,103 @@ class TestGeodesicBasics:
         pt = ChartPoint(0.1, 0.0, np.zeros(2))
         with pytest.raises(ValueError):
             geodesic(model, pt, np.zeros(3), (0.0, 1.0))
+
+
+class TestPlungeOracle:
+    """A plunge has t' = a != 0, so v(tau) = u(t0 + a tau) for the solution u
+    of u'' = (f + A) u with Cauchy data (v0, v0' / a) at t0. On a homogeneous
+    model, Phi(t <- 1) = diag(C_t, C_t / t) expm(-log t B) with B in closed
+    form, so Phi(t <- t0) = Phi(t <- 1) Phi(t0 <- 1)^-1 is exact."""
+
+    @pytest.mark.parametrize("m,c", [(2, 0.3), (3, 1.5), (5, 0.25)])
+    def test_plunge_matches_dilation_closed_form(self, m, c):
+        hm = HomogeneousModel.standard(m, c)
+        B = generator_matrix(hm)
+        zero = np.zeros((m, m))
+
+        def phi(t):
+            C = hm.c_matrix(t)
+            return np.block([[C, zero], [zero, C / t]]) @ expm(-np.log(t) * B)
+
+        rng = np.random.default_rng(171)
+        for direction in (1.0, 1.0, -1.0):      # forward twice, then backward
+            t0 = rng.uniform(0.25, 4.0)
+            pt = ChartPoint(t0, rng.standard_normal(), rng.standard_normal(m))
+            vel = rng.standard_normal(m + 2)
+            vel[0] = -direction * (abs(vel[0]) + 0.2)
+            res = geodesic(hm.model, pt, vel, (0.0, direction * 1e4), samples=257)
+            assert res.hit_boundary
+            expected_tau = (t0 - ENDPOINT_BARRIER) / abs(vel[0])
+            assert abs(direction * res.boundary_tau - expected_tau) \
+                <= 1e-12 * expected_tau
+            data = np.linalg.solve(phi(t0), np.concatenate([pt.v, vel[2:] / vel[0]]))
+            checked = 0
+            for tau, row in zip(res.taus, res.states):
+                t = t0 + vel[0] * tau
+                if t < 1e-6:
+                    continue
+                exact = (phi(t) @ data)[:m]
+                assert np.max(np.abs(row[2:2 + m] - exact)) \
+                    <= 1e-9 * np.max(np.abs(exact))
+                checked += 1
+            assert checked == res.n_samples - 1
+
+
+def bounded_model():
+    """n4-poly's space, A and profile on the interval (-1, 2)."""
+    space = PseudoEuclideanSpace(np.eye(2))
+    return ModelManifold.ecs(space, np.diag([1.0, -1.0]),
+                             PolynomialProfile([0.0, 1.0, 0.0, 0.1]), (-1.0, 2.0))
+
+
+class TestBoundedEndpoints:
+    @pytest.mark.parametrize("t0,dt0,tau_end,wall", [
+        (0.5, 0.8, 5.0, 2.0 - ENDPOINT_BARRIER),      # forward into t = 2
+        (0.5, 0.7, -5.0, -1.0 + ENDPOINT_BARRIER),    # backward into t = -1
+        (2.0 - 1e-7, 0.0, 5.0, None),                 # t' = 0 beside the wall
+    ])
+    def test_walls(self, t0, dt0, tau_end, wall):
+        model = bounded_model()
+        pt = ChartPoint(t0, 0.3, np.array([0.4, -0.6]))
+        vel = np.array([dt0, -0.2, 0.5, 0.3])
+        res = geodesic(model, pt, vel, (0.0, tau_end), samples=65)
+        assert energy_report(model, res)["drift_rel"] < 1e-8
+        t_end = res.t_values()[-1]
+        if wall is None:
+            assert not res.hit_boundary and res.boundary_tau is None
+            assert res.taus[-1] == tau_end
+            assert abs(t_end - 2.0) < 1e-6
+            return
+        assert res.hit_boundary
+        assert res.boundary_tau == pytest.approx((wall - t0) / dt0, rel=1e-14)
+        assert res.taus[-1] == res.boundary_tau
+        assert abs(t_end - wall) < 1e-6
+
+
+class TestCachedCoefficients:
+    """Cached derivative coefficients evaluate exactly as polyder + polyval,
+    within the cached orders and one order above them."""
+
+    P = np.polynomial.polynomial
+
+    def test_poly_curve(self):
+        rng = np.random.default_rng(181)
+        s_c, v_c = rng.standard_normal(6), rng.standard_normal((3, 6))
+        curve = PolyCurve(s_c, v_c)
+        for t in rng.uniform(-3.0, 3.0, 50):
+            for k in range(4):
+                assert curve.s(t, k) == self.P.polyval(t, self.P.polyder(s_c, m=k))
+                expected = [self.P.polyval(t, self.P.polyder(c, m=k)) for c in v_c]
+                assert np.array_equal(curve.v(t, k), expected)
+
+    def test_polynomial_profile(self):
+        rng = np.random.default_rng(182)
+        coeffs = rng.standard_normal(7)
+        profile = PolynomialProfile(coeffs)
+        for t in rng.uniform(-3.0, 3.0, 50):
+            for k in range(5):
+                assert np.array_equal(profile.derivative(t, k),
+                                      self.P.polyval(t, self.P.polyder(coeffs, m=k)))
 
 
 class TestLeafExp:

@@ -98,6 +98,21 @@ class TestProfiles:
                 assert g.derivative(t, 2) == pytest.approx(
                     f.derivative(t, 2), rel=1e-14)
 
+    def test_value_slope_matches_value_and_derivative(self):
+        profiles = [
+            PolynomialProfile([0.3, -1.0, 0.0, 0.1, 2.0]),
+            PolynomialProfile([4.0]),
+            HomogeneousProfile(1.5),
+            HomogeneousProfile(0.7j),
+            SumOfPowersProfile([(1.0, -2.0), (3.0, 0.5)]),
+        ]
+        for f in profiles:
+            for t in (0.05, 0.5, 1.0, 2.2, 7.0):
+                value, slope = f.value_slope(t)
+                assert isinstance(value, float) and isinstance(slope, float)
+                assert value == pytest.approx(f.value(t), rel=1e-14, abs=1e-14)
+                assert slope == pytest.approx(f.derivative(t, 1), rel=1e-14, abs=1e-14)
+
     def test_constancy_detection(self):
         assert PolynomialProfile([3.0]).is_constant((0.0, 1.0))
         assert not PolynomialProfile([3.0, 1e-6]).is_constant((0.0, 1.0))
@@ -375,7 +390,7 @@ class TestStructuralChecks:
             for _ in range(5):
                 pt = random_chart_point(entry.model, rng)
                 pack = curvature_at(entry.model, pt)
-                assert christoffel_pattern_residual(entry.model, pt, pack) < 1e-13
+                assert christoffel_pattern_residual(pack) < 1e-13
 
     def test_tidal_operator_recovers_A(self, roster):
         rng = np.random.default_rng(52)
