@@ -41,8 +41,6 @@ from .model_geometry import (
 )
 from .solution_space import (
     SolutionE,
-    basis_E,
-    propagate,
     omega,
     omega_matrix,
 )

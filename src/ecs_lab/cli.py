@@ -457,48 +457,61 @@ def task_isometry_check(model: ModelManifold, params: dict, tol: Tolerances,
     n_elements = _pair_count(params, "elements", 10)
     n_points = _count(params, "points", 5)
     elems = _valid_isometries(model, rng, n_elements)
-    pts = [random_chart_point(model, rng) for _ in range(n_points)]
-    worst_member = 0.0
-    worst_pull = 0.0
-    worst_compat = 0.0
-    worst_inverse = 0.0
-    worst_omega = 0.0
-    worst_det = 0.0
-    for g in elems:
-        ms = s_membership(model, g.sigma)
-        worst_member = max(worst_member, max(ms.values()))
+    pts = np.array([random_chart_point(model, rng).coords() for _ in range(n_points)])
+    member = np.zeros(n_elements)
+    omega_res = np.zeros(n_elements)
+    det = np.zeros(n_elements)
+    pull = np.zeros((n_elements, n_points))
+    images = np.zeros((n_elements, n_points, model.dim))
+    inverse = np.zeros((n_elements, n_points))
+    for k, g in enumerate(elems):
+        member[k] = max(s_membership(model, g.sigma).values())
         pairs = [(random_solution(model, rng), random_solution(model, rng))
                  for _ in range(3)]
-        worst_omega = max(worst_omega,
-                          omega_scaling_residual(model, g.sigma, pairs))
-        worst_det = max(worst_det, sigma_det_residual(model, g.sigma))
-        ginv = iso_inverse(model, g)
-        for pt in pts:
-            worst_pull = max(worst_pull, pullback_residual(model, g, pt))
-            back = iso_apply(model, ginv, iso_apply(model, g, pt))
-            worst_inverse = max(worst_inverse, float(np.max(np.abs(
-                back.coords() - pt.coords()))))
-    for i in range(0, len(elems) - 1, 2):
-        g, h = elems[i], elems[i + 1]
-        gh = iso_compose(model, g, h)
-        for pt in pts:
-            x1 = iso_apply(model, gh, pt)
-            x2 = iso_apply(model, g, iso_apply(model, h, pt))
-            worst_compat = max(worst_compat, float(np.max(np.abs(
-                x1.coords() - x2.coords()))))
+        omega_res[k] = omega_scaling_residual(model, g.sigma, pairs)
+        det[k] = sigma_det_residual(model, g.sigma)
+        pull[k], images[k] = pullback_residual(model, g, pts)
+        back = iso_apply(model, iso_inverse(model, g), images[k])
+        inverse[k] = np.max(np.abs(back - pts), axis=-1)
+    # Pair (g, h) = elements (2i, 2i + 1); h(x) is already in images.
+    n_pairs = n_elements // 2
+    compat = np.zeros((n_pairs, n_points))
+    composed = np.zeros((n_pairs, n_points, model.dim))
+    for i in range(n_pairs):
+        g, h = elems[2 * i], elems[2 * i + 1]
+        composed[i] = iso_apply(model, iso_compose(model, g, h), pts)
+        compat[i] = np.max(np.abs(composed[i] - iso_apply(model, g, images[2 * i + 1])),
+                           axis=-1)
+
+    def worst(values, scale_of=None, stride=1):
+        """The largest value and its element (row index times stride) and
+        point, to replay it alone. With scale_of, also the largest coordinate
+        the check passed through there, and the value relative to it.
+        """
+        idx = np.unravel_index(int(np.argmax(values)), values.shape)
+        detail = {"worst_element": stride * int(idx[0])}
+        if len(idx) > 1:
+            detail["worst_point"] = int(idx[1])
+        if scale_of is not None:
+            scale = float(np.max(np.abs(scale_of[idx])))
+            detail["scale"] = scale
+            detail["relative"] = float(values[idx]) / scale
+        return float(values[idx]), detail
+
     return [
         tol.check("isometry-check", "structural membership residuals",
-                  "isometry.membership", worst_member),
+                  "isometry.membership", *worst(member)),
         tol.check("isometry-check", f"metric pullback over {n_points} points",
-                  "isometry.pullback", worst_pull),
+                  "isometry.pullback", *worst(pull)),
         tol.check("isometry-check", "composition law matches composed action",
-                  "isometry.action-compatibility", worst_compat),
+                  "isometry.action-compatibility",
+                  *worst(compat, composed, stride=2)),
         tol.check("isometry-check", "inverse element undoes the action",
-                  "isometry.inverse", worst_inverse),
+                  "isometry.inverse", *worst(inverse, images)),
         tol.check("isometry-check", "pairing rescales by 1/q",
-                  "isometry.omega-scaling", worst_omega),
+                  "isometry.omega-scaling", *worst(omega_res)),
         tol.check("isometry-check", "determinant on solutions is q^(2-n)",
-                  "isometry.determinant-power", worst_det),
+                  "isometry.determinant-power", *worst(det)),
     ]
 
 

@@ -242,7 +242,7 @@ def parallel_transport(model: ModelManifold, curve: Callable[[float], tuple[Char
     norms = []
     for tau, X in zip(taus, Xs):
         pt, _ = curve(tau)
-        g = metric_at(model, pt)
+        g = metric_at(model, pt.coords())
         norms.append(float(X @ g @ X))
     norms = np.asarray(norms)
     return {
@@ -598,8 +598,8 @@ def straightening_pullback_residual(geo: TransverseNullGeodesic,
                 src = ChartPoint(float(t), float(s), v)
                 img = straightening_map(geo, float(t), float(s), v)
                 J = straightening_jacobian(geo, float(t), v)
-                G_img = metric_at(model, img)
-                G_src = metric_at(model, src)
+                G_img = metric_at(model, img.coords())
+                G_src = metric_at(model, src.coords())
                 worst = max(worst, float(np.max(np.abs(J.T @ G_img @ J - G_src))))
                 count += 1
     return {"pullback_residual": worst, "null_residual": null_worst,

@@ -25,6 +25,13 @@ The Jacobian of the action is computed analytically (the map is affine in
 (s, v) and its t-derivative only needs u'' = (f + A) u), which keeps
 pullback residuals at integrator accuracy instead of finite-difference
 accuracy.
+
+The action works on chart coordinates x = (t, s, v) stacked on leading
+axes, shape (..., n), so one call moves a whole point set; a single point
+is its `ChartPoint.coords()`. Each point costs one flow lookup of
+(u(T), u'(T)): `pullback_residual` shares it between the image and the
+Jacobian and returns the images, so a caller that needs Phi x as well does
+not look u up again.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model_geometry import ChartPoint, ModelManifold, metric_at
+from .model_geometry import ModelManifold, metric_at
 from .pseudo_linear import _as_matrix
 from .solution_space import SolutionE, flow, omega, zero_solution
 
@@ -162,49 +169,65 @@ def iso_identity(model: ModelManifold) -> IsoElement:
     return IsoElement(SElement(1.0, 0.0, np.eye(m)), 0.0, zero_solution(model))
 
 
-def iso_apply(model: ModelManifold, g: IsoElement, point: ChartPoint) -> ChartPoint:
-    """Apply the isometry to a chart point."""
-    q, p, C = g.sigma.q, g.sigma.p, g.sigma.C
-    T = q * point.t + p
-    u_val, u_der = g.u.at(T)
-    gram = model.space.gram
-    new_v = C @ point.v + u_val
-    new_s = -float(u_der @ gram @ (2.0 * (C @ point.v) + u_val)) \
-        + point.s / q + g.r
-    return ChartPoint(T, new_s, new_v)
+def _lookup(g: IsoElement, x: np.ndarray):
+    """T = q t + p, C v and (u(T), u'(T)) at stacked chart coordinates x: the
+    one flow lookup per point that the image and the Jacobian share."""
+    T = g.sigma.q * x[..., 0] + g.sigma.p
+    Cv = (g.sigma.C @ x[..., 2:, None])[..., 0]
+    return (T, Cv, *g.u.at(T))
 
 
-def iso_jacobian(model: ModelManifold, g: IsoElement, point: ChartPoint) -> np.ndarray:
-    """Analytic Jacobian of the action at the point.
+def _image(model: ModelManifold, g: IsoElement, x: np.ndarray,
+           T, Cv, u_val, u_der) -> np.ndarray:
+    new_s = -model.space.inner(u_der, 2.0 * Cv + u_val) + x[..., 1] / g.sigma.q + g.r
+    return np.concatenate([T[..., None], new_s[..., None], Cv + u_val], axis=-1)
 
-    The map is affine in (s, v); the only curved direction is t, where the
-    derivative of u(T) is q u'(T) and of u'(T) is q (f(T) + A) u(T).
-    """
-    q, p, C = g.sigma.q, g.sigma.p, g.sigma.C
-    n, m = model.dim, model.m
-    gram = model.space.gram
-    T = q * point.t + p
-    u_val, u_der = g.u.at(T)
-    u_dd = model.f_plus_A(T) @ u_val
 
-    J = np.zeros((n, n))
-    J[0, 0] = q
-    arg = 2.0 * (C @ point.v) + u_val
-    J[1, 0] = -q * (float(u_dd @ gram @ arg) + float(u_der @ gram @ u_der))
-    J[1, 1] = 1.0 / q
-    J[1, 2:] = -2.0 * (C.T @ gram @ u_der)
-    J[2:, 0] = q * u_der
-    J[2:, 2:] = C
+def _jacobian(model: ModelManifold, g: IsoElement, x: np.ndarray,
+              T, Cv, u_val, u_der) -> np.ndarray:
+    """The map is affine in (s, v); the only curved direction is t, where the
+    derivative of u(T) is q u'(T) and of u'(T) is q (f(T) + A) u(T)."""
+    q, C = g.sigma.q, g.sigma.C
+    n = model.dim
+    space = model.space
+    u_dd = model.profile.value(T)[..., None] * u_val + (model.A @ u_val[..., None])[..., 0]
+    J = np.zeros(x.shape[:-1] + (n, n))
+    J[..., 0, 0] = q
+    J[..., 1, 0] = -q * (space.inner(u_dd, 2.0 * Cv + u_val) + space.inner(u_der, u_der))
+    J[..., 1, 1] = 1.0 / q
+    J[..., 1, 2:] = -2.0 * (C.T @ space.gram @ u_der[..., None])[..., 0]
+    J[..., 2:, 0] = q * u_der
+    J[..., 2:, 2:] = C
     return J
 
 
-def pullback_residual(model: ModelManifold, g: IsoElement, point: ChartPoint) -> float:
-    """max |J^T g(Phi x) J - g(x)|, the pointwise isometry defect."""
-    J = iso_jacobian(model, g, point)
-    image = iso_apply(model, g, point)
-    G_img = metric_at(model, image)
-    G_src = metric_at(model, point)
-    return float(np.max(np.abs(J.T @ G_img @ J - G_src)))
+def iso_apply(model: ModelManifold, g: IsoElement, x) -> np.ndarray:
+    """Images of chart coordinates x = (t, s, v), shape (..., n) -> (..., n)."""
+    x = np.asarray(x, dtype=float)
+    return _image(model, g, x, *_lookup(g, x))
+
+
+def iso_jacobian(model: ModelManifold, g: IsoElement, x) -> np.ndarray:
+    """Analytic Jacobians of the action at chart coordinates x,
+    shape (..., n) -> (..., n, n)."""
+    x = np.asarray(x, dtype=float)
+    return _jacobian(model, g, x, *_lookup(g, x))
+
+
+def pullback_residual(model: ModelManifold, g: IsoElement,
+                      x) -> tuple[np.ndarray, np.ndarray]:
+    """max |J^T g(Phi x) J - g(x)|, the pointwise isometry defect, and the
+    images Phi x, at chart coordinates x of shape (..., n).
+
+    Returns residuals of shape (...) and images of shape (..., n); the image
+    and the Jacobian share one lookup of u(T), u'(T) per point.
+    """
+    x = np.asarray(x, dtype=float)
+    shared = _lookup(g, x)
+    image = _image(model, g, x, *shared)
+    J = _jacobian(model, g, x, *shared)
+    pulled = np.swapaxes(J, -1, -2) @ metric_at(model, image) @ J
+    return np.max(np.abs(pulled - metric_at(model, x)), axis=(-2, -1)), image
 
 
 def iso_compose(model: ModelManifold, a: IsoElement, b: IsoElement) -> IsoElement:

@@ -301,8 +301,8 @@ class ModelManifold:
     def dim(self) -> int:
         return self.space.dim + 2
 
-    def contains_t(self, t: float) -> bool:
-        return self.interval[0] < t < self.interval[1]
+    def contains_t(self, t):
+        return np.logical_and(self.interval[0] < t, t < self.interval[1])
 
     def compact_window(self) -> tuple[float, float]:
         """A canonical compact subinterval used for sampling and checks."""
@@ -336,15 +336,17 @@ class ModelManifold:
         fa.flat[::self.m + 1] += float(self.profile.value(t))
         return fa
 
-    def require_t(self, t: float):
-        if not self.contains_t(t):
+    def require_t(self, t):
+        if not self.contains_t(t).all():
             raise ValueError(f"t = {t} lies outside the interval {self.interval}")
 
-    def kappa(self, point: ChartPoint) -> float:
-        self.require_t(point.t)
-        v = point.v
-        return float(self.profile.value(point.t)) * self.space.norm_sq(v) \
-            + self.space.inner(self.A @ v, v)
+    def kappa(self, t, v):
+        """kappa(t, v) = f(t) <v, v> + <A v, v>, stacked over the leading axes
+        of t and v (shapes (...) and (..., m))."""
+        v = np.asarray(v, dtype=float)
+        self.require_t(t)
+        Av = (self.A @ v[..., None])[..., 0]
+        return self.profile.value(t) * self.space.norm_sq(v) + self.space.inner(Av, v)
 
     def validation_residuals(self) -> dict:
         """Structural residuals for reporting (never raises)."""
@@ -365,13 +367,17 @@ class ModelManifold:
 # metric jets
 # ---------------------------------------------------------------------------
 
-def metric_at(model: ModelManifold, point: ChartPoint) -> np.ndarray:
-    """Matrix of g at the point, index order (t, s, v)."""
+def metric_at(model: ModelManifold, x) -> np.ndarray:
+    """Matrix of g at chart coordinates x = (t, s, v), index order (t, s, v).
+
+    x may stack points on leading axes: shape (..., n) gives (..., n, n).
+    """
+    x = np.asarray(x, dtype=float)
     n = model.dim
-    g = np.zeros((n, n))
-    g[0, 0] = model.kappa(point)
-    g[0, 1] = g[1, 0] = 0.5
-    g[2:, 2:] = model.space.gram
+    g = np.zeros(x.shape[:-1] + (n, n))
+    g[..., 0, 0] = model.kappa(x[..., 0], x[..., 2:])
+    g[..., 0, 1] = g[..., 1, 0] = 0.5
+    g[..., 2:, 2:] = model.space.gram
     return g
 
 
@@ -396,7 +402,7 @@ def metric_jet(model: ModelManifold, point: ChartPoint):
     gv = gram @ v
     fa_gram = f0 * gram + gram @ A  # symmetric since gram A is symmetric
 
-    g = metric_at(model, point)
+    g = metric_at(model, point.coords())
 
     dg = np.zeros((n, n, n))
     dg[0, 0, 0] = f1 * vv
@@ -633,7 +639,7 @@ def olszak_span_check(model: ModelManifold, point: ChartPoint,
     zero meaning nabla_X d/ds is proportional to d/ds (here actually zero).
     dt_residual: the 1-form g(2 d/ds, .) equals dt entrywise.
     """
-    g = metric_at(model, point)
+    g = metric_at(model, point.coords())
     n = model.dim
     dt = np.zeros(n)
     dt[0] = 1.0

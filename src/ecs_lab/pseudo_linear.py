@@ -66,11 +66,16 @@ class PseudoEuclideanSpace:
         ev = np.linalg.eigvalsh(self.gram)
         return int(np.sum(ev > 0)), int(np.sum(ev < 0))
 
-    def inner(self, x, y) -> float:
-        """Scalar product of two vectors given in the reference basis."""
-        return float(np.asarray(x) @ self.gram @ np.asarray(y))
+    def inner(self, x, y):
+        """Scalar product of vectors given in the reference basis.
 
-    def norm_sq(self, x) -> float:
+        x and y may stack vectors on leading axes, shape (..., m); the result
+        has the broadcast leading shape, one product per vector.
+        """
+        xg = np.asarray(x, dtype=float) @ self.gram
+        return (xg[..., None, :] @ np.asarray(y, dtype=float)[..., :, None])[..., 0, 0]
+
+    def norm_sq(self, x):
         return self.inner(x, x)
 
     def skew_basis(self) -> list[np.ndarray]:

@@ -24,7 +24,9 @@ integrated with a high-order adaptive scheme and dense output over fixed
 segments on either side of the base time. The segment edges depend only on
 the model interval and the base time, so a query's answer never depends on
 the queries before it. Flows are cached on the model instance and shared by
-everything that uses the model.
+everything that uses the model. `SolutionE.at` takes a time or an array of
+times and makes one `CauchyFlow.matrix` lookup per time; callers that need
+u at many times pass them in one array.
 """
 
 from __future__ import annotations
@@ -171,11 +173,20 @@ class SolutionE:
     def scaled(self, a: float) -> "SolutionE":
         return SolutionE(self.model, self.base_t, a * self.value, a * self.deriv)
 
-    def at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """(u(t), u'(t)) by propagating the Cauchy data."""
-        data = flow(self.model, self.base_t).matrix(t) @ self.data()
+    def at(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """(u(t), u'(t)) by propagating the Cauchy data.
+
+        t is a time or an array of times; the values stack on its shape,
+        (...) -> (..., m). Each time is one scalar CauchyFlow.matrix lookup,
+        so an entry is bit-identical to asking for its time alone.
+        """
+        fl = flow(self.model, self.base_t)
+        t = np.asarray(t, dtype=float)
+        d = self.data()
+        data = np.array([fl.matrix(x) @ d for x in t.ravel()])
+        data = data.reshape(t.shape + d.shape)
         m = self.model.m
-        return data[:m], data[m:]
+        return data[..., :m], data[..., m:]
 
 
 def _same_base(u: SolutionE, w: SolutionE):
@@ -190,21 +201,6 @@ def zero_solution(model: ModelManifold, base_t: Optional[float] = None) -> Solut
         base_t = model.default_base_t()
     m = model.m
     return SolutionE(model, base_t, np.zeros(m), np.zeros(m))
-
-
-def basis_E(model: ModelManifold, base_t: Optional[float] = None) -> list[SolutionE]:
-    """The 2m Cauchy-coordinate basis solutions at the base time."""
-    if base_t is None:
-        base_t = model.default_base_t()
-    m = model.m
-    eye = np.eye(2 * m)
-    return [SolutionE.from_data(model, base_t, eye[:, j]) for j in range(2 * m)]
-
-
-def propagate(sol: SolutionE, new_base_t: float) -> SolutionE:
-    """The same solution re-anchored at a different base time."""
-    data = flow(sol.model, sol.base_t).matrix(new_base_t) @ sol.data()
-    return SolutionE.from_data(sol.model, new_base_t, data)
 
 
 def omega(u: SolutionE, w: SolutionE) -> float:
@@ -242,15 +238,6 @@ def omega_drift(u: SolutionE, w: SolutionE, ts: Iterable[float]) -> float:
         wv, wd = w.at(t)
         val = float(ud @ gram @ wv - uv @ gram @ wd)
         worst = max(worst, abs(val - base))
-    return worst
-
-
-def isotropic_span_residual(sols: list[SolutionE]) -> float:
-    """max |Omega(u_i, u_j)| over pairs; 0 means the span is isotropic."""
-    worst = 0.0
-    for i in range(len(sols)):
-        for j in range(i + 1, len(sols)):
-            worst = max(worst, abs(omega(sols[i], sols[j])))
     return worst
 
 

@@ -9,8 +9,18 @@ import sys
 import numpy as np
 import pytest
 
-from ecs_lab.cli import build_model, main
+import ecs_lab.cli as cli
+from ecs_lab.cli import _valid_isometries, build_model, main
 from ecs_lab.geodesics import energy_report, geodesic, t_affinity_report
+from ecs_lab.isometry_group import (
+    IsoElement,
+    iso_apply,
+    iso_compose,
+    iso_inverse,
+    pullback_residual,
+    s_membership,
+    sigma_det_residual,
+)
 from ecs_lab.model_geometry import random_chart_point
 
 HOMOGENEOUS = {
@@ -264,6 +274,76 @@ class TestWorstRunDetail:
                 vel = rng.standard_normal(model.dim)
             assert (pt.t, vel[0]) == (detail["t0"], detail["dt0"])
             assert measure(geodesic(model, pt, vel, (0.0, 2.0))) == row["value"]
+
+    def test_isometry_rows_replay_their_worst_element(self, tmp_path):
+        # The task draws its elements, then its points, from
+        # default_rng([seed, task index]); the detail names the element (for
+        # action-compatibility, g of the pair (g, h) = elements k, k + 1) and
+        # the point, which replay alone to the reported value.
+        payload = copy.deepcopy(HOMOGENEOUS)
+        payload["tasks"] = [{"task": "isometry-check", "elements": 6, "points": 4}]
+        _, report = run_cli(tmp_path, payload)
+        rows = {r["anchor"]: r for r in report["checks"]}
+        model = build_model(payload["model"])
+        rng = np.random.default_rng([payload["seed"], 0])
+        elems = _valid_isometries(model, rng, 6)
+        pts = [random_chart_point(model, rng).coords() for _ in range(4)]
+
+        def witness(anchor):
+            detail = rows[anchor]["detail"]
+            return rows[anchor], elems[detail["worst_element"]], \
+                pts[detail.get("worst_point", 0)], detail
+
+        row, g, _, _ = witness("isometry.membership")
+        assert max(s_membership(model, g.sigma).values()) == row["value"]
+        row, g, _, _ = witness("isometry.determinant-power")
+        assert sigma_det_residual(model, g.sigma) == row["value"]
+        row, g, x, _ = witness("isometry.pullback")
+        assert pullback_residual(model, g, x)[0] == row["value"]
+        # ... and the named witness is the worst one.
+        assert max(np.max(pullback_residual(model, e, np.array(pts))[0])
+                   for e in elems) == row["value"]
+
+        row, g, x, detail = witness("isometry.inverse")
+        image = iso_apply(model, g, x)
+        back = iso_apply(model, iso_inverse(model, g), image)
+        assert np.max(np.abs(back - x)) == row["value"]
+        assert detail["scale"] == np.max(np.abs(image))
+        assert detail["relative"] == row["value"] / detail["scale"]
+
+        row, g, x, detail = witness("isometry.action-compatibility")
+        h = elems[detail["worst_element"] + 1]
+        composed = iso_apply(model, iso_compose(model, g, h), x)
+        stepwise = iso_apply(model, g, iso_apply(model, h, x))
+        assert np.max(np.abs(composed - stepwise)) == row["value"]
+        assert detail["scale"] == np.max(np.abs(composed))
+
+
+class TestPlantedFaults:
+    def test_shifted_inverse_fails_inverse_row(self, tmp_path, monkeypatch):
+        # The inverse row applies g^-1 to the images the pullback produced; an
+        # inverse whose r is off by 1e-6 must still show up there.
+        payload = copy.deepcopy(HOMOGENEOUS)
+        payload["tasks"] = [{"task": "isometry-check", "elements": 4, "points": 3}]
+
+        def inverse_row(report):
+            return next(r for r in report["checks"] if r["anchor"] == "isometry.inverse")
+
+        code, report = run_cli(tmp_path, payload)
+        assert code == 0 and inverse_row(report)["pass"]
+
+        def shifted_inverse(model, g):
+            inv = iso_inverse(model, g)
+            return IsoElement(inv.sigma, inv.r + 1e-6, inv.u)
+
+        monkeypatch.setattr(cli, "iso_inverse", shifted_inverse)
+        code, report = run_cli(tmp_path, payload, report_name="faulty.json")
+        assert code == 1
+        row = inverse_row(report)
+        assert not row["pass"]
+        assert row["value"] == pytest.approx(1e-6, rel=1e-3)
+        assert [r["anchor"] for r in report["checks"] if not r["pass"]] == [
+            "isometry.inverse"]
 
 
 class TestDeterminism:

@@ -280,16 +280,16 @@ class TestCommuteTest:
             y = class_map(hm, 0.8, z, 0.3, w)
             other = class_map(hm, -0.5, z, 0.3, w)
 
-            def defect(g, h, pt):
-                gh = iso_apply(model, g, iso_apply(model, h, pt))
-                hg = iso_apply(model, h, iso_apply(model, g, pt))
-                return float(np.max(np.abs(gh.coords() - hg.coords())))
+            def defect(g, h, pts):
+                gh = iso_apply(model, g, iso_apply(model, h, pts))
+                hg = iso_apply(model, h, iso_apply(model, g, pts))
+                return float(np.max(np.abs(gh - hg)))
 
-            pts = [random_chart_point(model, rng) for _ in range(4)]
-            assert max(defect(x, y, pt) for pt in pts) < 1e-8
-            assert max(pullback_residual(model, g, pt)
-                       for g in (x, y) for pt in pts) < 1e-8
-            assert max(defect(x, other, pt) for pt in pts) > 1e-3
+            pts = np.array([random_chart_point(model, rng).coords() for _ in range(4)])
+            assert defect(x, y, pts) < 1e-8
+            assert max(np.max(pullback_residual(model, g, pts)[0])
+                       for g in (x, y)) < 1e-8
+            assert defect(x, other, pts) > 1e-3
 
     def test_routes_agree_on_random_pairs(self):
         rng = np.random.default_rng(95)

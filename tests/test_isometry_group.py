@@ -124,33 +124,32 @@ class TestChartAction:
         model = roster[2].model
         pt = random_chart_point(model, rng)
         image = iso_identity(model)
-        out = iso_apply(model, image, pt)
-        assert out.t == pt.t and out.s == pt.s
-        assert np.array_equal(out.v, pt.v)
+        out = iso_apply(model, image, pt.coords())
+        assert np.array_equal(out, pt.coords())
 
     def test_central_translation_moves_s_only(self, roster):
         model = roster[0].model
         g = IsoElement(SElement(1.0, 0.0, np.eye(2)), 2.5, zero_solution(model))
         pt = ChartPoint(0.3, -1.0, np.array([0.4, 0.7]))
-        out = iso_apply(model, g, pt)
-        assert out.t == pt.t
-        assert np.array_equal(out.v, pt.v)
-        assert out.s == pytest.approx(pt.s + 2.5, abs=1e-14)
+        out = iso_apply(model, g, pt.coords())
+        assert out[0] == pt.t
+        assert np.array_equal(out[2:], pt.v)
+        assert out[1] == pytest.approx(pt.s + 2.5, abs=1e-14)
 
     def test_dilation_rescales_t(self, roster):
         hm = roster[1].hm
         g = IsoElement(hm.dilation(3.0), 0.0, zero_solution(hm.model))
         pt = ChartPoint(0.7, 0.2, np.array([1.0, -2.0]))
-        out = iso_apply(hm.model, g, pt)
-        assert out.t == pytest.approx(2.1, abs=1e-14)
-        assert out.s == pytest.approx(0.2 / 3.0, abs=1e-14)
+        out = iso_apply(hm.model, g, pt.coords())
+        assert out[0] == pytest.approx(2.1, abs=1e-14)
+        assert out[1] == pytest.approx(0.2 / 3.0, abs=1e-14)
 
     def test_pullback_vanishes_for_group_elements(self, roster, iso_sampler):
         rng = np.random.default_rng(62)
         for entry in roster:
             for g in iso_sampler(entry, rng, 6):
                 pt = random_chart_point(entry.model, rng)
-                assert pullback_residual(entry.model, g, pt) < 1e-9
+                assert pullback_residual(entry.model, g, pt.coords())[0] < 1e-9
 
     def test_pullback_detects_non_isometry(self, roster):
         rng = np.random.default_rng(63)
@@ -158,7 +157,31 @@ class TestChartAction:
         bad = IsoElement(SElement(1.0, 0.0, np.diag([2.0, 0.5])),
                          0.0, zero_solution(model))
         pt = random_chart_point(model, rng)
-        assert pullback_residual(model, bad, pt) > 1e-2
+        assert pullback_residual(model, bad, pt.coords())[0] > 1e-2
+
+    def test_stack_matches_single_points(self, roster, iso_sampler):
+        # A stack of k points gives what k separate calls give.
+        rng = np.random.default_rng(65)
+        for entry in roster:
+            model = entry.model
+            g = iso_sampler(entry, rng, 1)[0]
+            X = np.array([random_chart_point(model, rng).coords() for _ in range(5)])
+            images = iso_apply(model, g, X)
+            jacobians = iso_jacobian(model, g, X)
+            residuals, pull_images = pullback_residual(model, g, X)
+            assert images.shape == X.shape and residuals.shape == (5,)
+            assert np.array_equal(pull_images, images)
+            for k, x in enumerate(X):
+                res, img = pullback_residual(model, g, x)
+                for stacked, single in ((images[k], iso_apply(model, g, x)),
+                                        (pull_images[k], img),
+                                        (jacobians[k], iso_jacobian(model, g, x))):
+                    scale = np.max(np.abs(single))
+                    assert np.max(np.abs(stacked - single)) <= 1e-14 * scale
+                assert abs(residuals[k] - res) <= 1e-14 * max(res, 1.0)
+            # Leading axes of any shape stack alike.
+            assert np.array_equal(iso_apply(model, g, X.reshape(5, 1, -1))[:, 0],
+                                  images)
 
     def test_jacobian_against_finite_differences(self, roster, iso_sampler):
         rng = np.random.default_rng(64)
@@ -166,17 +189,16 @@ class TestChartAction:
         for entry in (roster[1], roster[2]):
             model = entry.model
             g = iso_sampler(entry, rng, 1)[0]
-            pt = random_chart_point(model, rng)
-            x0 = pt.coords()
-            J = iso_jacobian(model, g, pt)
+            x0 = random_chart_point(model, rng).coords()
+            J = iso_jacobian(model, g, x0)
             n = model.dim
             fd = np.zeros((n, n))
             for e in range(n):
                 step = np.zeros(n)
                 step[e] = h
-                hi = iso_apply(model, g, ChartPoint.from_coords(x0 + step))
-                lo = iso_apply(model, g, ChartPoint.from_coords(x0 - step))
-                fd[:, e] = (hi.coords() - lo.coords()) / (2 * h)
+                hi = iso_apply(model, g, x0 + step)
+                lo = iso_apply(model, g, x0 - step)
+                fd[:, e] = (hi - lo) / (2 * h)
             assert np.max(np.abs(J - fd)) < 1e-5
 
 
@@ -188,11 +210,10 @@ class TestGroupOperations:
             a, b = iso_sampler(entry, rng, 2)
             ab = iso_compose(model, a, b)
             for _ in range(4):
-                pt = random_chart_point(model, rng)
-                via_product = iso_apply(model, ab, pt)
-                via_steps = iso_apply(model, a, iso_apply(model, b, pt))
-                assert np.max(np.abs(via_product.coords()
-                                     - via_steps.coords())) < 1e-9
+                x = random_chart_point(model, rng).coords()
+                via_product = iso_apply(model, ab, x)
+                via_steps = iso_apply(model, a, iso_apply(model, b, x))
+                assert np.max(np.abs(via_product - via_steps)) < 1e-9
 
     def test_inverse(self, roster, iso_sampler):
         rng = np.random.default_rng(72)
@@ -204,9 +225,9 @@ class TestGroupOperations:
                                 iso_identity(model)) < 1e-9
             assert iso_distance(iso_compose(model, inv, a),
                                 iso_identity(model)) < 1e-9
-            pt = random_chart_point(model, rng)
-            back = iso_apply(model, inv, iso_apply(model, a, pt))
-            assert np.max(np.abs(back.coords() - pt.coords())) < 1e-9
+            x = random_chart_point(model, rng).coords()
+            back = iso_apply(model, inv, iso_apply(model, a, x))
+            assert np.max(np.abs(back - x)) < 1e-9
 
     def test_associativity(self, roster, iso_sampler):
         rng = np.random.default_rng(73)
