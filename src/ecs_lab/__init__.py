@@ -17,7 +17,6 @@ from .pseudo_linear import (
     genericity_test,
     nilpotent_order,
     fit_basis,
-    fit_basis_residuals,
     scaling_isometry,
     density_experiment,
 )
@@ -68,15 +67,12 @@ from .homogeneous import (
     commute_test,
     transitive_commutation_check,
     conjugation_matrix,
-    normalize_to_standard,
 )
 from .geodesics import (
     GeodesicResult,
     geodesic,
     energy_report,
     t_affinity_report,
-    leaf_exp,
-    parallel_transport,
     affine_transport_residual,
     PolyCurve,
     variation_field,

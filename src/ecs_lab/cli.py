@@ -265,7 +265,6 @@ class Scenario:
     model_spec: dict
     tasks: list[dict]
     tolerances: dict
-    path: str
 
     @staticmethod
     def load(path: str, seed_override: Optional[int] = None) -> "Scenario":
@@ -291,13 +290,14 @@ class Scenario:
                 raise ScenarioError("each task entry needs a 'task' key")
             if entry["task"] not in TASK_RUNNERS:
                 raise ScenarioError(f"unknown task {entry['task']!r}")
-        seed = int(raw.get("seed", 0)) if seed_override is None else int(seed_override)
+        seed = raw.get("seed", 0) if seed_override is None else seed_override
+        if not _is_int(seed) or seed < 0:
+            raise ScenarioError(f"seed must be a nonnegative integer, got {seed!r}")
         return Scenario(
             seed=seed,
             model_spec=raw["model"],
             tasks=tasks,
             tolerances=raw.get("tolerances", {}),
-            path=path,
         )
 
 
@@ -314,30 +314,37 @@ def _require_homogeneous(model: ModelManifold, task: str) -> HomogeneousModel:
         raise ScenarioError(f"task {task!r}: {exc}") from exc
 
 
-def _count(params: dict, key: str, default: int) -> int:
-    """A task's sample count; fewer than one sample would pass vacuously."""
-    value = int(params.get(key, default))
-    if value < 1:
-        raise ScenarioError(f"{key!r} must be at least 1, got {value}")
-    return value
+def _is_int(value) -> bool:
+    """A JSON integer; JSON true and false are not counts."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _pair_count(params: dict, key: str, default: int) -> int:
-    """A sample count for a check over pairs; one sample forms no pair."""
-    value = _count(params, key, default)
-    if value < 2:
-        raise ScenarioError(f"{key!r} must be at least 2, got {value}")
+def _is_finite(value) -> bool:
+    """A JSON number of finite float value (not a bool, string or NaN)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and abs(value) <= sys.float_info.max
+
+
+def _count(params: dict, key: str, default: int, least: int = 1) -> int:
+    """A task's sample count, an integer of at least `least`: fewer than one
+    sample would pass vacuously, and a check over pairs needs two."""
+    value = params.get(key, default)
+    if not _is_int(value) or value < least:
+        raise ScenarioError(f"{key!r} must be an integer of at least {least}, "
+                            f"got {value!r}")
     return value
 
 
 def _q_values(params: dict, task: str, default: list) -> list[float]:
-    """A task's dilation parameters: at least one, all positive."""
-    q_values = [float(q) for q in params.get("q_values", default)]
-    if not q_values:
-        raise ScenarioError(f"{task} q_values must not be empty")
-    if any(q <= 0 for q in q_values):
-        raise ScenarioError(f"{task} q_values must be positive")
-    return q_values
+    """A task's dilation parameters: a nonempty list of finite positive
+    numbers."""
+    q_values = params.get("q_values", default)
+    if not isinstance(q_values, list) or not q_values:
+        raise ScenarioError(f"{task} q_values must be a nonempty list")
+    if not all(_is_finite(q) and q > 0 for q in q_values):
+        raise ScenarioError(f"{task} q_values must be finite positive numbers, "
+                            f"got {q_values!r}")
+    return [float(q) for q in q_values]
 
 
 def _valid_isometries(model: ModelManifold, rng: np.random.Generator,
@@ -454,7 +461,7 @@ def task_spectra(model: ModelManifold, params: dict, tol: Tolerances,
 
 def task_isometry_check(model: ModelManifold, params: dict, tol: Tolerances,
                         rng: np.random.Generator) -> list[CheckRow]:
-    n_elements = _pair_count(params, "elements", 10)
+    n_elements = _count(params, "elements", 10, least=2)
     n_points = _count(params, "points", 5)
     elems = _valid_isometries(model, rng, n_elements)
     pts = np.array([random_chart_point(model, rng).coords() for _ in range(n_points)])
@@ -519,7 +526,7 @@ def task_tcp_check(model: ModelManifold, params: dict, tol: Tolerances,
                    rng: np.random.Generator) -> list[CheckRow]:
     hm = _require_homogeneous(model, "tcp-check")
     n_classes = _count(params, "classes", 5)
-    per_class = _pair_count(params, "per_class", 3)
+    per_class = _count(params, "per_class", 3, least=2)
     round_trips = _count(params, "round_trips", 20)
     m2 = 2 * hm.m
     split = spectral_split(hm)
@@ -635,7 +642,11 @@ def task_tcp_check(model: ModelManifold, params: dict, tol: Tolerances,
 def task_geodesic(model: ModelManifold, params: dict, tol: Tolerances,
                   rng: np.random.Generator) -> list[CheckRow]:
     count = _count(params, "count", 20)
-    tau = float(params.get("tau", 2.0))
+    tau = params.get("tau", 2.0)
+    if not _is_finite(tau) or tau == 0:
+        # a zero span samples one point and passes vacuously
+        raise ScenarioError(f"geodesic tau must be finite and nonzero, got {tau!r}")
+    tau = float(tau)
     energies, affines, starts = [], [], []
     worst_boundary = 0.0
     hits = 0

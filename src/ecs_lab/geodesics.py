@@ -1,6 +1,6 @@
-"""Geodesics, parallel transport, and the two structural maps built on them:
-leafwise geodesic variations and the chart-straightening of a transverse
-null geodesic.
+"""Geodesics, second-order transport along leaf curves, and the two
+structural maps built on them: leafwise geodesic variations and the
+chart-straightening of a transverse null geodesic.
 
 Geodesic equations of the model metric in chart coordinates, with
 kappa_t = f'(t) <v, v> and kappa_v = 2 gram (f + A) v:
@@ -14,12 +14,13 @@ totally geodesic (every Christoffel symbol with both lower indices along a
 leaf vanishes), and the transverse dynamics is the same linear operator
 f + A that drives the solution space.
 
-Integration uses an explicit high-order adaptive scheme at tight tolerances
-with dense output. Since t is affine, a run that heads for a finite interval
-endpoint is known to do so in advance: it stops at a small barrier before
-the endpoint, at a parameter given in closed form, and is integrated in
-x = log|t - endpoint| so that its steps need not shrink near the
-singularity. The right-hand sides apply f v + A v rather than forming f + A.
+Every integration goes through `_solve`: an explicit high-order adaptive
+scheme at tight tolerances with dense output. Since t is affine, a run that
+heads for a finite interval endpoint is known to do so in advance: it stops
+at a small barrier before the endpoint, at a parameter given in closed form,
+and is integrated in x = log|t - endpoint| so that its steps need not shrink
+near the singularity. The right-hand sides apply f v + A v rather than
+forming f + A; everything else reads kappa from `ModelManifold.kappa`.
 """
 
 from __future__ import annotations
@@ -41,8 +42,9 @@ def christoffel_closed_form(model: ModelManifold, t: float, v: np.ndarray) -> np
     """The nonzero Christoffel symbols in closed form.
 
     Gamma^s_tt = kappa_t, Gamma^s_{t i} = Gamma^s_{i t} = kappa_{v_i},
-    Gamma^k_tt = -((f + A) v)_k, everything else zero. Tests cross-check
-    this against the generic metric-jet pipeline.
+    Gamma^k_tt = -((f + A) v)_k, everything else zero. It is independent
+    of the generic metric-jet pipeline (`curvature_at(...).christoffel`),
+    and the tests compare the two on every roster model.
     """
     n, m = model.dim, model.m
     gram = model.space.gram
@@ -56,6 +58,17 @@ def christoffel_closed_form(model: ModelManifold, t: float, v: np.ndarray) -> np
     G[1, 2:, 0] = kappa_v
     G[2:, 0, 0] = -(fa @ v)
     return G
+
+
+def _solve(rhs, span, y0, what: str):
+    """The integrator policy of this module: DOP853 at rtol = atol = 1e-12
+    with dense output. Returns the dense solution; raises RuntimeError,
+    naming what was integrated, when the solver fails."""
+    sol = solve_ivp(rhs, span, y0, method="DOP853",
+                    rtol=_RTOL, atol=_ATOL, dense_output=True)
+    if not sol.success:
+        raise RuntimeError(f"{what} integration failed: {sol.message}")
+    return sol.sol
 
 
 def _geodesic_rhs(model: ModelManifold, edge: Optional[float] = None,
@@ -146,19 +159,14 @@ def geodesic(model: ModelManifold, point: ChartPoint, velocity,
         barrier = edge + np.sign(t0 - edge) * ENDPOINT_BARRIER
         end = tau0 + (barrier - t0) / dt0
         span = (np.log(abs(t0 - edge)), np.log(ENDPOINT_BARRIER))
-    sol = solve_ivp(
-        _geodesic_rhs(model, edge, dt0), span, y0, method="DOP853",
-        rtol=_RTOL, atol=_ATOL, dense_output=True,
-    )
-    if not sol.success:
-        raise RuntimeError(f"geodesic integration failed: {sol.message}")
+    dense = _solve(_geodesic_rhs(model, edge, dt0), span, y0, "geodesic")
 
     taus = np.linspace(tau0, end, samples)
     if edge is None:
-        return GeodesicResult(taus=taus, states=sol.sol(taus).T,
+        return GeodesicResult(taus=taus, states=dense(taus).T,
                               hit_boundary=False, boundary_tau=None)
     xs = np.log(np.abs(t0 - edge + dt0 * (taus - tau0)))
-    return GeodesicResult(taus=taus, states=sol.sol(xs).T,
+    return GeodesicResult(taus=taus, states=dense(xs).T,
                           hit_boundary=True, boundary_tau=float(end))
 
 
@@ -170,21 +178,14 @@ def energy_report(model: ModelManifold, result: GeodesicResult) -> dict:
     singular end where individual terms blow up.
     """
     m = model.m
-    gram = model.space.gram
-    energies = []
-    scale = 1.0
-    for i in range(result.n_samples):
-        row = result.states[i]
-        t, v = row[0], row[2:2 + m]
-        dt, ds, dv = row[2 + m], row[3 + m], row[4 + m:]
-        kap = float(model.profile.value(t)) * float(v @ gram @ v) \
-            + float((model.A @ v) @ gram @ v)
-        term1 = kap * dt * dt
-        term2 = dt * ds
-        term3 = float(dv @ gram @ dv)
-        energies.append(term1 + term2 + term3)
-        scale = max(scale, abs(term1) + abs(term2) + abs(term3))
-    energies = np.asarray(energies)
+    X = result.states
+    t, v = X[:, 0], X[:, 2:2 + m]
+    dt, ds, dv = X[:, 2 + m], X[:, 3 + m], X[:, 4 + m:]
+    term1 = model.kappa(t, v) * dt * dt
+    term2 = dt * ds
+    term3 = model.space.norm_sq(dv)
+    energies = term1 + term2 + term3
+    scale = max(1.0, float(np.max(np.abs(term1) + np.abs(term2) + np.abs(term3))))
     drift = float(np.max(np.abs(energies - energies[0])))
     return {"drift_abs": drift, "drift_rel": drift / scale, "energy0": float(energies[0])}
 
@@ -204,52 +205,6 @@ def t_affinity_report(result: GeodesicResult) -> dict:
     t_range = float(np.max(ts) - np.min(ts))
     return {"residual": residual, "t_range": t_range,
             "slope": float(coef[0]), "intercept": float(coef[1])}
-
-
-def leaf_exp(model: ModelManifold, point: ChartPoint, leaf_vector) -> ChartPoint:
-    """Exponential map inside the leaf {t} x R x V: coordinate addition.
-
-    Valid because the leaves are flat and totally geodesic with vanishing
-    leafwise Christoffel symbols in this chart.
-    """
-    w = np.asarray(leaf_vector, dtype=float).reshape(-1)
-    if w.shape != (model.dim - 1,):
-        raise ValueError("leaf vector must have components (s, v) only")
-    return ChartPoint(point.t, point.s + w[0], point.v + w[1:])
-
-
-def parallel_transport(model: ModelManifold, curve: Callable[[float], tuple[ChartPoint, np.ndarray]],
-                       X0, tau_span: tuple[float, float], samples: int = 65) -> dict:
-    """Transport X along the curve; returns samples and the drift of g(X, X).
-
-    curve(tau) must return (point, velocity). The transport equation is
-    X'^a = -Gamma^a_{bc} x'^b X^c with the closed-form symbols.
-    """
-    X0 = np.asarray(X0, dtype=float).reshape(-1)
-    m = model.m
-
-    def rhs(tau, X):
-        pt, vel = curve(tau)
-        G = christoffel_closed_form(model, pt.t, pt.v)
-        return -np.einsum("abc,b,c->a", G, vel, X)
-
-    sol = solve_ivp(rhs, tau_span, X0, method="DOP853",
-                    rtol=_RTOL, atol=_ATOL, dense_output=True)
-    if not sol.success:
-        raise RuntimeError(f"transport integration failed: {sol.message}")
-    taus = np.linspace(tau_span[0], tau_span[1], samples)
-    Xs = sol.sol(taus).T
-    norms = []
-    for tau, X in zip(taus, Xs):
-        pt, _ = curve(tau)
-        g = metric_at(model, pt.coords())
-        norms.append(float(X @ g @ X))
-    norms = np.asarray(norms)
-    return {
-        "taus": taus,
-        "fields": Xs,
-        "norm_drift": float(np.max(np.abs(norms - norms[0]))),
-    }
 
 
 def affine_transport_residual(model: ModelManifold,
@@ -281,14 +236,11 @@ def affine_transport_residual(model: ModelManifold,
         return np.concatenate([-M @ Z, Y - M @ X, -M @ Y])
 
     state0 = np.concatenate([Z0, Z0, -Z0])
-    sol = solve_ivp(rhs, (0.0, s_max), state0, method="DOP853",
-                    rtol=_RTOL, atol=_ATOL, dense_output=True)
-    if not sol.success:
-        raise RuntimeError(f"transport integration failed: {sol.message}")
+    dense = _solve(rhs, (0.0, s_max), state0, "transport")
     worst = 0.0
     scale = max(1.0, float(np.max(np.abs(Z0))))
     for s in np.linspace(0.0, s_max, samples):
-        st = sol.sol(s)
+        st = dense(s)
         Z, X = st[:n], st[n:2 * n]
         worst = max(worst, float(np.max(np.abs(X - (1.0 - s) * Z))))
     return worst / scale
@@ -338,12 +290,10 @@ class PolyCurve:
 @dataclass
 class VariationField:
     """The leafwise deviation field z(t) = (z_s, z_v) along a transverse
-    curve y, integrated so that the endpoint curve of the variation
-    x(t, s) = y(t) + s z(t) (leafwise exponential) is a geodesic at s = 1.
-
-    q_values carries the quadratic multiplier 4 f' <z_v, z_v>
-    + 16 <(f+A) z_v, z_v'> that the transverse equation feeds back into the
-    s-component (as -1/4 times it along the null direction d/ds).
+    curve y, sampled with its t-derivative on t_grid. The variation is
+    x(t, s) = y(t) + s z(t): the leaves are flat, so the leafwise
+    exponential is coordinate addition. z is integrated so that the
+    endpoint curve x(., 1) = y + z is a geodesic.
     """
 
     curve: PolyCurve
@@ -352,7 +302,6 @@ class VariationField:
     z_v: np.ndarray
     zdot_s: np.ndarray
     zdot_v: np.ndarray
-    q_values: np.ndarray
 
 
 def variation_field(model: ModelManifold, curve: PolyCurve,
@@ -363,7 +312,7 @@ def variation_field(model: ModelManifold, curve: PolyCurve,
     The V-part solves z_v'' = (f + A) z_v + (f + A) v_y - v_y'' (the
     Jacobi-type operator with the curve's own geodesic defect as source) and
     the s-part balances the full s-geodesic equation of y + z, including the
-    term quadratic in z.
+    terms quadratic in z.
     """
     m = model.m
     gram = model.space.gram
@@ -401,25 +350,12 @@ def variation_field(model: ModelManifold, curve: PolyCurve,
 
     y0 = np.concatenate([[z0[0], zdot0[0]], np.asarray(z0[1], dtype=float),
                          np.asarray(zdot0[1], dtype=float)])
-    sol = solve_ivp(rhs, t_span, y0, method="DOP853",
-                    rtol=_RTOL, atol=_ATOL, dense_output=True)
-    if not sol.success:
-        raise RuntimeError(f"variation integration failed: {sol.message}")
+    dense = _solve(rhs, t_span, y0, "variation")
 
     ts = np.linspace(t_span[0], t_span[1], samples)
-    Y = sol.sol(ts).T
-    z_s, zd_s = Y[:, 0], Y[:, 1]
-    z_v, zd_v = Y[:, 2:2 + m], Y[:, 2 + m:]
-
-    qv = np.empty(samples)
-    for i, t in enumerate(ts):
-        fa = model.f_plus_A(t)
-        f1 = float(model.profile.derivative(t, 1))
-        qv[i] = 4.0 * f1 * float(z_v[i] @ gram @ z_v[i]) \
-            + 16.0 * float((fa @ z_v[i]) @ gram @ zd_v[i])
-
-    return VariationField(curve=curve, t_grid=ts, z_s=z_s, z_v=z_v,
-                          zdot_s=zd_s, zdot_v=zd_v, q_values=qv)
+    Y = dense(ts).T
+    return VariationField(curve=curve, t_grid=ts, z_s=Y[:, 0], z_v=Y[:, 2:2 + m],
+                          zdot_s=Y[:, 1], zdot_v=Y[:, 2 + m:])
 
 
 def terminal_curve_residual(model: ModelManifold, field: VariationField) -> float:
@@ -498,10 +434,8 @@ class TransverseNullGeodesic:
 
     def null_residual(self, t: float) -> float:
         s, sd, v, vd = self.state(t)
-        gram = self.model.space.gram
-        kap = float(self.model.profile.value(t)) * float(v @ gram @ v) \
-            + float((self.model.A @ v) @ gram @ v)
-        return abs(kap + sd + float(vd @ gram @ vd))
+        space = self.model.space
+        return abs(float(self.model.kappa(t, v)) + sd + float(space.norm_sq(vd)))
 
 
 def transverse_null_geodesic(model: ModelManifold, t0: float, s0: float,
@@ -512,9 +446,7 @@ def transverse_null_geodesic(model: ModelManifold, t0: float, s0: float,
     gram = model.space.gram
     v0 = np.asarray(v0, dtype=float).reshape(-1)
     vdot0 = np.asarray(vdot0, dtype=float).reshape(-1)
-    kap0 = float(model.profile.value(t0)) * float(v0 @ gram @ v0) \
-        + float((model.A @ v0) @ gram @ v0)
-    sdot0 = -kap0 - float(vdot0 @ gram @ vdot0)
+    sdot0 = -float(model.kappa(t0, v0)) - float(vdot0 @ gram @ vdot0)
     A, profile = model.A, model.profile
 
     def rhs(t, y):
@@ -533,15 +465,11 @@ def transverse_null_geodesic(model: ModelManifold, t0: float, s0: float,
 
     y0 = np.concatenate([[s0, sdot0], v0, vdot0])
     lo, hi = sorted(t_window)
-    sol_fwd = solve_ivp(rhs, (t0, hi), y0, method="DOP853",
-                        rtol=_RTOL, atol=_ATOL, dense_output=True)
-    sol_bwd = solve_ivp(rhs, (t0, lo), y0, method="DOP853",
-                        rtol=_RTOL, atol=_ATOL, dense_output=True)
-    if not (sol_fwd.success and sol_bwd.success):
-        raise RuntimeError("null geodesic integration failed")
+    fwd = _solve(rhs, (t0, hi), y0, "null geodesic")
+    bwd = _solve(rhs, (t0, lo), y0, "null geodesic")
 
     def dense(t):
-        return sol_fwd.sol(t) if t >= t0 else sol_bwd.sol(t)
+        return fwd(t) if t >= t0 else bwd(t)
 
     return TransverseNullGeodesic(model=model, t_window=(lo, hi), _dense=dense)
 

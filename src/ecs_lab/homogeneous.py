@@ -428,15 +428,3 @@ def shifted_invertibility(hm: HomogeneousModel, q: float,
         "range_leak_into_kernel": leak,
         "kernel_fixed_residual": kernel_norm,
     }
-
-
-def normalize_to_standard(h: float, t0: float) -> tuple[float, float, complex]:
-    """Bring f(t) = h (t - t0)^{-2} on (t0, inf) to the standard homogeneous
-    form: the affine change (q, p) = (1, -t0) and c with c^2 = h + 1/4,
-    taken real nonnegative or positive imaginary."""
-    c_sq = h + 0.25
-    if c_sq >= 0:
-        c = complex(np.sqrt(c_sq), 0.0)
-    else:
-        c = complex(0.0, np.sqrt(-c_sq))
-    return (1.0, -float(t0), c)

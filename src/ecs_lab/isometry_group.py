@@ -18,8 +18,10 @@ sigma . u = C u((. - p)/q) on solutions:
     (sigma, r, u)(sigma', r', u')
         = (sigma sigma', r + q^{-1} r' - Omega(u, sigma . u'), u + sigma . u').
 
-Omega rescales under sigma by q^{-1} and the action of sigma on E has
-determinant q^{2 - n}; both show up as checks here and in tests.
+In Cauchy coordinates at the base time, sigma . is one matrix,
+`sigma_matrix`, and `sigma_act` applies it. Omega rescales under sigma by
+q^{-1} and the action of sigma on E has determinant q^{2 - n}; both show up
+as checks on that matrix here and in tests.
 
 The Jacobian of the action is computed analytically (the map is affine in
 (s, v) and its t-derivative only needs u'' = (f + A) u), which keeps
@@ -43,7 +45,7 @@ import numpy as np
 
 from .model_geometry import ModelManifold, metric_at
 from .pseudo_linear import _as_matrix
-from .solution_space import SolutionE, flow, omega, zero_solution
+from .solution_space import SolutionE, flow, omega, omega_matrix, zero_solution
 
 
 @dataclass
@@ -138,21 +140,11 @@ def s_membership(model: ModelManifold, elem: SElement,
     }
 
 
-def sigma_act(model: ModelManifold, elem: SElement, u: SolutionE) -> SolutionE:
-    """Induced action on solutions, (sigma . u)(t) = C u((t - p)/q).
-
-    Returns Cauchy data at the same base time. The chain rule divides the
-    derivative by q.
-    """
-    t0 = u.base_t
-    src = (t0 - elem.p) / elem.q
-    val, der = u.at(src)
-    return SolutionE(model, t0, elem.C @ val, (elem.C @ der) / elem.q)
-
-
 def sigma_matrix(model: ModelManifold, elem: SElement,
                  base_t: Optional[float] = None) -> np.ndarray:
-    """Matrix of sigma . on E in Cauchy coordinates at the base time."""
+    """Matrix of the induced action (sigma . u)(t) = C u((t - p)/q) on E in
+    Cauchy coordinates at the base time: the flow to (base_t - p)/q, then C
+    on values and C/q on derivatives (the chain rule divides by q)."""
     if base_t is None:
         base_t = model.default_base_t()
     m = model.m
@@ -162,6 +154,12 @@ def sigma_matrix(model: ModelManifold, elem: SElement,
     block[:m, :m] = elem.C
     block[m:, m:] = elem.C / elem.q
     return block @ phi
+
+
+def sigma_act(model: ModelManifold, elem: SElement, u: SolutionE) -> SolutionE:
+    """sigma . u, as Cauchy data at u's base time."""
+    return SolutionE.from_data(model, u.base_t,
+                               sigma_matrix(model, elem, u.base_t) @ u.data())
 
 
 def iso_identity(model: ModelManifold) -> IsoElement:
@@ -261,13 +259,16 @@ def classify_holonomy(elements: list[IsoElement], tol: float = 1e-12) -> str:
 
 def omega_scaling_residual(model: ModelManifold, elem: SElement,
                            pairs: list[tuple[SolutionE, SolutionE]]) -> float:
-    """Residual of Omega(sigma.u, sigma.w) = q^{-1} Omega(u, w) over pairs."""
+    """Residual of Omega(sigma.u, sigma.w) = q^{-1} Omega(u, w) over pairs,
+    as (M x)^T J (M y) against x^T J y / q with M the sigma matrix and J the
+    matrix of Omega. The pairs share the model's default base time."""
+    M = sigma_matrix(model, elem)
+    J = omega_matrix(model)
     worst = 0.0
     for u, w in pairs:
-        lhs = omega(sigma_act(model, elem, u), sigma_act(model, elem, w))
-        rhs = omega(u, w) / elem.q
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+        x, y = u.data(), w.data()
+        worst = max(worst, abs((M @ x) @ J @ (M @ y) - x @ J @ y / elem.q))
+    return float(worst)
 
 
 def sigma_det_residual(model: ModelManifold, elem: SElement) -> float:

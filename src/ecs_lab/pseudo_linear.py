@@ -211,16 +211,6 @@ class FitBasis:
     def dim(self) -> int:
         return self.vectors.shape[0]
 
-    def gram_pattern(self) -> np.ndarray:
-        """The anti-diagonal Gram matrix this basis realizes."""
-        m = self.dim
-        return self.epsilon * np.fliplr(np.eye(m))
-
-    def shift_pattern(self) -> np.ndarray:
-        """Matrix of A in this basis: the upper shift, A e_j = e_{j-1}."""
-        m = self.dim
-        return np.eye(m, k=1)
-
 
 def fit_basis(space: PseudoEuclideanSpace, A) -> FitBasis:
     """Construct the adapted basis for a nilpotent A with A^{m-1} != 0.
@@ -278,15 +268,6 @@ def fit_basis(space: PseudoEuclideanSpace, A) -> FitBasis:
     v_m = sum(c[k] * (powers[k] @ w) for k in range(m))
     cols = [powers[m - j] @ v_m for j in range(1, m + 1)]
     return FitBasis(vectors=np.column_stack(cols), epsilon=epsilon)
-
-
-def fit_basis_residuals(space: PseudoEuclideanSpace, A, fit: FitBasis) -> dict:
-    """Residuals of the defining properties of an adapted basis."""
-    A = _as_matrix(A)
-    P = fit.vectors
-    shift_res = float(np.max(np.abs(A @ P - P @ fit.shift_pattern())))
-    gram_res = float(np.max(np.abs(P.T @ space.gram @ P - fit.gram_pattern())))
-    return {"shift_residual": shift_res, "gram_residual": gram_res}
 
 
 def scaling_isometry(space: PseudoEuclideanSpace, fit: FitBasis, q: float,

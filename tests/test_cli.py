@@ -164,6 +164,58 @@ class TestExitCodes:
         code, _ = run_cli(tmp_path, payload)
         assert code == 2
 
+    @pytest.mark.parametrize("task,key,value", [
+        ("verify-model", "points", 2.7),
+        ("verify-model", "points", 2.0),
+        ("verify-model", "points", True),
+        ("geodesic", "count", "abc"),
+        ("geodesic", "count", None),
+        ("isometry-check", "elements", [4]),
+        ("tcp-check", "per_class", "3"),
+    ])
+    def test_non_integer_count_is_two(self, tmp_path, task, key, value):
+        payload = copy.deepcopy(HOMOGENEOUS)
+        payload["tasks"] = [{"task": task, key: value}]
+        code, _ = run_cli(tmp_path, payload)
+        assert code == 2
+
+    @pytest.mark.parametrize("task", ["spectra", "classify-group"])
+    @pytest.mark.parametrize("q_values", [
+        2.0, [[2.0]], [float("nan")], [float("inf")], ["2"], [True], [0.0], None,
+    ])
+    def test_bad_q_values_is_two(self, tmp_path, task, q_values):
+        payload = copy.deepcopy(HOMOGENEOUS)
+        payload["tasks"] = [{"task": task, "q_values": q_values}]
+        code, _ = run_cli(tmp_path, payload)
+        assert code == 2
+
+    @pytest.mark.parametrize("tau", [
+        float("nan"), float("inf"), -float("inf"), 0, 0.0, "2", None, True,
+    ])
+    def test_bad_tau_is_two(self, tmp_path, tau):
+        # a nonfinite span never finishes integrating; a zero one is vacuous
+        payload = copy.deepcopy(HOMOGENEOUS)
+        payload["tasks"] = [{"task": "geodesic", "count": 1, "tau": tau}]
+        code, _ = run_cli(tmp_path, payload)
+        assert code == 2
+
+    def test_backward_tau_is_accepted(self, tmp_path):
+        payload = copy.deepcopy(HOMOGENEOUS)
+        payload["tasks"] = [{"task": "geodesic", "count": 2, "tau": -1}]
+        code, _ = run_cli(tmp_path, payload)
+        assert code == 0
+
+    @pytest.mark.parametrize("seed", ["7", 7.5, True, -1, None])
+    def test_bad_seed_is_two(self, tmp_path, seed):
+        payload = copy.deepcopy(HOMOGENEOUS)
+        payload["seed"] = seed
+        code, _ = run_cli(tmp_path, payload)
+        assert code == 2
+
+    def test_negative_seed_option_is_two(self, tmp_path):
+        code, _ = run_cli(tmp_path, HOMOGENEOUS, extra_args=("--seed", "-1"))
+        assert code == 2
+
     def test_documented_sum_of_powers_spelling(self, tmp_path):
         payload = {
             "schema_version": "1",
@@ -180,10 +232,12 @@ class TestExitCodes:
         assert code == 0
         assert report["summary"]["failed"] == 0
 
-    def test_task_crash_is_three(self, tmp_path):
-        payload = copy.deepcopy(HOMOGENEOUS)
-        payload["tasks"] = [{"task": "geodesic", "count": "many"}]
-        code, _ = run_cli(tmp_path, payload)
+    def test_task_crash_is_three(self, tmp_path, monkeypatch):
+        def crash(model, params, tol, rng):
+            raise RuntimeError("integration failed")
+
+        monkeypatch.setitem(cli.TASK_RUNNERS, "geodesic", crash)
+        code, _ = run_cli(tmp_path, HOMOGENEOUS)
         assert code == 3
 
     def test_failing_checks_are_one(self, tmp_path, monkeypatch):

@@ -1,21 +1,25 @@
-"""Geodesics and transport: conservation laws, leaf flatness, boundary
-behavior on (0, inf) and on a bounded interval, plunges against the exact
-dilation flow, deviation fields with geodesic endpoint curves, and the
-straightening of transverse null geodesics."""
+"""Geodesics and transport: the closed-form Christoffel symbols against the
+metric-jet pipeline, the integrator policy, conservation laws, leaf
+flatness, boundary behavior on (0, inf) and on a bounded interval, plunges
+against the exact dilation flow, deviation fields with geodesic endpoint
+curves, and the straightening of transverse null geodesics."""
+
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import ecs_lab.geodesics as geodesics
 from ecs_lab.geodesics import (
     GeodesicResult,
     PolyCurve,
     affine_defect_residual,
     affine_transport_residual,
+    christoffel_closed_form,
     energy_report,
     geodesic,
-    leaf_exp,
-    parallel_transport,
     straightening_map,
     straightening_pullback_residual,
     t_affinity_report,
@@ -28,6 +32,7 @@ from ecs_lab.model_geometry import (
     ChartPoint,
     ModelManifold,
     PolynomialProfile,
+    curvature_at,
     random_chart_point,
 )
 from ecs_lab.pseudo_linear import PseudoEuclideanSpace
@@ -39,6 +44,60 @@ def random_velocity(model, rng, transverse=True):
     if transverse and abs(vel[0]) < 0.2:
         vel[0] = 0.2 * np.sign(vel[0] or 1.0)
     return vel
+
+
+class TestChristoffelClosedForm:
+    def test_matches_metric_jet_pipeline(self, roster):
+        # two independent routes to the same symbols: the closed form and
+        # the generic pipeline from metric derivatives
+        rng = np.random.default_rng(101)
+        for entry in roster:
+            model = entry.model
+            for _ in range(20):
+                pt = random_chart_point(model, rng)
+                closed = christoffel_closed_form(model, pt.t, pt.v)
+                jet = curvature_at(model, pt).christoffel
+                assert np.max(np.abs(closed - jet)) <= 1e-12 * np.max(np.abs(closed))
+
+
+class TestIntegratorPolicy:
+    """Every integration in the geodesics module runs DOP853 at rtol = atol
+    = 1e-12 with dense output, and hands solve_ivp the right-hand side
+    itself, whose qualified name the benchmark tracer classifies."""
+
+    def test_every_integration_uses_the_policy(self, roster, monkeypatch):
+        calls = []
+        real = geodesics.solve_ivp
+
+        def recorder(fun, t_span, y0, **kwargs):
+            calls.append((fun.__qualname__, kwargs))
+            return real(fun, t_span, y0, **kwargs)
+
+        monkeypatch.setattr(geodesics, "solve_ivp", recorder)
+        model = roster[1].model      # interval (0, inf)
+        m = model.m
+        pt = ChartPoint(1.0, 0.2, np.array([0.3, -0.4]))
+        regular = geodesic(model, pt, np.array([0.5, 0.1, 0.2, -0.3]), (0.0, 1.0))
+        plunge = geodesic(model, pt, np.array([-1.0, 0.1, 0.2, -0.3]), (0.0, 2.0))
+        assert not regular.hit_boundary and plunge.hit_boundary
+        variation_field(model, PolyCurve([0.1, 0.2], 0.1 * np.ones((m, 2))),
+                        (0.1, np.full(m, 0.1)), (0.0, np.zeros(m)), (0.5, 2.0))
+        transverse_null_geodesic(model, 1.0, 0.0, np.full(m, 0.2),
+                                 np.full(m, -0.1), (0.5, 2.0))
+        affine_transport_residual(model, leaf_circle(model, t0=1.0),
+                                  np.array([1.0, 0.5, -0.3, 0.8]))
+        assert len(calls) == 6
+        for _, kwargs in calls:
+            assert kwargs == {"method": "DOP853", "rtol": 1e-12, "atol": 1e-12,
+                              "dense_output": True}
+
+        path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("ecs_lab_bench_tracer", path)
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        kinds = [tracer.RHS_KINDS.get(name) for name, _ in calls[:5]]
+        assert kinds == ["geodesic", "geodesic", "variation_field",
+                         "null_geodesic", "null_geodesic"]
 
 
 class TestGeodesicBasics:
@@ -214,21 +273,16 @@ class TestCachedCoefficients:
 
 class TestLeafExp:
     def test_matches_geodesic_time_one(self, roster):
+        # the leaves are flat in this chart: the leafwise exponential map is
+        # coordinate addition
         rng = np.random.default_rng(121)
         for entry in (roster[0], roster[3]):
             model = entry.model
             pt = random_chart_point(model, rng)
-            w = rng.standard_normal(model.dim - 1)
-            target = leaf_exp(model, pt, w)
-            vel = np.concatenate([[0.0], w])
+            vel = np.concatenate([[0.0], rng.standard_normal(model.dim - 1)])
             res = geodesic(model, pt, vel, (0.0, 1.0), samples=3)
             assert np.max(np.abs(res.states[-1, : model.dim]
-                                 - target.coords())) < 1e-10
-
-    def test_wrong_shape_rejected(self, roster):
-        model = roster[0].model
-        with pytest.raises(ValueError):
-            leaf_exp(model, ChartPoint(0.1, 0.0, np.zeros(2)), np.zeros(2))
+                                 - (pt.coords() + vel))) < 1e-10
 
 
 def leaf_circle(model, t0, radius=0.8):
@@ -245,62 +299,6 @@ def leaf_circle(model, t0, radius=0.8):
         return pt, vel
 
     return curve
-
-
-class TestParallelTransport:
-    def test_t_axis_is_trivial(self, roster):
-        # along (t, 0, 0) every Christoffel term vanishes, so transport is
-        # coordinate-constant
-        model = roster[0].model
-
-        def curve(tau):
-            vel = np.zeros(model.dim)
-            vel[0] = 1.0
-            return ChartPoint(tau, 0.0, np.zeros(model.m)), vel
-
-        X0 = np.array([0.3, -1.2, 0.7, 0.4])
-        rep = parallel_transport(model, curve, X0, (-1.0, 1.0), samples=9)
-        assert np.max(np.abs(rep["fields"] - X0)) < 1e-12
-        assert rep["norm_drift"] < 1e-12
-
-    def test_leafwise_fields_frozen_on_leaf_curves(self, roster):
-        # with both curve velocity and field leafwise, the mixed symbols
-        # never engage
-        model = roster[1].model
-        curve = leaf_circle(model, t0=1.0)
-        X0 = np.array([0.0, 0.5, -0.3, 0.8])
-        rep = parallel_transport(model, curve, X0, (0.0, 2.0 * np.pi), samples=13)
-        assert np.max(np.abs(rep["fields"] - X0)) < 1e-11
-
-    def test_norm_preserved_on_transversal_curve(self, roster):
-        # metric compatibility holds along any curve, not only geodesics
-        rng = np.random.default_rng(131)
-        model = roster[2].model
-        m = model.m
-        w = rng.standard_normal(m)
-
-        def curve(tau):
-            v = 0.5 * np.sin(tau) * w
-            pt = ChartPoint(-0.5 + tau, 0.3 * tau * tau, v)
-            vel = np.concatenate([[1.0, 0.6 * tau], 0.5 * np.cos(tau) * w])
-            return pt, vel
-
-        X0 = rng.standard_normal(model.dim)
-        rep = parallel_transport(model, curve, X0, (0.0, 1.0), samples=9)
-        assert rep["norm_drift"] < 1e-10
-
-    def test_round_trip(self, roster):
-        model = roster[1].model
-        curve = leaf_circle(model, t0=1.5)
-        X0 = np.array([1.0, 0.2, -0.4, 0.9])     # t-component engages Gamma
-        rep = parallel_transport(model, curve, X0, (0.0, 2.0 * np.pi), samples=5)
-        X_end = rep["fields"][-1]
-
-        def back(tau):
-            return curve(2.0 * np.pi - tau)[0], -curve(2.0 * np.pi - tau)[1]
-
-        rep2 = parallel_transport(model, back, X_end, (0.0, 2.0 * np.pi), samples=5)
-        assert np.max(np.abs(rep2["fields"][-1] - X0)) < 1e-10
 
 
 class TestAffineTransport:
@@ -352,24 +350,7 @@ class TestVariationField:
                                 (0.0, np.zeros(m)), (0.5, 2.0), samples=9)
         assert np.max(np.abs(field.z_s)) < 1e-12
         assert np.max(np.abs(field.z_v)) < 1e-12
-        assert np.max(np.abs(field.q_values)) < 1e-12
         assert terminal_curve_residual(model, field) < 1e-10
-
-    def test_quadratic_multiplier_formula(self, roster):
-        rng = np.random.default_rng(153)
-        model = roster[0].model
-        lo, hi = model.compact_window()
-        curve, z0, zdot0 = self.seeded_configuration(model, rng)
-        field = variation_field(model, curve, z0, zdot0, (lo, hi), samples=9)
-        gram = model.space.gram
-        for i in (0, 4, 8):
-            t = field.t_grid[i]
-            fa = model.f_plus_A(t)
-            f1 = float(model.profile.derivative(t, 1))
-            zv, zdv = field.z_v[i], field.zdot_v[i]
-            q = 4.0 * f1 * float(zv @ gram @ zv) \
-                + 16.0 * float((fa @ zv) @ gram @ zdv)
-            assert field.q_values[i] == pytest.approx(q, rel=1e-12, abs=1e-12)
 
 
 class TestTransverseNull:

@@ -28,7 +28,6 @@ from ecs_lab.homogeneous import (
     g0_element,
     generator_matrix,
     generator_spectrum_check,
-    normalize_to_standard,
     shifted_invertibility,
     spectral_exponents,
     spectral_split,
@@ -410,18 +409,11 @@ class TestStandardSpace:
 
 
 class TestNormalizeToStandard:
-    def test_known_values(self):
-        q, p, c = normalize_to_standard(2.0, 0.0)
-        assert (q, p) == (1.0, 0.0) and c == 1.5 + 0j
-        q, p, c = normalize_to_standard(-0.25, 1.0)
-        assert p == -1.0 and c == 0j
-        _, _, c = normalize_to_standard(-0.5, 0.0)
-        assert c == 0.5j
+    """f(t) = h t^-2 is the standard profile (c^2 - 1/4) t^-2 with
+    c^2 = h + 1/4."""
 
     def test_flat_case_makes_invalid_model(self):
-        # h = 0 maps to c = 1/2, whose profile is identically zero; the
+        # h = 0 gives c = 1/2, whose profile is identically zero; the
         # validated constructor refuses it
-        _, _, c = normalize_to_standard(0.0, 0.0)
-        assert c == 0.5 + 0j
         with pytest.raises(ValueError):
-            HomogeneousModel.standard(2, c)
+            HomogeneousModel.standard(2, 0.5)

@@ -90,6 +90,8 @@ class TestSigmaAction:
                 assert np.max(np.abs(md - (elem.C @ ud) / q)) < 1e-9
 
     def test_matrix_matches_action(self, roster):
+        # the matrix against the formula at the base time: C u(src) and
+        # C u'(src) / q with src = (base_t - p) / q
         rng = np.random.default_rng(52)
         hm = roster[1].hm
         model = hm.model
@@ -97,8 +99,9 @@ class TestSigmaAction:
         M = sigma_matrix(model, elem, hm.base_t)
         for _ in range(5):
             u = random_solution(model, rng)
-            moved = sigma_act(model, elem, u)
-            assert np.max(np.abs(M @ u.data() - moved.data())) < 1e-10
+            uv, ud = u.at((hm.base_t - elem.p) / elem.q)
+            expected = np.concatenate([elem.C @ uv, elem.C @ ud / elem.q])
+            assert np.max(np.abs(M @ u.data() - expected)) < 1e-10
 
     def test_omega_rescales(self, roster, iso_sampler):
         rng = np.random.default_rng(53)

@@ -10,7 +10,6 @@ from ecs_lab.pseudo_linear import (
     PseudoEuclideanSpace,
     density_experiment,
     fit_basis,
-    fit_basis_residuals,
     genericity_test,
     nilpotent_order,
     random_self_adjoint,
@@ -173,8 +172,11 @@ class TestFitBasis:
             Q = random_gram_isometry(space, rng)
             A = Q @ A0 @ np.linalg.inv(Q)
             fit = fit_basis(space, A)
-            res = fit_basis_residuals(space, A, fit)
-            assert max(res.values()) < 1e-10
+            P = fit.vectors
+            # A v_j = v_{j-1} and the anti-diagonal Gram pattern
+            assert np.max(np.abs(A @ P - P @ np.eye(m, k=1))) < 1e-10
+            assert np.max(np.abs(P.T @ space.gram @ P
+                                 - fit.epsilon * np.fliplr(np.eye(m)))) < 1e-10
             # Uniqueness up to overall sign: pulling the vectors back with
             # Q^{-1} must reproduce the reference basis or its negative.
             back = np.linalg.solve(Q, fit.vectors)
@@ -186,9 +188,9 @@ class TestFitBasis:
         fit = fit_basis(space, A)
         V = fit.vectors
         gram_in_basis = V.T @ space.gram @ V
-        assert np.allclose(gram_in_basis, fit.gram_pattern(), atol=1e-12)
+        assert np.allclose(gram_in_basis, -np.fliplr(np.eye(3)), atol=1e-12)
         shift = np.linalg.solve(V, A @ V)
-        assert np.allclose(shift, fit.shift_pattern(), atol=1e-12)
+        assert np.allclose(shift, np.eye(3, k=1), atol=1e-12)
 
 
 class TestScalingIsometry:
