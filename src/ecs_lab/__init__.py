@@ -52,6 +52,7 @@ from .isometry_group import (
     iso_compose,
     iso_inverse,
     iso_identity,
+    iso_distance,
     pullback_residual,
     classify_holonomy,
 )
@@ -67,6 +68,8 @@ from .homogeneous import (
     commute_test,
     transitive_commutation_check,
     conjugation_matrix,
+    sample_isometries,
+    sample_class,
 )
 from .geodesics import (
     GeodesicResult,

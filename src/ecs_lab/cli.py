@@ -62,7 +62,7 @@ from .geodesics import (
 )
 from .homogeneous import (
     HomogeneousModel,
-    class_map,
+    away_from_one,
     class_map_inverse,
     commute_test,
     transitive_commutation_check,
@@ -72,6 +72,8 @@ from .homogeneous import (
     expected_kernel_dim,
     g0_element,
     generator_spectrum_check,
+    sample_class,
+    sample_isometries,
     shifted_invertibility,
     spectral_split,
 )
@@ -81,6 +83,8 @@ from .isometry_group import (
     classify_holonomy,
     iso_apply,
     iso_compose,
+    iso_distance,
+    iso_identity,
     iso_inverse,
     omega_scaling_residual,
     pullback_residual,
@@ -88,7 +92,6 @@ from .isometry_group import (
     sigma_det_residual,
 )
 from .model_geometry import (
-    HomogeneousProfile,
     ModelManifold,
     ProfileF,
     PseudoEuclideanSpace,
@@ -212,6 +215,9 @@ class Tolerances:
         for key, val in (overrides or {}).items():
             if key not in self.table:
                 raise ScenarioError(f"unknown tolerance anchor: {key!r}")
+            if not (_is_finite(val) and val > 0):
+                raise ScenarioError(f"tolerance {key!r} must be a finite positive "
+                                    f"number, got {val!r}")
             self.table[key] = float(val)
         self.scale = float(scale)
 
@@ -237,8 +243,10 @@ class Tolerances:
 # ---------------------------------------------------------------------------
 
 def _decode_interval(raw) -> tuple[float, float]:
-    if not isinstance(raw, (list, tuple)) or len(raw) != 2:
-        raise ScenarioError("interval must be a 2-element list")
+    if not isinstance(raw, (list, tuple)) or len(raw) != 2 \
+            or not all(end is None or _is_finite(end) for end in raw):
+        raise ScenarioError(f"interval must be a 2-element list of finite "
+                            f"numbers or null, got {raw!r}")
     lo = -float("inf") if raw[0] is None else float(raw[0])
     hi = float("inf") if raw[1] is None else float(raw[1])
     return (lo, hi)
@@ -286,19 +294,22 @@ class Scenario:
         if not isinstance(tasks, list) or not tasks:
             raise ScenarioError("scenario needs a nonempty 'tasks' list")
         for entry in tasks:
-            if not isinstance(entry, dict) or "task" not in entry:
-                raise ScenarioError("each task entry needs a 'task' key")
+            if not isinstance(entry, dict) or not isinstance(entry.get("task"), str):
+                raise ScenarioError("each task entry needs a 'task' name")
             if entry["task"] not in TASK_RUNNERS:
                 raise ScenarioError(f"unknown task {entry['task']!r}")
+            unknown = set(entry) - TASK_KEYS[entry["task"]] - {"task"}
+            if unknown:
+                raise ScenarioError(f"unknown keys {sorted(unknown)} in task "
+                                    f"{entry['task']!r}")
         seed = raw.get("seed", 0) if seed_override is None else seed_override
         if not _is_int(seed) or seed < 0:
             raise ScenarioError(f"seed must be a nonnegative integer, got {seed!r}")
-        return Scenario(
-            seed=seed,
-            model_spec=raw["model"],
-            tasks=tasks,
-            tolerances=raw.get("tolerances", {}),
-        )
+        tolerances = raw.get("tolerances", {})
+        if not isinstance(tolerances, dict):
+            raise ScenarioError("'tolerances' must be a JSON object")
+        return Scenario(seed=seed, model_spec=raw["model"], tasks=tasks,
+                        tolerances=tolerances)
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +317,8 @@ class Scenario:
 # ---------------------------------------------------------------------------
 
 def _require_homogeneous(model: ModelManifold, task: str) -> HomogeneousModel:
-    if not isinstance(model.profile, HomogeneousProfile):
-        raise ScenarioError(f"task {task!r} requires a homogeneous profile model")
+    """The model's dilation structure; a model without one is invalid for
+    `task`."""
     try:
         return HomogeneousModel.from_model(model)
     except ValueError as exc:
@@ -345,32 +356,6 @@ def _q_values(params: dict, task: str, default: list) -> list[float]:
         raise ScenarioError(f"{task} q_values must be finite positive numbers, "
                             f"got {q_values!r}")
     return [float(q) for q in q_values]
-
-
-def _valid_isometries(model: ModelManifold, rng: np.random.Generator,
-                      count: int) -> list[IsoElement]:
-    """Sample elements that genuinely belong to the isometry group.
-
-    Homogeneous models contribute dilations q in [1/2, 2] with either sign
-    of the scaling isometry; other profiles only carry q = 1 with C = +-Id.
-    Every element gets a random Heisenberg part.
-    """
-    out = []
-    homogeneous = isinstance(model.profile, HomogeneousProfile)
-    hm = HomogeneousModel.from_model(model) if homogeneous else None
-    m = model.m
-    for _ in range(count):
-        r = float(rng.standard_normal())
-        u = random_solution(model, rng)
-        if homogeneous:
-            q = float(np.exp(rng.uniform(-np.log(2.0), np.log(2.0))))
-            delta = 1.0 if rng.uniform() < 0.5 else -1.0
-            sigma = hm.dilation(q, delta)
-        else:
-            sign = 1.0 if rng.uniform() < 0.5 else -1.0
-            sigma = SElement(1.0, 0.0, sign * np.eye(m))
-        out.append(IsoElement(sigma, r, u))
-    return out
 
 
 def task_verify_model(model: ModelManifold, params: dict, tol: Tolerances,
@@ -463,14 +448,15 @@ def task_isometry_check(model: ModelManifold, params: dict, tol: Tolerances,
                         rng: np.random.Generator) -> list[CheckRow]:
     n_elements = _count(params, "elements", 10, least=2)
     n_points = _count(params, "points", 5)
-    elems = _valid_isometries(model, rng, n_elements)
+    elems = sample_isometries(model, rng, n_elements)
     pts = np.array([random_chart_point(model, rng).coords() for _ in range(n_points)])
     member = np.zeros(n_elements)
     omega_res = np.zeros(n_elements)
     det = np.zeros(n_elements)
     pull = np.zeros((n_elements, n_points))
     images = np.zeros((n_elements, n_points, model.dim))
-    inverse = np.zeros((n_elements, n_points))
+    inverse = np.zeros(n_elements)
+    ident = iso_identity(model)
     for k, g in enumerate(elems):
         member[k] = max(s_membership(model, g.sigma).values())
         pairs = [(random_solution(model, rng), random_solution(model, rng))
@@ -478,8 +464,9 @@ def task_isometry_check(model: ModelManifold, params: dict, tol: Tolerances,
         omega_res[k] = omega_scaling_residual(model, g.sigma, pairs)
         det[k] = sigma_det_residual(model, g.sigma)
         pull[k], images[k] = pullback_residual(model, g, pts)
-        back = iso_apply(model, iso_inverse(model, g), images[k])
-        inverse[k] = np.max(np.abs(back - pts), axis=-1)
+        g_inv = iso_inverse(model, g)
+        inverse[k] = max(iso_distance(iso_compose(model, g, g_inv), ident),
+                         iso_distance(iso_compose(model, g_inv, g), ident))
     # Pair (g, h) = elements (2i, 2i + 1); h(x) is already in images.
     n_pairs = n_elements // 2
     compat = np.zeros((n_pairs, n_points))
@@ -513,8 +500,8 @@ def task_isometry_check(model: ModelManifold, params: dict, tol: Tolerances,
         tol.check("isometry-check", "composition law matches composed action",
                   "isometry.action-compatibility",
                   *worst(compat, composed, stride=2)),
-        tol.check("isometry-check", "inverse element undoes the action",
-                  "isometry.inverse", *worst(inverse, images)),
+        tol.check("isometry-check", "g g^-1 = g^-1 g = id",
+                  "isometry.inverse", *worst(inverse)),
         tol.check("isometry-check", "pairing rescales by 1/q",
                   "isometry.omega-scaling", *worst(omega_res)),
         tol.check("isometry-check", "determinant on solutions is q^(2-n)",
@@ -531,18 +518,9 @@ def task_tcp_check(model: ModelManifold, params: dict, tol: Tolerances,
     m2 = 2 * hm.m
     split = spectral_split(hm)
 
-    def rand_q() -> float:
-        q = float(np.exp(rng.uniform(-np.log(4.0), np.log(4.0))))
-        return q if abs(q - 1.0) > 0.05 else q * 1.1
-
     worst_round = 0.0
     for _ in range(round_trips):
-        a = float(rng.standard_normal())
-        z = split.eplus @ rng.standard_normal(split.eplus.shape[1])
-        w = split.e0 @ rng.standard_normal(split.kernel_dim) \
-            if split.kernel_dim else np.zeros(m2)
-        q = rand_q()
-        g = class_map(hm, a, z, q, w)
+        a, z, [(q, w)], [g] = sample_class(hm, split, rng, 1)
         a2, z2, q2, w2 = class_map_inverse(hm, g, split)
         err = max(abs(a2 - a), float(np.max(np.abs(z2 - z))),
                   abs(q2 - q), float(np.max(np.abs(w2 - w))))
@@ -553,13 +531,7 @@ def task_tcp_check(model: ModelManifold, params: dict, tol: Tolerances,
     least_across = float("inf")
     classes = []
     for _ in range(n_classes):
-        a = float(rng.standard_normal())
-        z = split.eplus @ rng.standard_normal(split.eplus.shape[1])
-        members = []
-        for _ in range(per_class):
-            w = split.e0 @ rng.standard_normal(split.kernel_dim) \
-                if split.kernel_dim else np.zeros(m2)
-            members.append(class_map(hm, a, z, rand_q(), w))
+        members = sample_class(hm, split, rng, per_class)[3]
         classes.append(members)
         for i in range(per_class):
             for j in range(i + 1, per_class):
@@ -577,9 +549,9 @@ def task_tcp_check(model: ModelManifold, params: dict, tol: Tolerances,
             members = classes[k % n_classes]
             outcome = commute_test(hm, members[0], members[-1])
         else:
-            g1 = g0_element(hm, rand_q(), float(rng.standard_normal()),
+            g1 = g0_element(hm, away_from_one(rng), float(rng.standard_normal()),
                             rng.standard_normal(m2))
-            g2 = g0_element(hm, rand_q(), float(rng.standard_normal()),
+            g2 = g0_element(hm, away_from_one(rng), float(rng.standard_normal()),
                             rng.standard_normal(m2))
             outcome = commute_test(hm, g1, g2)
         if not outcome.agree:
@@ -688,22 +660,15 @@ def task_geodesic(model: ModelManifold, params: dict, tol: Tolerances,
 def task_classify_group(model: ModelManifold, params: dict, tol: Tolerances,
                         rng: np.random.Generator) -> list[CheckRow]:
     q_values = _q_values(params, "classify-group", [1.0])
-    homogeneous = isinstance(model.profile, HomogeneousProfile)
-    if not homogeneous and any(abs(q - 1.0) > 1e-12 for q in q_values):
-        raise ScenarioError(
-            "classify-group with q != 1 requires a homogeneous profile")
+    dilational = any(abs(q - 1.0) > 1e-12 for q in q_values)
+    hm = _require_homogeneous(model, "classify-group") if dilational else None
     elems = []
-    hm = HomogeneousModel.from_model(model) if homogeneous else None
     for q in q_values:
-        if homogeneous:
-            sigma = hm.dilation(q)
-        else:
-            sigma = SElement(1.0, 0.0, np.eye(model.m))
+        sigma = hm.dilation(q) if dilational else SElement(1.0, 0.0, np.eye(model.m))
         elems.append(IsoElement(sigma, float(rng.standard_normal()),
                                 random_solution(model, rng)))
     got = classify_holonomy(elems)
-    expected = "dilational" if any(abs(q - 1.0) > 1e-12 for q in q_values) \
-        else "translational"
+    expected = "dilational" if dilational else "translational"
     return [tol.check(
         "classify-group", f"group sample classified as {got}",
         "classify.holonomy-type", 0.0 if got == expected else 1.0,
@@ -768,6 +733,18 @@ TASK_RUNNERS = {
     "classify-group": task_classify_group,
     "appendix-a": task_appendix_a,
     "appendix-b": task_appendix_b,
+}
+
+# The keys each task entry may carry besides "task"; any other is rejected.
+TASK_KEYS = {
+    "verify-model": {"points"},
+    "spectra": {"q_values"},
+    "isometry-check": {"elements", "points"},
+    "tcp-check": {"classes", "per_class", "round_trips", "agreement_pairs", "triples"},
+    "geodesic": {"count", "tau"},
+    "classify-group": {"q_values"},
+    "appendix-a": {"count"},
+    "appendix-b": {"count"},
 }
 
 

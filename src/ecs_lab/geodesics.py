@@ -104,10 +104,6 @@ class GeodesicResult:
     hit_boundary: bool
     boundary_tau: Optional[float]
 
-    @property
-    def n_samples(self) -> int:
-        return self.taus.size
-
     def point(self, i: int, m: int) -> ChartPoint:
         row = self.states[i]
         return ChartPoint(row[0], row[1], row[2:2 + m])

@@ -25,8 +25,8 @@ parametrizes elements by their maximal commuting class: two elements with
 q, q' != 1 commute exactly when they share (a, z). Elements of G_0 are
 plain isometry_group.IsoElement values with sigma = sigma_q, and they
 compose by iso_compose. This module carries the dilations, the generator,
-the splitting, J and its inverse, the commutation test, and the conjugation
-spectrum.
+the splitting, J and its inverse, the commutation test, the conjugation
+spectrum, and the samplers of group elements and commuting classes.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .pseudo_linear import (
     fit_basis,
     scaling_isometry,
 )
-from .solution_space import SolutionE, omega, omega_matrix
+from .solution_space import SolutionE, omega, omega_matrix, random_solution
 from .isometry_group import IsoElement, SElement, iso_compose, sigma_act, sigma_matrix
 
 # Relative singular-value cutoff separating the kernel of the generator from
@@ -308,22 +308,11 @@ def transitive_commutation_check(hm: HomogeneousModel,
                                  n_triples: int,
                                  rng: np.random.Generator,
                                  tol: float = 1e-8) -> TransitivityReport:
-    m2 = 2 * hm.m
     premise_failures = 0
     counterexamples = 0
     worst = 0.0
     for _ in range(n_triples):
-        a_label = float(rng.standard_normal())
-        z_label = split.eplus @ rng.standard_normal(split.eplus.shape[1])
-        members = []
-        for _ in range(3):
-            q = float(np.exp(rng.uniform(-np.log(4.0), np.log(4.0))))
-            if abs(q - 1.0) < 0.05:
-                q *= 1.2
-            w = split.e0 @ rng.standard_normal(split.kernel_dim) \
-                if split.kernel_dim else np.zeros(m2)
-            members.append(class_map(hm, a_label, z_label, q, w))
-        x, y, z = members
+        x, y, z = sample_class(hm, split, rng, 3)[3]
         if not (commute_test(hm, x, y, tol).direct
                 and commute_test(hm, y, z, tol).direct):
             premise_failures += 1
@@ -389,14 +378,13 @@ def class_map_inverse(hm: HomogeneousModel, g: IsoElement,
     if abs(q - 1.0) < 1e-10:
         raise ValueError("class parametrization needs q != 1")
     model = hm.model
-    m2 = 2 * hm.m
     M = hm.sigma_q_matrix(q)
     u_plus_coeff, u_zero_coeff = split.decompose(g.u.data())
     u_plus = split.eplus @ u_plus_coeff
-    w_data = split.e0 @ u_zero_coeff if split.kernel_dim else np.zeros(m2)
+    w_data = split.e0 @ u_zero_coeff
 
     # Solve (M - I) z = u_plus within E_plus.
-    shifted = (M - np.eye(m2)) @ split.eplus
+    shifted = (M - np.eye(2 * hm.m)) @ split.eplus
     coeff, *_ = np.linalg.lstsq(shifted, u_plus, rcond=None)
     z_data = split.eplus @ coeff
 
@@ -428,3 +416,55 @@ def shifted_invertibility(hm: HomogeneousModel, q: float,
         "range_leak_into_kernel": leak,
         "kernel_fixed_residual": kernel_norm,
     }
+
+
+# ---------------------------------------------------------------------------
+# sampling group elements
+# ---------------------------------------------------------------------------
+
+def sample_isometries(model: ModelManifold, rng: np.random.Generator,
+                      count: int) -> list[IsoElement]:
+    """Random elements (sigma, r, u) of the isometry group of `model`.
+
+    Where the model carries dilations (`HomogeneousModel.from_model`
+    succeeds), sigma is sigma_q with q in [1/2, 2] and either sign delta of
+    the scaling isometry; otherwise sigma = (1, 0, +-Id).
+    """
+    try:
+        hm = HomogeneousModel.from_model(model)
+    except ValueError:
+        hm = None
+    out = []
+    for _ in range(count):
+        r = float(rng.standard_normal())
+        u = random_solution(model, rng)
+        if hm is not None:
+            q = float(np.exp(rng.uniform(-np.log(2.0), np.log(2.0))))
+            sigma = hm.dilation(q, 1.0 if rng.uniform() < 0.5 else -1.0)
+        else:
+            sign = 1.0 if rng.uniform() < 0.5 else -1.0
+            sigma = SElement(1.0, 0.0, sign * np.eye(model.m))
+        out.append(IsoElement(sigma, r, u))
+    return out
+
+
+def away_from_one(rng: np.random.Generator) -> float:
+    """A dilation parameter log-uniform on [1/4, 4], moved off
+    |q - 1| <= 0.05 by a factor 1.1, where the class parametrization needs
+    q != 1."""
+    q = float(np.exp(rng.uniform(-np.log(4.0), np.log(4.0))))
+    return q if abs(q - 1.0) > 0.05 else q * 1.1
+
+
+def sample_class(hm: HomogeneousModel, split: SpectralSplit, rng: np.random.Generator,
+                 size: int) -> tuple[float, np.ndarray, list, list[IsoElement]]:
+    """`size` members of one random commuting class. Draws the labels a and
+    z in E_plus, then for each member w in E_0 and q = away_from_one.
+    Returns (a, z, [(q, w), ...], [J(a, z, q, w), ...])."""
+    a = float(rng.standard_normal())
+    z = split.eplus @ rng.standard_normal(split.eplus.shape[1])
+    labels = []
+    for _ in range(size):
+        w = split.e0 @ rng.standard_normal(split.kernel_dim)
+        labels.append((away_from_one(rng), w))
+    return a, z, labels, [class_map(hm, a, z, q, w) for q, w in labels]

@@ -245,6 +245,14 @@ def iso_inverse(model: ModelManifold, a: IsoElement) -> IsoElement:
     return IsoElement(inv_sigma, -sa.q * a.r, u_star)
 
 
+def iso_distance(a: IsoElement, b: IsoElement) -> float:
+    """Largest coordinate difference of (q, p, C, r, u-data) between two
+    elements whose u share a base time."""
+    return max(abs(a.sigma.q - b.sigma.q), abs(a.sigma.p - b.sigma.p),
+               float(np.max(np.abs(a.sigma.C - b.sigma.C))), abs(a.r - b.r),
+               float(np.max(np.abs(a.u.data() - b.u.data()))))
+
+
 def classify_holonomy(elements: list[IsoElement], tol: float = 1e-12) -> str:
     """'dilational' when some element genuinely rescales t, else
     'translational'. Raises on nonpositive q, which cannot occur in the

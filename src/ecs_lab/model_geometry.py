@@ -71,9 +71,6 @@ class ProfileF:
         spread = float(np.max(vals) - np.min(vals))
         return spread <= 1e-14 * max(1.0, float(np.max(np.abs(vals))))
 
-    def to_dict(self) -> dict:
-        raise NotImplementedError
-
     @staticmethod
     def from_dict(d: dict) -> "ProfileF":
         kind = d.get("kind")
@@ -127,9 +124,6 @@ class HomogeneousProfile(ProfileF):
     def natural_interval(self):
         return (0.0, _INF)
 
-    def to_dict(self):
-        return {"kind": "homogeneous", "c": [self.c.real, self.c.imag]}
-
     def __repr__(self):
         return f"HomogeneousProfile(c={self.c})"
 
@@ -168,9 +162,6 @@ class PolynomialProfile(ProfileF):
     def natural_interval(self):
         return (-_INF, _INF)
 
-    def to_dict(self):
-        return {"kind": "polynomial", "coefficients": [float(x) for x in self.coefficients]}
-
     def __repr__(self):
         return f"PolynomialProfile({list(self.coefficients)})"
 
@@ -202,9 +193,6 @@ class SumOfPowersProfile(ProfileF):
     def natural_interval(self):
         return (0.0, _INF)
 
-    def to_dict(self):
-        return {"kind": "sum_of_powers", "terms": [[a, e] for a, e in self.terms]}
-
     def __repr__(self):
         return f"SumOfPowersProfile({self.terms})"
 
@@ -229,11 +217,6 @@ class ChartPoint:
     def coords(self) -> np.ndarray:
         return np.concatenate([[self.t, self.s], self.v])
 
-    @staticmethod
-    def from_coords(x) -> "ChartPoint":
-        x = np.asarray(x, dtype=float)
-        return ChartPoint(x[0], x[1], x[2:])
-
 
 @dataclass
 class ModelManifold:
@@ -249,7 +232,6 @@ class ModelManifold:
     A: np.ndarray
     profile: ProfileF
     interval: tuple[float, float]
-    non_ecs: bool = False
     _flows: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -289,7 +271,7 @@ class ModelManifold:
             interval: tuple[float, float]) -> "ModelManifold":
         """Unvalidated constructor for comparison geometries in tests."""
         return cls(space=space, A=_as_matrix(A), profile=profile,
-                   interval=tuple(interval), non_ecs=True)
+                   interval=tuple(interval))
 
     # -- basic geometry -----------------------------------------------------
 

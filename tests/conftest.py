@@ -14,11 +14,9 @@ from typing import Optional
 import numpy as np
 import pytest
 
-from ecs_lab.homogeneous import HomogeneousModel
-from ecs_lab.isometry_group import IsoElement, SElement
+from ecs_lab.homogeneous import HomogeneousModel, sample_isometries
 from ecs_lab.model_geometry import ModelManifold, PolynomialProfile
 from ecs_lab.pseudo_linear import PseudoEuclideanSpace
-from ecs_lab.solution_space import random_solution
 
 ORACLE_DIR = Path(__file__).parent / "oracles"
 
@@ -68,43 +66,7 @@ def curvature_oracle():
         return json.load(fh)
 
 
-def sample_isometries(entry: RosterEntry, rng: np.random.Generator,
-                      count: int) -> list[IsoElement]:
-    """Valid group elements for the entry's model.
-
-    Homogeneous models get the full dilational family (random q, both signs
-    of delta); polynomial models get q = 1, p = 0 with a sign-diagonal C,
-    which commutes with the diagonal A and preserves the diagonal Gram form.
-    Every element carries random Heisenberg data (r, u).
-    """
-    model = entry.model
-    out = []
-    for _ in range(count):
-        r = float(rng.standard_normal())
-        u = random_solution(model, rng)
-        if entry.kind == "homogeneous":
-            q = float(np.exp(rng.uniform(-np.log(2.0), np.log(2.0))))
-            delta = 1.0 if rng.uniform() < 0.5 else -1.0
-            sigma = entry.hm.dilation(q, delta)
-        else:
-            signs = np.where(rng.uniform(size=model.m) < 0.5, 1.0, -1.0)
-            sigma = SElement(q=1.0, p=0.0, C=np.diag(signs))
-        out.append(IsoElement(sigma=sigma, r=r, u=u))
-    return out
-
-
 @pytest.fixture(scope="session")
 def iso_sampler():
-    return sample_isometries
-
-
-def iso_distance(a: IsoElement, b: IsoElement) -> float:
-    """Coordinate distance between two group elements, for equality-style
-    assertions."""
-    return max(
-        abs(a.sigma.q - b.sigma.q),
-        abs(a.sigma.p - b.sigma.p),
-        float(np.max(np.abs(a.sigma.C - b.sigma.C))),
-        abs(a.r - b.r),
-        float(np.max(np.abs(a.u.data() - b.u.data()))),
-    )
+    """Valid group elements for a roster entry, from the library's sampler."""
+    return lambda entry, rng, count: sample_isometries(entry.model, rng, count)

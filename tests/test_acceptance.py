@@ -45,6 +45,7 @@ from ecs_lab.isometry_group import (
     classify_holonomy,
     iso_apply,
     iso_compose,
+    iso_distance,
     iso_identity,
     iso_inverse,
     omega_scaling_residual,
@@ -70,8 +71,6 @@ from ecs_lab.pseudo_linear import (
     random_self_adjoint,
 )
 from ecs_lab.solution_space import omega_drift, random_solution
-
-from conftest import iso_distance
 
 Q_SAMPLES = (0.25, 0.5, 2.0, 4.0)
 

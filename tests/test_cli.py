@@ -3,19 +3,24 @@ behavior, CSV output, and the tolerance-scale environment knob."""
 
 import copy
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ecs_lab.cli as cli
-from ecs_lab.cli import _valid_isometries, build_model, main
+from ecs_lab.cli import TASK_KEYS, build_model, main
 from ecs_lab.geodesics import energy_report, geodesic, t_affinity_report
+from ecs_lab.homogeneous import sample_isometries
 from ecs_lab.isometry_group import (
     IsoElement,
     iso_apply,
     iso_compose,
+    iso_distance,
+    iso_identity,
     iso_inverse,
     pullback_residual,
     s_membership,
@@ -44,6 +49,14 @@ POLYNOMIAL_MODEL = {
     "gram": [[1.0, 0.0], [0.0, 1.0]],
     "A": [[1.0, 0.0], [0.0, -1.0]],
     "profile": {"kind": "polynomial", "coefficients": [0.0, 1.0]},
+}
+
+# Homogeneous profiles without the dilation structure: A is not nilpotent,
+# or the interval is not (0, inf). Their group elements all have q = 1.
+WITHOUT_DILATIONS = {
+    "diagonal-A": {**HOMOGENEOUS["model"], "A": [[1.0, 0.0], [0.0, -1.0]],
+                   "gram": [[1.0, 0.0], [0.0, 1.0]]},
+    "finite-interval": {**HOMOGENEOUS["model"], "interval": [0.5, 3]},
 }
 
 
@@ -199,6 +212,57 @@ class TestExitCodes:
         code, _ = run_cli(tmp_path, payload)
         assert code == 2
 
+    @pytest.mark.parametrize("tolerances", [
+        [1], "abc", 1e-3, {"geodesic.energy": "abc"}, {"geodesic.energy": None},
+        {"geodesic.energy": True}, {"geodesic.energy": float("nan")},
+        {"geodesic.energy": float("inf")}, {"geodesic.energy": 0.0},
+        {"geodesic.energy": -1e-8},
+    ])
+    def test_bad_tolerances_is_two(self, tmp_path, tolerances):
+        payload = copy.deepcopy(HOMOGENEOUS)
+        payload["tolerances"] = tolerances
+        code, _ = run_cli(tmp_path, payload)
+        assert code == 2
+
+    @pytest.mark.parametrize("interval", [
+        ["a", None], [0, "1"], [True, None], [0, [1]], [0, float("nan")],
+        [0, float("inf")], [0], "0, inf",
+    ])
+    def test_bad_interval_is_two(self, tmp_path, interval):
+        payload = copy.deepcopy(HOMOGENEOUS)
+        payload["model"]["interval"] = interval
+        code, _ = run_cli(tmp_path, payload)
+        assert code == 2
+
+    @pytest.mark.parametrize("entry", [
+        {"task": "classify-group", "q_valuez": [2.0]},
+        {"task": "verify-model", "point": 4},
+        {"task": "geodesic", "count": 1, "tau": 1.0, "seed": 3},
+        {"task": ["geodesic"]},
+        {"task": None},
+    ])
+    def test_bad_task_entry_is_two_before_any_task_runs(self, tmp_path, monkeypatch,
+                                                         entry):
+        ran = []
+        monkeypatch.setitem(cli.TASK_RUNNERS, "verify-model",
+                            lambda *args: ran.append(1) or [])
+        payload = copy.deepcopy(HOMOGENEOUS)
+        payload["tasks"] = [{"task": "verify-model", "points": 1}, entry]
+        code, _ = run_cli(tmp_path, payload)
+        assert code == 2 and not ran
+
+    @pytest.mark.parametrize("name", sorted(WITHOUT_DILATIONS))
+    def test_model_without_dilations_samples_q_one(self, tmp_path, name):
+        payload = copy.deepcopy(HOMOGENEOUS)
+        payload["model"] = WITHOUT_DILATIONS[name]
+        payload["tasks"] = [{"task": "isometry-check", "elements": 4, "points": 3},
+                            {"task": "classify-group", "q_values": [1.0]}]
+        code, report = run_cli(tmp_path, payload)
+        assert code == 0 and report["summary"]["failed"] == 0
+        payload["tasks"] = [{"task": "classify-group", "q_values": [1.0, 2.0]}]
+        code, _ = run_cli(tmp_path, payload, report_name="dilational.json")
+        assert code == 2
+
     def test_backward_tau_is_accepted(self, tmp_path):
         payload = copy.deepcopy(HOMOGENEOUS)
         payload["tasks"] = [{"task": "geodesic", "count": 2, "tau": -1}]
@@ -340,7 +404,7 @@ class TestWorstRunDetail:
         rows = {r["anchor"]: r for r in report["checks"]}
         model = build_model(payload["model"])
         rng = np.random.default_rng([payload["seed"], 0])
-        elems = _valid_isometries(model, rng, 6)
+        elems = sample_isometries(model, rng, 6)
         pts = [random_chart_point(model, rng).coords() for _ in range(4)]
 
         def witness(anchor):
@@ -358,12 +422,14 @@ class TestWorstRunDetail:
         assert max(np.max(pullback_residual(model, e, np.array(pts))[0])
                    for e in elems) == row["value"]
 
-        row, g, x, detail = witness("isometry.inverse")
-        image = iso_apply(model, g, x)
-        back = iso_apply(model, iso_inverse(model, g), image)
-        assert np.max(np.abs(back - x)) == row["value"]
-        assert detail["scale"] == np.max(np.abs(image))
-        assert detail["relative"] == row["value"] / detail["scale"]
+        def inverse_law(g):
+            g_inv, ident = iso_inverse(model, g), iso_identity(model)
+            return max(iso_distance(iso_compose(model, g, g_inv), ident),
+                       iso_distance(iso_compose(model, g_inv, g), ident))
+
+        row, g, _, detail = witness("isometry.inverse")
+        assert set(detail) == {"worst_element"}
+        assert inverse_law(g) == row["value"] == max(map(inverse_law, elems))
 
         row, g, x, detail = witness("isometry.action-compatibility")
         h = elems[detail["worst_element"] + 1]
@@ -375,8 +441,8 @@ class TestWorstRunDetail:
 
 class TestPlantedFaults:
     def test_shifted_inverse_fails_inverse_row(self, tmp_path, monkeypatch):
-        # The inverse row applies g^-1 to the images the pullback produced; an
-        # inverse whose r is off by 1e-6 must still show up there.
+        # The inverse row measures g g^-1 = g^-1 g = id; an inverse whose r is
+        # off by 1e-6 moves the r of g g^-1 by 1e-6 / q and of g^-1 g by 1e-6.
         payload = copy.deepcopy(HOMOGENEOUS)
         payload["tasks"] = [{"task": "isometry-check", "elements": 4, "points": 3}]
 
@@ -395,7 +461,10 @@ class TestPlantedFaults:
         assert code == 1
         row = inverse_row(report)
         assert not row["pass"]
-        assert row["value"] == pytest.approx(1e-6, rel=1e-3)
+        rng = np.random.default_rng([payload["seed"], 0])
+        g = sample_isometries(build_model(payload["model"]), rng, 4)[
+            row["detail"]["worst_element"]]
+        assert row["value"] >= 1e-6 * min(1.0, 1.0 / g.sigma.q)
         assert [r["anchor"] for r in report["checks"] if not r["pass"]] == [
             "isometry.inverse"]
 
@@ -449,6 +518,16 @@ class TestConsoleInvocation:
         assert proc.returncode == 0
         assert "PASS" in proc.stdout
         assert report.exists()
+
+
+class TestReadme:
+    def test_task_table_knobs_match_task_keys(self):
+        # The "main knobs" column of the README task table names exactly the
+        # keys each task entry accepts.
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        rows = re.findall(r"^\| `([a-z-]+)` \|.*\| (.*) \|$", readme, re.MULTILINE)
+        knobs = {task: set(re.findall(r"`(\w+)`", cell)) for task, cell in rows}
+        assert knobs == TASK_KEYS
 
 
 class TestShippedScenarios:

@@ -211,7 +211,7 @@ class TestPlungeOracle:
                 assert np.max(np.abs(row[2:2 + m] - exact)) \
                     <= 1e-9 * np.max(np.abs(exact))
                 checked += 1
-            assert checked == res.n_samples - 1
+            assert checked == res.taus.size - 1
 
 
 def bounded_model():

@@ -37,14 +37,13 @@ from ecs_lab.homogeneous import (
 from ecs_lab.isometry_group import (
     iso_apply,
     iso_compose,
+    iso_distance,
     iso_identity,
     iso_inverse,
     pullback_residual,
 )
 from ecs_lab.model_geometry import random_chart_point
 from ecs_lab.solution_space import zero_solution
-
-from conftest import iso_distance
 
 GRID = [(2, 0.3), (2, 1.5), (3, 0.25), (3, 0.7j)]
 

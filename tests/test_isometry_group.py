@@ -4,12 +4,14 @@ the chart action with its analytic Jacobian, and the group operations."""
 import numpy as np
 import pytest
 
+from ecs_lab.homogeneous import sample_isometries
 from ecs_lab.isometry_group import (
     IsoElement,
     SElement,
     classify_holonomy,
     iso_apply,
     iso_compose,
+    iso_distance,
     iso_identity,
     iso_inverse,
     iso_jacobian,
@@ -19,10 +21,14 @@ from ecs_lab.isometry_group import (
     sigma_act,
     sigma_matrix,
 )
-from ecs_lab.model_geometry import ChartPoint, random_chart_point
+from ecs_lab.model_geometry import (
+    ChartPoint,
+    HomogeneousProfile,
+    ModelManifold,
+    random_chart_point,
+)
+from ecs_lab.pseudo_linear import PseudoEuclideanSpace
 from ecs_lab.solution_space import random_solution, zero_solution
-
-from conftest import iso_distance
 
 
 class TestSMembership:
@@ -64,6 +70,17 @@ class TestSMembership:
         elem = SElement(good.q, 1.0, good.C)
         res = s_membership(hm.model, elem)
         assert res["interval_residual"] >= 1.0
+
+    def test_sampled_elements_are_members(self, roster):
+        # The library sampler on the roster, and on a homogeneous profile whose
+        # diagonal A carries no dilations, so that only q = 1 is sampled.
+        rng = np.random.default_rng(44)
+        diagonal = ModelManifold.ecs(PseudoEuclideanSpace(np.eye(2)),
+                                     np.diag([1.0, -1.0]), HomogeneousProfile(0.3))
+        for model in [entry.model for entry in roster] + [diagonal]:
+            for g in sample_isometries(model, rng, 10):
+                assert max(s_membership(model, g.sigma).values()) < 1e-9
+        assert {g.sigma.q for g in sample_isometries(diagonal, rng, 6)} == {1.0}
 
     def test_nonpositive_q_rejected(self):
         with pytest.raises(ValueError):

@@ -84,15 +84,21 @@ class TestProfiles:
         assert f.derivative(t, 1) == pytest.approx(-4 * t**-3 + 1, rel=1e-14)
         assert f.derivative(t, 3) == pytest.approx(-48 * t**-5, rel=1e-14)
 
-    def test_round_trip_through_dict(self):
-        originals = [
-            PolynomialProfile([1.0, 0.0, 0.5]),
-            HomogeneousProfile(0.3),
-            HomogeneousProfile(0.7j),
-            SumOfPowersProfile([(1.0, -2.0), (3.0, 0.5)]),
+    def test_from_dict_on_literal_specs(self):
+        # every accepted spelling, including both of sum-of-powers
+        cases = [
+            ({"kind": "polynomial", "coefficients": [1.0, 0.0, 0.5]},
+             PolynomialProfile([1.0, 0.0, 0.5])),
+            ({"kind": "homogeneous", "c": 0.3}, HomogeneousProfile(0.3)),
+            ({"kind": "homogeneous", "c": [0.0, 0.7]}, HomogeneousProfile(0.7j)),
+            ({"kind": "sum-of-powers", "terms": [[1.0, -2.0], [3.0, 0.5]]},
+             SumOfPowersProfile([(1.0, -2.0), (3.0, 0.5)])),
+            ({"kind": "sum_of_powers", "terms": [[1.0, -2.0], [3.0, 0.5]]},
+             SumOfPowersProfile([(1.0, -2.0), (3.0, 0.5)])),
         ]
-        for f in originals:
-            g = ProfileF.from_dict(f.to_dict())
+        for spec, f in cases:
+            g = ProfileF.from_dict(spec)
+            assert type(g) is type(f)
             for t in (0.5, 1.0, 2.2):
                 assert g.value(t) == pytest.approx(f.value(t), rel=1e-14)
                 assert g.derivative(t, 2) == pytest.approx(
@@ -156,8 +162,10 @@ class TestConstructors:
                               HomogeneousProfile(0.3), interval=(-1.0, 1.0))
 
     def test_raw_bypasses_validation(self):
+        # ecs() rejects the zero A and constant f that raw() accepts
         model = flat_model()
-        assert model.non_ecs
+        with pytest.raises(ValueError):
+            ModelManifold.ecs(model.space, model.A, model.profile, model.interval)
 
 
 class TestKappaAndMetric:
@@ -270,7 +278,7 @@ class TestJetsAgainstFiniteDifferences:
                 assert np.max(np.abs(fd - dg[e])) < 1e-8
 
             def dg_at(coords):
-                return metric_jet(model, ChartPoint.from_coords(coords))[1]
+                return metric_jet(model, ChartPoint(coords[0], coords[1], coords[2:]))[1]
 
             for e in range(n):
                 step = np.zeros(n)
@@ -287,7 +295,7 @@ class TestJetsAgainstFiniteDifferences:
         _, _, _, dddg = metric_jet(model, pt)
 
         def ddg_at(coords):
-            return metric_jet(model, ChartPoint.from_coords(coords))[2]
+            return metric_jet(model, ChartPoint(coords[0], coords[1], coords[2:]))[2]
 
         x0 = pt.coords()
         for e in range(n):
