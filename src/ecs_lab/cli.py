@@ -380,7 +380,7 @@ def task_verify_model(model: ModelManifold, params: dict, tol: Tolerances,
         worst["leaf"] = max(worst["leaf"], christoffel_pattern_residual(pack))
         worst["tidal"] = max(worst["tidal"], float(np.max(np.abs(
             weyl_tidal_operator(model, pt, pack) - model.A))))
-        ol = olszak_span_check(model, pt, pack)
+        ol = olszak_span_check(pack)
         worst["olszak"] = max(worst["olszak"], max(ol.values()))
         idn = curvature_identity_residuals(pack)
         worst["bianchi"] = max(worst["bianchi"], max(idn.values()))

@@ -49,8 +49,6 @@ class ProfileF:
     singular kinds, all of R for polynomials).
     """
 
-    kind: str = "abstract"
-
     def value(self, t):
         raise NotImplementedError
 
@@ -95,8 +93,6 @@ class HomogeneousProfile(ProfileF):
     symmetry.
     """
 
-    kind = "homogeneous"
-
     def __init__(self, c):
         c = complex(c)
         if min(abs(c.real), abs(c.imag)) > 1e-12 * max(1.0, abs(c)):
@@ -130,8 +126,6 @@ class HomogeneousProfile(ProfileF):
 
 class PolynomialProfile(ProfileF):
     """f given by polynomial coefficients in ascending order."""
-
-    kind = "polynomial"
 
     def __init__(self, coefficients: Sequence[float]):
         self.coefficients = np.asarray(coefficients, dtype=float)
@@ -168,8 +162,6 @@ class PolynomialProfile(ProfileF):
 
 class SumOfPowersProfile(ProfileF):
     """f(t) = sum a_i t^{e_i} with real exponents, defined on (0, inf)."""
-
-    kind = "sum_of_powers"
 
     def __init__(self, terms: Sequence[tuple[float, float]]):
         self.terms = [(float(a), float(e)) for a, e in terms]
@@ -429,23 +421,49 @@ class CurvaturePack:
     nabla_weyl: np.ndarray       # (nabla_e W)[a,b,c,d]
 
 
+def _kn_with_g(g, P):
+    """Kulkarni-Nomizu product g /\\ P over the last two axes of P,
+    (g /\\ P)_abcd = g_ac P_bd - g_ad P_bc + P_ac g_bd - P_ad g_bc; a leading
+    axis of P (a derivative index) is carried along."""
+    X = (g[:, None, :, None] * P[..., None, :, None, :]
+         + P[..., :, None, :, None] * g[None, :, None, :])
+    return X - np.swapaxes(X, -1, -2)
+
+
 def curvature_from_jet(g, dg, ddg, dddg) -> CurvaturePack:
     """Assemble curvature from metric jets by exact tensor algebra.
 
     Works for any metric jet, not only the model family; tests feed it
     perturbed metrics to confirm the characteristic identities fail off the
-    family.
+    family. The jet must be symmetric: g is symmetric, and dg, ddg and dddg
+    are symmetric in their derivative slots and in their last two slots.
+
+    Every contraction is one matrix product on reshaped operands (batched
+    over leading axes where an index is carried along), and the
+    Kulkarni-Nomizu products are broadcast outer products. Derivatives of
+    g^-1 enter only through d_e g^-1 = -g^-1 (d_e g) g^-1, so
+
+        d_e Gamma       = g^-1 (d_e S / 2 - d_e g Gamma),
+        d_e d_f Gamma   = g^-1 (d_e d_f S / 2 - d_e d_f g Gamma
+                                - d_e g d_f Gamma - d_f g d_e Gamma),
+
+    with S[d,b,c] = d_b g_dc + d_c g_db - d_d g_bc. The Weyl tensor is
+    W = R - g /\\ P with the Schouten tensor
+    P = (Ric - scal g / (2 (n - 1))) / (n - 2), where /\\ is the
+    Kulkarni-Nomizu product. Since nabla g = 0 holds algebraically for any
+    symmetric jet, nabla W is taken from nabla R by the same identity:
+
+        nabla_e W = nabla_e R - g /\\ nabla_e P,
+        nabla_e Ric_bd = g^{ac} nabla_e R_abcd,
+        nabla_e scal = g^{bd} nabla_e Ric_bd,
+
+    that is nabla W = nabla R - (g /\\ nabla Ric) / (n - 2)
+    + (nabla scal) gg / ((n - 1) (n - 2)) with gg = (g /\\ g) / 2.
     """
     n = g.shape[0]
+    n2, n3 = n * n, n * n * n
     ginv = np.linalg.inv(g)
-    dginv = -np.einsum("ax,exy,yb->eab", ginv, dg, ginv)
-    ddginv = (
-        -np.einsum("fax,exy,yb->efab", dginv, dg, ginv)
-        - np.einsum("ax,efxy,yb->efab", ginv, ddg, ginv)
-        - np.einsum("ax,exy,fyb->efab", ginv, dg, dginv)
-    )
 
-    # S[d,b,c] = d_b g_dc + d_c g_db - d_d g_bc and its derivatives.
     S = np.transpose(dg, (1, 0, 2)) + np.transpose(dg, (1, 2, 0)) - dg
     dS = (
         np.transpose(ddg, (0, 2, 1, 3))
@@ -458,90 +476,58 @@ def curvature_from_jet(g, dg, ddg, dddg) -> CurvaturePack:
         - dddg
     )
 
-    gamma = 0.5 * np.einsum("ad,dbc->abc", ginv, S)
-    dgamma = 0.5 * (
-        np.einsum("ead,dbc->eabc", dginv, S)
-        + np.einsum("ad,edbc->eabc", ginv, dS)
+    # Gamma^a_{bc}, its derivatives [e,a,(bc)] and [e,f,a,(bc)].
+    gam = 0.5 * (ginv @ S.reshape(n, n2))
+    dgam = ginv @ (0.5 * dS.reshape(n, n, n2) - dg @ gam)
+    dg_dgam = dg[:, None] @ dgam[None]
+    ddgam = ginv @ (
+        0.5 * ddS.reshape(n, n, n, n2)
+        - ddg @ gam
+        - dg_dgam
+        - np.transpose(dg_dgam, (1, 0, 2, 3))
     )
-    ddgamma = 0.5 * (
-        np.einsum("efad,dbc->efabc", ddginv, S)
-        + np.einsum("ead,fdbc->efabc", dginv, dS)
-        + np.einsum("fad,edbc->efabc", dginv, dS)
-        + np.einsum("ad,efdbc->efabc", ginv, ddS)
-    )
+    gamma = gam.reshape(n, n, n)
+    # Fifth-order arrays are dropped after their last use: held to the end,
+    # they would set the peak memory of a verify-model run.
+    del ddS, dg_dgam
 
-    # R^a_{bcd} and its coordinate derivative.
-    r_up = (
-        np.transpose(dgamma, (1, 3, 0, 2))
-        - np.transpose(dgamma, (1, 3, 2, 0))
-        + np.einsum("ace,edb->abcd", gamma, gamma)
-        - np.einsum("ade,ecb->abcd", gamma, gamma)
-    )
-    dr_up = (
-        np.transpose(ddgamma, (0, 2, 4, 1, 3))
-        - np.transpose(ddgamma, (0, 2, 4, 3, 1))
-        + np.einsum("eacx,xdb->eabcd", dgamma, gamma)
-        + np.einsum("acx,exdb->eabcd", gamma, dgamma)
-        - np.einsum("eadx,xcb->eabcd", dgamma, gamma)
-        - np.einsum("adx,excb->eabcd", gamma, dgamma)
-    )
+    # R^a_{bcd} = K[a,b,c,d] - K[a,b,d,c] with
+    # K = d_c Gamma^a_{db} + Gamma^a_{cx} Gamma^x_{db}; likewise its derivative.
+    quad = (gamma.reshape(n2, n) @ gam).reshape(n, n, n, n)           # [a,c,d,b]
+    K = (np.transpose(dgam.reshape(n, n, n, n), (1, 3, 0, 2))
+         + np.transpose(quad, (0, 3, 1, 2)))
+    r_up = K - np.swapaxes(K, 2, 3)
+    dquad = ((dgam.reshape(n3, n) @ gam).reshape(n, n, n, n, n)
+             + (gamma.reshape(n2, n) @ dgam.reshape(n, n, n2)).reshape(n, n, n, n, n))
+    dK = (np.transpose(ddgam.reshape(n, n, n, n, n), (0, 2, 4, 1, 3))
+          + np.transpose(dquad, (0, 1, 4, 2, 3)))
+    dr_up = dK - np.swapaxes(dK, 3, 4)
+    del ddgam, dquad, dK
 
-    riem = np.einsum("ax,xbcd->abcd", g, r_up)
-    driem = (
-        np.einsum("eax,xbcd->eabcd", dg, r_up)
-        + np.einsum("ax,exbcd->eabcd", g, dr_up)
-    )
+    r_flat = r_up.reshape(n, n3)
+    riem = (g @ r_flat).reshape(n, n, n, n)
+    ric = np.trace(r_up, axis1=0, axis2=2)
+    scal = float(np.vdot(ginv, ric))
+    weyl = riem - _kn_with_g(g, (ric - scal / (2 * (n - 1)) * g) / (n - 2))
 
-    ric = np.einsum("abad->bd", r_up)
-    dric = np.einsum("eabad->ebd", dr_up)
-    scal = float(np.einsum("bd,bd->", ginv, ric))
-    dscal = np.einsum("ebd,bd->e", dginv, ric) + np.einsum("bd,ebd->e", ginv, dric)
+    # nabla_e R_abcd = d_e R_abcd - Gamma^x_{e.} R with x in each slot in turn.
+    nabla_riem = ((dg.reshape(n2, n) @ r_flat).reshape(n, n, n3)
+                  + g @ dr_up.reshape(n, n, n3)).reshape(n, n, n, n, n)
+    del dr_up
+    gamma_t = gam.T                                                   # [(e,i), x]
+    for slot in range(4):
+        term = gamma_t @ np.moveaxis(riem, slot, 0).reshape(n, n3)
+        nabla_riem -= np.moveaxis(term.reshape(n, n, n, n, n), 1, slot + 1)
 
-    def kn(P, Q):
-        """Kulkarni-Nomizu style wedge of two symmetric 2-tensors."""
-        return (
-            np.einsum("ac,bd->abcd", P, Q)
-            - np.einsum("ad,bc->abcd", P, Q)
-            + np.einsum("bd,ac->abcd", P, Q)
-            - np.einsum("bc,ad->abcd", P, Q)
-        )
-
-    gg = np.einsum("ac,bd->abcd", g, g) - np.einsum("ad,bc->abcd", g, g)
-    weyl = riem - kn(g, ric) / (n - 2) + scal * gg / ((n - 1) * (n - 2))
-
-    def dkn(P, dP, Q, dQ):
-        return (
-            np.einsum("eac,bd->eabcd", dP, Q) + np.einsum("ac,ebd->eabcd", P, dQ)
-            - np.einsum("ead,bc->eabcd", dP, Q) - np.einsum("ad,ebc->eabcd", P, dQ)
-            + np.einsum("ebd,ac->eabcd", dP, Q) + np.einsum("bd,eac->eabcd", P, dQ)
-            - np.einsum("ebc,ad->eabcd", dP, Q) - np.einsum("bc,ead->eabcd", P, dQ)
-        )
-
-    dgg = (
-        np.einsum("eac,bd->eabcd", dg, g) + np.einsum("ac,ebd->eabcd", g, dg)
-        - np.einsum("ead,bc->eabcd", dg, g) - np.einsum("ad,ebc->eabcd", g, dg)
-    )
-    dweyl = (
-        driem
-        - dkn(g, dg, ric, dric) / (n - 2)
-        + (np.einsum("e,abcd->eabcd", dscal, gg) + scal * dgg) / ((n - 1) * (n - 2))
-    )
-
-    def nabla04(T, dT):
-        """Covariant derivative of a (0,4) tensor, derivative index first."""
-        return (
-            dT
-            - np.einsum("xea,xbcd->eabcd", gamma, T)
-            - np.einsum("xeb,axcd->eabcd", gamma, T)
-            - np.einsum("xec,abxd->eabcd", gamma, T)
-            - np.einsum("xed,abcx->eabcd", gamma, T)
-        )
+    nabla_ric = np.tensordot(nabla_riem, ginv, axes=([1, 3], [0, 1]))  # [e,b,d]
+    nabla_scal = nabla_ric.reshape(n, n2) @ ginv.reshape(n2)
+    nabla_schouten = (nabla_ric
+                      - nabla_scal[:, None, None] / (2 * (n - 1)) * g) / (n - 2)
 
     return CurvaturePack(
         g=g, g_inv=ginv, christoffel=gamma, riemann=riem, ricci=ric,
-        scalar=scal, weyl=weyl,
-        nabla_riemann=nabla04(riem, driem),
-        nabla_weyl=nabla04(weyl, dweyl),
+        scalar=scal, weyl=weyl, nabla_riemann=nabla_riem,
+        nabla_weyl=nabla_riem - _kn_with_g(g, nabla_schouten),
     )
 
 
@@ -603,26 +589,21 @@ def weyl_tidal_operator(model: ModelManifold, point: ChartPoint,
 
     On the family this recovers the endomorphism A exactly, which makes A a
     curvature observable rather than a construction input. Here dt is the
-    1-form g(2 d/ds, .), i.e. dt(u) = u^t.
+    1-form g(2 d/ds, .), i.e. dt(u) = u^t, so the operator is the V-block of
+    W^a_{ttd}. Only pack is read.
     """
-    n = model.dim
-    w_up = np.einsum("ax,xbcd->abcd", pack.g_inv, pack.weyl)
-    u = np.zeros(n)
-    u[0] = 2.0
-    M = np.einsum("abcd,b,c->ad", w_up, u, u) / u[0] ** 2
-    return M[2:, 2:]
+    return (pack.g_inv @ pack.weyl[:, 0, 0, :])[2:, 2:]
 
 
-def olszak_span_check(model: ModelManifold, point: ChartPoint,
-                      pack: CurvaturePack) -> dict:
+def olszak_span_check(pack: CurvaturePack) -> dict:
     """Residuals showing span(d/ds) is the distinguished null parallel line.
 
     null_residual: |g(d/ds, d/ds)|. parallel_residual: max |Gamma^a_{b s}|,
     zero meaning nabla_X d/ds is proportional to d/ds (here actually zero).
     dt_residual: the 1-form g(2 d/ds, .) equals dt entrywise.
     """
-    g = metric_at(model, point.coords())
-    n = model.dim
+    g = pack.g
+    n = g.shape[0]
     dt = np.zeros(n)
     dt[0] = 1.0
     return {
@@ -649,8 +630,9 @@ def curvature_identity_residuals(pack: CurvaturePack) -> dict:
         + np.transpose(nR, (3, 1, 2, 4, 0))
         + np.transpose(nR, (4, 1, 2, 0, 3))
     )))
-    W = pack.weyl
-    w_trace = float(np.max(np.abs(np.einsum("bd,abcd->ac", pack.g_inv, W))))
+    w_trace = float(np.max(np.abs(
+        np.tensordot(pack.weyl, pack.g_inv, axes=([1, 3], [0, 1]))
+    )))
     return {
         "pair_symmetry": pair_sym / scale,
         "skew_first_pair": skew_ab / scale,

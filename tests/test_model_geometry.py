@@ -8,11 +8,14 @@ difference cross-checks of the analytic jets, and negative controls showing
 that each identity genuinely fails off the family.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
 from ecs_lab.model_geometry import (
     ChartPoint,
+    CurvaturePack,
     HomogeneousProfile,
     ModelManifold,
     PolynomialProfile,
@@ -52,6 +55,154 @@ def flat_model():
     space = PseudoEuclideanSpace(np.diag([1.0, -1.0]))
     return ModelManifold.raw(space, np.zeros((2, 2)),
                              PolynomialProfile([0.0]), (-np.inf, np.inf))
+
+
+def reference_curvature_from_jet(g, dg, ddg, dddg) -> CurvaturePack:
+    """The term-by-term einsum pipeline that curvature_from_jet replaced,
+    kept as the reference it must agree with."""
+    n = g.shape[0]
+    ginv = np.linalg.inv(g)
+    dginv = -np.einsum("ax,exy,yb->eab", ginv, dg, ginv)
+    ddginv = (
+        -np.einsum("fax,exy,yb->efab", dginv, dg, ginv)
+        - np.einsum("ax,efxy,yb->efab", ginv, ddg, ginv)
+        - np.einsum("ax,exy,fyb->efab", ginv, dg, dginv)
+    )
+
+    # S[d,b,c] = d_b g_dc + d_c g_db - d_d g_bc and its derivatives.
+    S = np.transpose(dg, (1, 0, 2)) + np.transpose(dg, (1, 2, 0)) - dg
+    dS = (
+        np.transpose(ddg, (0, 2, 1, 3))
+        + np.transpose(ddg, (0, 2, 3, 1))
+        - ddg
+    )
+    ddS = (
+        np.transpose(dddg, (0, 1, 3, 2, 4))
+        + np.transpose(dddg, (0, 1, 3, 4, 2))
+        - dddg
+    )
+
+    gamma = 0.5 * np.einsum("ad,dbc->abc", ginv, S)
+    dgamma = 0.5 * (
+        np.einsum("ead,dbc->eabc", dginv, S)
+        + np.einsum("ad,edbc->eabc", ginv, dS)
+    )
+    ddgamma = 0.5 * (
+        np.einsum("efad,dbc->efabc", ddginv, S)
+        + np.einsum("ead,fdbc->efabc", dginv, dS)
+        + np.einsum("fad,edbc->efabc", dginv, dS)
+        + np.einsum("ad,efdbc->efabc", ginv, ddS)
+    )
+
+    # R^a_{bcd} and its coordinate derivative.
+    r_up = (
+        np.transpose(dgamma, (1, 3, 0, 2))
+        - np.transpose(dgamma, (1, 3, 2, 0))
+        + np.einsum("ace,edb->abcd", gamma, gamma)
+        - np.einsum("ade,ecb->abcd", gamma, gamma)
+    )
+    dr_up = (
+        np.transpose(ddgamma, (0, 2, 4, 1, 3))
+        - np.transpose(ddgamma, (0, 2, 4, 3, 1))
+        + np.einsum("eacx,xdb->eabcd", dgamma, gamma)
+        + np.einsum("acx,exdb->eabcd", gamma, dgamma)
+        - np.einsum("eadx,xcb->eabcd", dgamma, gamma)
+        - np.einsum("adx,excb->eabcd", gamma, dgamma)
+    )
+
+    riem = np.einsum("ax,xbcd->abcd", g, r_up)
+    driem = (
+        np.einsum("eax,xbcd->eabcd", dg, r_up)
+        + np.einsum("ax,exbcd->eabcd", g, dr_up)
+    )
+
+    ric = np.einsum("abad->bd", r_up)
+    dric = np.einsum("eabad->ebd", dr_up)
+    scal = float(np.einsum("bd,bd->", ginv, ric))
+    dscal = np.einsum("ebd,bd->e", dginv, ric) + np.einsum("bd,ebd->e", ginv, dric)
+
+    def kn(P, Q):
+        """Kulkarni-Nomizu style wedge of two symmetric 2-tensors."""
+        return (
+            np.einsum("ac,bd->abcd", P, Q)
+            - np.einsum("ad,bc->abcd", P, Q)
+            + np.einsum("bd,ac->abcd", P, Q)
+            - np.einsum("bc,ad->abcd", P, Q)
+        )
+
+    gg = np.einsum("ac,bd->abcd", g, g) - np.einsum("ad,bc->abcd", g, g)
+    weyl = riem - kn(g, ric) / (n - 2) + scal * gg / ((n - 1) * (n - 2))
+
+    def dkn(P, dP, Q, dQ):
+        return (
+            np.einsum("eac,bd->eabcd", dP, Q) + np.einsum("ac,ebd->eabcd", P, dQ)
+            - np.einsum("ead,bc->eabcd", dP, Q) - np.einsum("ad,ebc->eabcd", P, dQ)
+            + np.einsum("ebd,ac->eabcd", dP, Q) + np.einsum("bd,eac->eabcd", P, dQ)
+            - np.einsum("ebc,ad->eabcd", dP, Q) - np.einsum("bc,ead->eabcd", P, dQ)
+        )
+
+    dgg = (
+        np.einsum("eac,bd->eabcd", dg, g) + np.einsum("ac,ebd->eabcd", g, dg)
+        - np.einsum("ead,bc->eabcd", dg, g) - np.einsum("ad,ebc->eabcd", g, dg)
+    )
+    dweyl = (
+        driem
+        - dkn(g, dg, ric, dric) / (n - 2)
+        + (np.einsum("e,abcd->eabcd", dscal, gg) + scal * dgg) / ((n - 1) * (n - 2))
+    )
+
+    def nabla04(T, dT):
+        """Covariant derivative of a (0,4) tensor, derivative index first."""
+        return (
+            dT
+            - np.einsum("xea,xbcd->eabcd", gamma, T)
+            - np.einsum("xeb,axcd->eabcd", gamma, T)
+            - np.einsum("xec,abxd->eabcd", gamma, T)
+            - np.einsum("xed,abcx->eabcd", gamma, T)
+        )
+
+    return CurvaturePack(
+        g=g, g_inv=ginv, christoffel=gamma, riemann=riem, ricci=ric,
+        scalar=scal, weyl=weyl,
+        nabla_riemann=nabla04(riem, driem),
+        nabla_weyl=nabla04(weyl, dweyl),
+    )
+
+
+PACK_FIELDS = ("g", "g_inv", "christoffel", "riemann", "ricci", "scalar",
+               "weyl", "nabla_riemann", "nabla_weyl")
+
+
+def pack_distance(got, want):
+    """Largest entry difference over every CurvaturePack field, relative to
+    max(1, max |R|) of the reference."""
+    scale = max(1.0, float(np.max(np.abs(want.riemann))))
+    return max(float(np.max(np.abs(np.asarray(getattr(got, name))
+                                   - np.asarray(getattr(want, name)))))
+               for name in PACK_FIELDS) / scale
+
+
+def symmetrized(T, k):
+    """T symmetrized over its first k slots and over its last two."""
+    perms = list(itertools.permutations(range(k)))
+    S = sum(np.transpose(T, p + tuple(range(k, T.ndim))) for p in perms) / len(perms)
+    return 0.5 * (S + np.swapaxes(S, -1, -2))
+
+
+def perturbed_jet(jet, rng, eps):
+    """A symmetric jet off the model family: each order gets eps times a
+    random tensor with the jet's symmetries."""
+    return tuple(J + eps * symmetrized(rng.standard_normal(J.shape), k)
+                 for k, J in enumerate(jet))
+
+
+def polynomial_model(n):
+    """A polynomial-profile model of total dimension n with diagonal A."""
+    m = n - 2
+    gram = np.diag([1.0] * (m // 2 + 1) + [-1.0] * (m - m // 2 - 1))
+    A = np.linspace(1.0, -1.0, m)
+    return ModelManifold.ecs(PseudoEuclideanSpace(gram), np.diag(A),
+                             PolynomialProfile([0.0, 1.0, 0.5, 0.1]))
 
 
 class TestProfiles:
@@ -339,6 +490,46 @@ class TestCurvatureIdentities:
             assert np.max(np.abs(arr)) == 0.0
 
 
+class TestAgainstEinsumReference:
+    """curvature_from_jet against the einsum pipeline it replaced, field by
+    field. The two sum in different orders, so they agree to rounding.
+
+    Both lose accuracy as g grows ill-conditioned: at cond(g) near 5e3 each
+    is off a long-double evaluation by up to 2e-11 in nabla W. The perturbed
+    jets are therefore taken near v = 0, where cond(g) stays below 200, so
+    that the bound measures the algebra rather than the conditioning.
+    """
+
+    TOL = 1e-12
+
+    def test_roster_models(self, roster):
+        rng = np.random.default_rng(71)
+        for entry in roster:
+            for _ in range(20):
+                jet = metric_jet(entry.model, random_chart_point(entry.model, rng))
+                got = curvature_from_jet(*jet)
+                assert pack_distance(got, reference_curvature_from_jet(*jet)) < self.TOL
+
+    def test_perturbed_jets(self, roster):
+        rng = np.random.default_rng(72)
+        for entry in roster:                      # n = 4, 5 and 7
+            for _ in range(5):
+                pt = random_chart_point(entry.model, rng, v_scale=0.3)
+                jet = perturbed_jet(metric_jet(entry.model, pt), rng, 0.05)
+                assert np.linalg.cond(jet[0]) < 200
+                got = curvature_from_jet(*jet)
+                assert pack_distance(got, reference_curvature_from_jet(*jet)) < self.TOL
+
+    def test_n12_polynomial_model(self):
+        model = polynomial_model(12)
+        rng = np.random.default_rng(73)
+        for _ in range(2):
+            jet = metric_jet(model, random_chart_point(model, rng))
+            got = curvature_from_jet(*jet)
+            assert pack_distance(got, reference_curvature_from_jet(*jet)) < self.TOL
+            assert parallel_weyl_residual(got) < 1e-9
+
+
 class TestNegativeControls:
     """Each identity must fail when its hypothesis is removed."""
 
@@ -437,7 +628,7 @@ class TestStructuralChecks:
         rng = np.random.default_rng(53)
         for entry in roster:
             pt = random_chart_point(entry.model, rng)
-            res = olszak_span_check(entry.model, pt, curvature_at(entry.model, pt))
+            res = olszak_span_check(curvature_at(entry.model, pt))
             assert res["null_residual"] == 0.0
             assert res["parallel_residual"] == 0.0
             assert res["dt_residual"] == 0.0
