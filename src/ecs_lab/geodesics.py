@@ -104,13 +104,6 @@ class GeodesicResult:
     hit_boundary: bool
     boundary_tau: Optional[float]
 
-    def point(self, i: int, m: int) -> ChartPoint:
-        row = self.states[i]
-        return ChartPoint(row[0], row[1], row[2:2 + m])
-
-    def velocity(self, i: int, m: int) -> np.ndarray:
-        return self.states[i, 2 + m:]
-
     def t_values(self) -> np.ndarray:
         return self.states[:, 0]
 
@@ -205,14 +198,14 @@ def t_affinity_report(result: GeodesicResult) -> dict:
 
 def affine_transport_residual(model: ModelManifold,
                               curve: Callable[[float], tuple[ChartPoint, np.ndarray]],
-                              Z0, s_max: float = 1.5, samples: int = 31) -> float:
+                              Z0) -> float:
     """Affine decay of second-order transported fields along leaf curves.
 
     Along a curve inside one leaf, let Z be parallel with Z(0) = Z0 and let
     X solve the second-order problem (covariant X'' = 0) with X(0) = Z0 and
     (covariant X')(0) = -Z0. Then X(s) = (1 - s) Z(s); in particular X
     vanishes at s = 1 regardless of the curve. Returns the largest deviation
-    from that profile over [0, s_max].
+    from that profile over 31 equispaced s in [0, 1.5].
 
     The integration keeps the full Christoffel terms even though the leaf
     values make most of them drop, so the identity is confirmed rather than
@@ -232,10 +225,10 @@ def affine_transport_residual(model: ModelManifold,
         return np.concatenate([-M @ Z, Y - M @ X, -M @ Y])
 
     state0 = np.concatenate([Z0, Z0, -Z0])
-    dense = _solve(rhs, (0.0, s_max), state0, "transport")
+    dense = _solve(rhs, (0.0, 1.5), state0, "transport")
     worst = 0.0
     scale = max(1.0, float(np.max(np.abs(Z0))))
-    for s in np.linspace(0.0, s_max, samples):
+    for s in np.linspace(0.0, 1.5, 31):
         st = dense(s)
         Z, X = st[:n], st[n:2 * n]
         worst = max(worst, float(np.max(np.abs(X - (1.0 - s) * Z))))
@@ -275,12 +268,6 @@ class PolyCurve:
     def v(self, t: float, order: int = 0) -> np.ndarray:
         c = self._v[order] if order < 3 else _polyder(self.v_coeffs, order, axis=1).T
         return np.polynomial.polynomial.polyval(t, c)
-
-    def point(self, t: float) -> ChartPoint:
-        return ChartPoint(t, self.s(t), self.v(t))
-
-    def velocity(self, t: float) -> np.ndarray:
-        return np.concatenate([[1.0, self.s(t, 1)], self.v(t, 1)])
 
 
 @dataclass

@@ -52,6 +52,10 @@ from .isometry_group import IsoElement, SElement, iso_compose, sigma_act, sigma_
 # at roundoff (near 1e-16 relative), so 1e-4 splits the gap safely.
 KERNEL_RTOL = 1e-4
 
+# Residual at or below which commute_test counts a pair as commuting, by
+# either route.
+COMMUTE_TOL = 1e-8
+
 
 def standard_homogeneous_space(m: int, epsilon: float = 1.0) -> tuple[PseudoEuclideanSpace, np.ndarray]:
     """Canonical pair: anti-diagonal Gram with entries epsilon and the upper
@@ -65,24 +69,19 @@ def standard_homogeneous_space(m: int, epsilon: float = 1.0) -> tuple[PseudoEucl
 @dataclass
 class HomogeneousModel:
     """A model with homogeneous profile, full-order nilpotent A, I = (0, inf),
-    together with the adapted basis that defines its scaling isometries.
-    Cauchy data is anchored at base_t = 1."""
+    together with the adapted basis that defines its scaling isometries."""
 
     model: ModelManifold
     fit: FitBasis
     c: complex
 
     @property
-    def base_t(self) -> float:
-        return 1.0
-
-    @property
     def m(self) -> int:
         return self.model.m
 
     @classmethod
-    def standard(cls, m: int, c, epsilon: float = 1.0) -> "HomogeneousModel":
-        space, A = standard_homogeneous_space(m, epsilon)
+    def standard(cls, m: int, c) -> "HomogeneousModel":
+        space, A = standard_homogeneous_space(m)
         profile = HomogeneousProfile(c)
         model = ModelManifold.ecs(space, A, profile)
         return cls(model=model, fit=fit_basis(space, A), c=profile.c)
@@ -104,8 +103,8 @@ class HomogeneousModel:
         return SElement(q, 0.0, self.c_matrix(q, delta))
 
     def sigma_q_matrix(self, q: float) -> np.ndarray:
-        """Matrix of sigma_q on E in Cauchy coordinates at base 1."""
-        return sigma_matrix(self.model, self.dilation(q), self.base_t)
+        """Matrix of sigma_q on E in Cauchy coordinates at t = 1."""
+        return sigma_matrix(self.model, self.dilation(q))
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +161,7 @@ def generator_matrix(hm: HomogeneousModel) -> np.ndarray:
     P = hm.fit.vectors
     D = P @ np.diag([m + 1.0 - 2 * j for j in range(1, m + 1)]) @ np.linalg.inv(P)
     eye = np.eye(m)
-    return np.block([[D, -eye], [-hm.model.f_plus_A(hm.base_t), D - eye]])
+    return np.block([[D, -eye], [-hm.model.f_plus_A(1.0), D - eye]])
 
 
 def generator_spectrum_check(hm: HomogeneousModel) -> SpectrumCheck:
@@ -231,9 +230,8 @@ def spectral_split(hm: HomogeneousModel) -> SpectralSplit:
 # ---------------------------------------------------------------------------
 
 def g0_element(hm: HomogeneousModel, q: float, r: float, data) -> IsoElement:
-    """The element (sigma_q, r, u) of G_0, with u given as Cauchy data at
-    the base time."""
-    u = SolutionE.from_data(hm.model, hm.base_t, data)
+    """The element (sigma_q, r, u) of G_0, with u given as Cauchy data."""
+    u = SolutionE.from_data(hm.model, data)
     return IsoElement(hm.dilation(q), r, u)
 
 
@@ -244,8 +242,8 @@ class CommuteTest:
     `direct` compares the coordinates of ab and ba. `criterion` evaluates
     the closed-form characterization: the solution parts must satisfy
     (sigma_q - 1) u_hat = (sigma_qhat - 1) u, and the central parts the
-    matching scalar equation. The two booleans agree up to roundoff at the
-    shared tolerance.
+    matching scalar equation. The two booleans agree up to roundoff at
+    COMMUTE_TOL.
     """
 
     direct: bool
@@ -258,8 +256,7 @@ class CommuteTest:
         return self.direct == self.criterion
 
 
-def commute_test(hm: HomogeneousModel, a: IsoElement, b: IsoElement,
-                 tol: float = 1e-8) -> CommuteTest:
+def commute_test(hm: HomogeneousModel, a: IsoElement, b: IsoElement) -> CommuteTest:
     model = hm.model
     # The dilation parts of G_0 commute, so ab = ba is decided by r and u.
     ab = iso_compose(model, a, b)
@@ -279,8 +276,8 @@ def commute_test(hm: HomogeneousModel, a: IsoElement, b: IsoElement,
     criterion_residual = max(solution_eq, central_eq)
 
     return CommuteTest(
-        direct=bool(direct_residual <= tol),
-        criterion=bool(criterion_residual <= tol),
+        direct=bool(direct_residual <= COMMUTE_TOL),
+        criterion=bool(criterion_residual <= COMMUTE_TOL),
         direct_residual=direct_residual,
         criterion_residual=criterion_residual,
     )
@@ -306,18 +303,16 @@ class TransitivityReport:
 def transitive_commutation_check(hm: HomogeneousModel,
                                  split: SpectralSplit,
                                  n_triples: int,
-                                 rng: np.random.Generator,
-                                 tol: float = 1e-8) -> TransitivityReport:
+                                 rng: np.random.Generator) -> TransitivityReport:
     premise_failures = 0
     counterexamples = 0
     worst = 0.0
     for _ in range(n_triples):
         x, y, z = sample_class(hm, split, rng, 3)[3]
-        if not (commute_test(hm, x, y, tol).direct
-                and commute_test(hm, y, z, tol).direct):
+        if not (commute_test(hm, x, y).direct and commute_test(hm, y, z).direct):
             premise_failures += 1
             continue
-        conclusion = commute_test(hm, x, z, tol)
+        conclusion = commute_test(hm, x, z)
         worst = max(worst, conclusion.direct_residual)
         if not conclusion.direct:
             counterexamples += 1
@@ -357,8 +352,8 @@ def class_map(hm: HomogeneousModel, a: float, z_data, q: float, w_data) -> IsoEl
     """J(a, z, q, w): the element of the commuting class labeled (a, z) with
     dilation q and kernel displacement w."""
     model = hm.model
-    z = SolutionE.from_data(model, hm.base_t, z_data)
-    w = SolutionE.from_data(model, hm.base_t, w_data)
+    z = SolutionE.from_data(model, z_data)
+    w = SolutionE.from_data(model, w_data)
     sq = hm.dilation(q)
     sz = sigma_act(model, sq, z)
     r = a * (1.0 - 1.0 / q) + omega(z, sz + w.scaled(1.0 + 1.0 / q))
@@ -388,8 +383,8 @@ def class_map_inverse(hm: HomogeneousModel, g: IsoElement,
     coeff, *_ = np.linalg.lstsq(shifted, u_plus, rcond=None)
     z_data = split.eplus @ coeff
 
-    z = SolutionE.from_data(model, hm.base_t, z_data)
-    w = SolutionE.from_data(model, hm.base_t, w_data)
+    z = SolutionE.from_data(model, z_data)
+    w = SolutionE.from_data(model, w_data)
     sz = sigma_act(model, g.sigma, z)
     off = omega(z, sz + w.scaled(1.0 + 1.0 / q))
     a = (g.r - off) / (1.0 - 1.0 / q)

@@ -39,7 +39,6 @@ not look u up again.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -98,21 +97,12 @@ def _containment_residual(model: ModelManifold, q: float, p: float) -> float:
     return res
 
 
-def chebyshev_nodes(window: tuple[float, float], count: int = 64) -> np.ndarray:
-    lo, hi = window
-    k = np.arange(count)
-    x = np.cos((2 * k + 1) * np.pi / (2 * count))
-    return 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
-
-
-def s_membership(model: ModelManifold, elem: SElement,
-                 window: Optional[tuple[float, float]] = None,
-                 nodes: int = 64) -> dict:
+def s_membership(model: ModelManifold, elem: SElement) -> dict:
     """Residuals of the three structural conditions on (q, p, C).
 
-    f-equivariance |f(t) - q^2 f(q t + p)| is sampled on Chebyshev nodes of a
-    compact window whose image stays inside I; interval equivariance is
-    checked exactly on endpoints.
+    f-equivariance |f(t) - q^2 f(q t + p)| is sampled on 64 Chebyshev nodes
+    of the model's compact window and is infinite when their image leaves I;
+    interval equivariance is checked exactly on endpoints.
     """
     q, p, C = elem.q, elem.p, elem.C
     gram = model.space.gram
@@ -120,9 +110,9 @@ def s_membership(model: ModelManifold, elem: SElement,
     iso = float(np.max(np.abs(C.T @ gram @ C - gram)))
     interval_res = _containment_residual(model, q, p)
 
-    if window is None:
-        window = model.compact_window()
-    ts = chebyshev_nodes(window, nodes)
+    w0, w1 = model.compact_window()
+    k = np.arange(64)
+    ts = 0.5 * (w0 + w1) + 0.5 * (w1 - w0) * np.cos((2 * k + 1) * np.pi / 128)
     images = q * ts + p
     lo, hi = model.interval
     if np.any(images <= lo) or np.any(images >= hi):
@@ -140,16 +130,14 @@ def s_membership(model: ModelManifold, elem: SElement,
     }
 
 
-def sigma_matrix(model: ModelManifold, elem: SElement,
-                 base_t: Optional[float] = None) -> np.ndarray:
+def sigma_matrix(model: ModelManifold, elem: SElement) -> np.ndarray:
     """Matrix of the induced action (sigma . u)(t) = C u((t - p)/q) on E in
-    Cauchy coordinates at the base time: the flow to (base_t - p)/q, then C
-    on values and C/q on derivatives (the chain rule divides by q)."""
-    if base_t is None:
-        base_t = model.default_base_t()
+    Cauchy coordinates: the model's flow to (t0 - p)/q from its base time
+    t0, then C on values and C/q on derivatives (the chain rule divides by
+    q)."""
     m = model.m
-    src = (base_t - elem.p) / elem.q
-    phi = flow(model, base_t).matrix(src)
+    fl = flow(model)
+    phi = fl.matrix((fl.base_t - elem.p) / elem.q)
     block = np.zeros((2 * m, 2 * m))
     block[:m, :m] = elem.C
     block[m:, m:] = elem.C / elem.q
@@ -157,9 +145,8 @@ def sigma_matrix(model: ModelManifold, elem: SElement,
 
 
 def sigma_act(model: ModelManifold, elem: SElement, u: SolutionE) -> SolutionE:
-    """sigma . u, as Cauchy data at u's base time."""
-    return SolutionE.from_data(model, u.base_t,
-                               sigma_matrix(model, elem, u.base_t) @ u.data())
+    """sigma . u, as Cauchy data."""
+    return SolutionE.from_data(model, sigma_matrix(model, elem) @ u.data())
 
 
 def iso_identity(model: ModelManifold) -> IsoElement:
@@ -247,20 +234,20 @@ def iso_inverse(model: ModelManifold, a: IsoElement) -> IsoElement:
 
 def iso_distance(a: IsoElement, b: IsoElement) -> float:
     """Largest coordinate difference of (q, p, C, r, u-data) between two
-    elements whose u share a base time."""
+    elements of one model."""
     return max(abs(a.sigma.q - b.sigma.q), abs(a.sigma.p - b.sigma.p),
                float(np.max(np.abs(a.sigma.C - b.sigma.C))), abs(a.r - b.r),
                float(np.max(np.abs(a.u.data() - b.u.data()))))
 
 
-def classify_holonomy(elements: list[IsoElement], tol: float = 1e-12) -> str:
-    """'dilational' when some element genuinely rescales t, else
+def classify_holonomy(elements: list[IsoElement]) -> str:
+    """'dilational' when some element rescales t (|q - 1| > 1e-12), else
     'translational'. Raises on nonpositive q, which cannot occur in the
     group as constructed."""
     for g in elements:
         if g.sigma.q <= 0:
             raise ValueError("isometry with nonpositive q is outside the group")
-    if any(abs(g.sigma.q - 1.0) > tol for g in elements):
+    if any(abs(g.sigma.q - 1.0) > 1e-12 for g in elements):
         return "dilational"
     return "translational"
 
@@ -269,7 +256,7 @@ def omega_scaling_residual(model: ModelManifold, elem: SElement,
                            pairs: list[tuple[SolutionE, SolutionE]]) -> float:
     """Residual of Omega(sigma.u, sigma.w) = q^{-1} Omega(u, w) over pairs,
     as (M x)^T J (M y) against x^T J y / q with M the sigma matrix and J the
-    matrix of Omega. The pairs share the model's default base time."""
+    matrix of Omega."""
     M = sigma_matrix(model, elem)
     J = omega_matrix(model)
     worst = 0.0

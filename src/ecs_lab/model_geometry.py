@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -62,12 +63,17 @@ class ProfileF:
     def natural_interval(self) -> tuple[float, float]:
         raise NotImplementedError
 
-    def is_constant(self, window: tuple[float, float]) -> bool:
-        """Numeric nonconstancy probe on a compact window."""
+    def spread(self, window: tuple[float, float]) -> tuple[float, float]:
+        """max f - min f and max |f| over 17 equispaced nodes of a compact
+        window."""
         ts = np.linspace(window[0], window[1], 17)
         vals = np.asarray([self.value(t) for t in ts], dtype=float)
-        spread = float(np.max(vals) - np.min(vals))
-        return spread <= 1e-14 * max(1.0, float(np.max(np.abs(vals))))
+        return float(np.max(vals) - np.min(vals)), float(np.max(np.abs(vals)))
+
+    def is_constant(self, window: tuple[float, float]) -> bool:
+        """Numeric nonconstancy probe on a compact window."""
+        spread, peak = self.spread(window)
+        return spread <= 1e-14 * max(1.0, peak)
 
     @staticmethod
     def from_dict(d: dict) -> "ProfileF":
@@ -215,16 +221,16 @@ class ModelManifold:
     """The model I x R x V with the metric described in the module docstring.
 
     Use ecs() for validated construction and raw() to bypass validation (for
-    flat or otherwise degenerate comparison metrics in tests). Instances
-    cache ODE flows keyed by base time; the cache lives on the instance so
-    nothing global leaks between models.
+    flat or otherwise degenerate comparison metrics in tests). An instance
+    holds its solution-space flow (`solution_space.flow`), built on first
+    use, so nothing global leaks between models.
     """
 
     space: PseudoEuclideanSpace
     A: np.ndarray
     profile: ProfileF
     interval: tuple[float, float]
-    _flows: dict = field(default_factory=dict, repr=False, compare=False)
+    _flow: Optional[object] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.A = _as_matrix(self.A)
@@ -253,8 +259,7 @@ class ModelManifold:
         if interval[0] < nat[0] or interval[1] > nat[1]:
             raise ValueError(f"interval {interval} exceeds the profile domain {nat}")
         model = cls(space=space, A=A, profile=profile, interval=tuple(interval))
-        win = model.compact_window()
-        if profile.is_constant(win):
+        if profile.is_constant(model.compact_window()):
             raise ValueError("profile f must be nonconstant on the interval")
         return model
 
@@ -325,15 +330,11 @@ class ModelManifold:
     def validation_residuals(self) -> dict:
         """Structural residuals for reporting (never raises)."""
         val = validate_A(self.space, self.A)
-        win = self.compact_window()
-        ts = np.linspace(win[0], win[1], 17)
-        vals = np.asarray([float(self.profile.value(t)) for t in ts])
-        spread = float(np.max(vals) - np.min(vals))
         return {
             "self_adjoint_residual": val.self_adjoint_residual,
             "trace_residual": val.trace_residual,
             "A_norm": val.norm,
-            "f_spread": spread,
+            "f_spread": self.profile.spread(self.compact_window())[0],
         }
 
 
@@ -408,7 +409,8 @@ def metric_jet(model: ModelManifold, point: ChartPoint):
 class CurvaturePack:
     """Curvature data at a point. All tensors are in coordinate components,
     Riemann and Weyl fully lowered, covariant derivatives with the
-    derivative index first."""
+    derivative index first. `scale` = max(1, max |R|) is the curvature scale
+    that the characteristic checks divide by."""
 
     g: np.ndarray
     g_inv: np.ndarray
@@ -419,6 +421,10 @@ class CurvaturePack:
     weyl: np.ndarray             # W[a,b,c,d] lowered
     nabla_riemann: np.ndarray    # (nabla_e R)[a,b,c,d]
     nabla_weyl: np.ndarray       # (nabla_e W)[a,b,c,d]
+
+    @cached_property
+    def scale(self) -> float:
+        return max(1.0, float(np.max(np.abs(self.riemann))))
 
 
 def _kn_with_g(g, P):
@@ -540,20 +546,16 @@ def curvature_at(model: ModelManifold, point: ChartPoint) -> CurvaturePack:
 # characteristic checks
 # ---------------------------------------------------------------------------
 
-def _scale(pack: CurvaturePack) -> float:
-    return max(1.0, float(np.max(np.abs(pack.riemann))))
-
-
 def parallel_weyl_residual(pack: CurvaturePack) -> float:
     """max |nabla W| relative to the curvature scale; 0 on the model family."""
-    return float(np.max(np.abs(pack.nabla_weyl))) / _scale(pack)
+    return float(np.max(np.abs(pack.nabla_weyl))) / pack.scale
 
 
 def nabla_riemann_norm(pack: CurvaturePack) -> float:
     """max |nabla R| relative to the curvature scale; strictly positive off
     local symmetry, which is what separates these models from symmetric
     spaces."""
-    return float(np.max(np.abs(pack.nabla_riemann))) / _scale(pack)
+    return float(np.max(np.abs(pack.nabla_riemann))) / pack.scale
 
 
 def ricci_profile_residual(model: ModelManifold, point: ChartPoint,
@@ -569,7 +571,7 @@ def ricci_profile_residual(model: ModelManifold, point: ChartPoint,
 def weyl_nonzero_norm(pack: CurvaturePack) -> float:
     """max |W| relative to curvature scale; bounded away from 0 on the family
     because the Weyl V-block is the nonzero endomorphism A."""
-    return float(np.max(np.abs(pack.weyl))) / _scale(pack)
+    return float(np.max(np.abs(pack.weyl))) / pack.scale
 
 
 def christoffel_pattern_residual(pack: CurvaturePack) -> float:
@@ -617,7 +619,7 @@ def curvature_identity_residuals(pack: CurvaturePack) -> dict:
     """Classical identities any curvature tensor must satisfy; used as an
     internal consistency oracle for the jet pipeline."""
     R = pack.riemann
-    scale = _scale(pack)
+    scale = pack.scale
     pair_sym = float(np.max(np.abs(R - np.transpose(R, (2, 3, 0, 1)))))
     skew_ab = float(np.max(np.abs(R + np.transpose(R, (1, 0, 2, 3)))))
     skew_cd = float(np.max(np.abs(R + np.transpose(R, (0, 1, 3, 2)))))
@@ -644,10 +646,9 @@ def curvature_identity_residuals(pack: CurvaturePack) -> dict:
 
 
 def random_chart_point(model: ModelManifold, rng: np.random.Generator,
-                       window: Optional[tuple[float, float]] = None,
                        v_scale: float = 1.0) -> ChartPoint:
-    """Uniform t in the sampling window, normal s and v."""
-    lo, hi = window if window is not None else model.compact_window()
+    """Uniform t in the model's compact window, normal s and v."""
+    lo, hi = model.compact_window()
     t = rng.uniform(lo, hi)
     s = float(rng.standard_normal())
     v = v_scale * rng.standard_normal(model.m)

@@ -101,19 +101,20 @@ class AValidation:
     """Residuals for the structural requirements on the endomorphism A.
 
     All entries are absolute residuals; ok() applies a single relative
-    tolerance. Construction never raises, so callers can report diagnostics.
+    tolerance, 1e-10. Construction never raises, so callers can report
+    diagnostics.
     """
 
     self_adjoint_residual: float
     trace_residual: float
     norm: float
 
-    def ok(self, tol: float = 1e-10) -> bool:
+    def ok(self) -> bool:
         scale = max(1.0, self.norm)
         return (
-            self.self_adjoint_residual <= tol * scale
-            and self.trace_residual <= tol * scale
-            and self.norm > tol
+            self.self_adjoint_residual <= 1e-10 * scale
+            and self.trace_residual <= 1e-10 * scale
+            and self.norm > 1e-10
         )
 
 
@@ -141,14 +142,15 @@ class GenericityResult:
     isotropy_dim: int
 
 
-def genericity_test(space: PseudoEuclideanSpace, A, rtol: float = RANK_RTOL) -> GenericityResult:
+def genericity_test(space: PseudoEuclideanSpace, A) -> GenericityResult:
     """Decide whether A has trivial centralizer inside the isometry algebra.
 
     The linear map B -> [A, B] is restricted to the m(m-1)/2-dimensional
     algebra of infinitesimal isometries; A is generic when this map is
     injective. The rank is computed from the SVD of the stacked commutators
-    with a relative cutoff. Non-self-adjoint input is rejected since the
-    commutator map only lands in the right space for self-adjoint A.
+    with the relative cutoff RANK_RTOL. Non-self-adjoint input is rejected
+    since the commutator map only lands in the right space for self-adjoint
+    A.
     """
     A = _as_matrix(A)
     check = validate_A(space, A)
@@ -164,7 +166,7 @@ def genericity_test(space: PseudoEuclideanSpace, A, rtol: float = RANK_RTOL) -> 
         return GenericityResult(0, 0, np.zeros(0), True, 0)
     cols = np.column_stack([(A @ B - B @ A).ravel() for B in basis])
     sv = np.linalg.svd(cols, compute_uv=False)
-    rank = int(np.sum(sv > rtol * sv[0])) if sv[0] > 0 else 0
+    rank = int(np.sum(sv > RANK_RTOL * sv[0])) if sv[0] > 0 else 0
     return GenericityResult(
         rank=rank,
         expected_rank=expected,
@@ -174,10 +176,10 @@ def genericity_test(space: PseudoEuclideanSpace, A, rtol: float = RANK_RTOL) -> 
     )
 
 
-def nilpotent_order(A, rtol: float = 1e-10) -> Optional[int]:
+def nilpotent_order(A) -> Optional[int]:
     """Smallest k with A^k numerically zero, or None if A is not nilpotent.
 
-    Powers of the max-norm-normalized matrix are compared against rtol, which
+    Powers of the max-norm-normalized matrix are compared against 1e-10, which
     keeps the test scale invariant. Only exponents up to dim V matter.
     """
     A = _as_matrix(A)
@@ -189,7 +191,7 @@ def nilpotent_order(A, rtol: float = 1e-10) -> Optional[int]:
     P = A / norm
     for k in range(1, m + 1):
         P_k = np.linalg.matrix_power(P, k)
-        if float(np.max(np.abs(P_k))) <= rtol:
+        if float(np.max(np.abs(P_k))) <= 1e-10:
             return k
     return None
 
@@ -289,16 +291,15 @@ def scaling_isometry(space: PseudoEuclideanSpace, fit: FitBasis, q: float,
     return P @ np.diag(d) @ np.linalg.inv(P)
 
 
-def random_self_adjoint(space: PseudoEuclideanSpace, rng: np.random.Generator,
-                        traceless: bool = True) -> np.ndarray:
-    """Random self-adjoint endomorphism, entries of the symbol ~ N(0,1)."""
+def random_self_adjoint(space: PseudoEuclideanSpace,
+                        rng: np.random.Generator) -> np.ndarray:
+    """Random traceless self-adjoint endomorphism: gram^-1 s with s a
+    symmetric N(0,1) matrix, minus its trace part."""
     m = space.dim
     s = rng.standard_normal((m, m))
     s = 0.5 * (s + s.T)
     M = space.gram_inv @ s
-    if traceless:
-        M = M - (np.trace(M) / m) * np.eye(m)
-    return M
+    return M - (np.trace(M) / m) * np.eye(m)
 
 
 def density_experiment(space: PseudoEuclideanSpace, A, scale: float,

@@ -5,13 +5,15 @@ Solutions of the V-valued linear ODE
     u''(t) = f(t) u(t) + A u(t)
 
 form a 2m-dimensional space E, represented here by Cauchy data
-(value, derivative) at a base time. The pairing
+(value, derivative) at the model's base time, `default_base_t()`. The
+pairing
 
     Omega(u, w) = <u'(t), w(t)> - <u(t), w'(t)>
 
 is independent of t (differentiate and use self-adjointness of f + A), is
-nondegenerate, and makes E a symplectic vector space. The associated
-Heisenberg group R x E with product
+nondegenerate, and makes E a symplectic vector space. Since Omega does not
+depend on t, the base time is only a choice of representation, and each
+model makes it once. The associated Heisenberg group R x E with product
 
     (r, u)(r', u') = (r + r' - Omega(u, u'), u + u')
 
@@ -22,18 +24,18 @@ in isometry_group.
 Propagation uses the fundamental matrix of the first-order system,
 integrated with a high-order adaptive scheme and dense output over fixed
 segments on either side of the base time. The segment edges depend only on
-the model interval and the base time, so a query's answer never depends on
-the queries before it. Flows are cached on the model instance and shared by
-everything that uses the model. `SolutionE.at` takes a time or an array of
-times and makes one `CauchyFlow.matrix` lookup per time; callers that need
-u at many times pass them in one array.
+the model, so a query's answer never depends on the queries before it. Each
+model has one flow, built on first use and shared by everything that uses
+the model. `SolutionE.at` takes a time or an array of times and makes one
+`CauchyFlow.matrix` lookup per time; callers that need u at many times pass
+them in one array.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -63,19 +65,19 @@ def _check_t(model: ModelManifold, t: float) -> float:
 class CauchyFlow:
     """Fundamental solution Phi(t <- t0) of u'' = (f + A) u.
 
-    Phi(t) is the 2m x 2m matrix sending Cauchy data (value, deriv) at t0 to
-    Cauchy data at t. Each direction from t0 is cut into fixed segments:
-    toward an infinite end the distance from t0 doubles (1, 2, 4, ...),
-    toward a finite end the distance left to it halves, down to the endpoint
-    barrier. A segment is integrated once, on first use, from the end state
-    of the segment before it. A query is a bisect over the segment ends and
-    one dense-output evaluation, so matrix(t) is the same whatever was
-    queried before.
+    Phi(t) is the 2m x 2m matrix sending Cauchy data (value, deriv) at the
+    model's base time t0 = base_t to Cauchy data at t. Each direction from
+    t0 is cut into fixed segments: toward an infinite end the distance from
+    t0 doubles (1, 2, 4, ...), toward a finite end the distance left to it
+    halves, down to the endpoint barrier. A segment is integrated once, on
+    first use, from the end state of the segment before it. A query is a
+    bisect over the segment ends and one dense-output evaluation, so
+    matrix(t) is the same whatever was queried before.
     """
 
-    def __init__(self, model: ModelManifold, base_t: float):
+    def __init__(self, model: ModelManifold):
         self.model = model
-        self.base_t = _check_t(model, base_t)
+        self.base_t = _check_t(model, model.default_base_t())
         self.m = model.m
         # Per direction (+1 forward, -1 backward): sign * t at the end of each
         # integrated segment, and the segment's dense solution.
@@ -123,29 +125,23 @@ class CauchyFlow:
         return sols[i].sol(t).reshape(n, n)
 
 
-def flow(model: ModelManifold, base_t: Optional[float] = None) -> CauchyFlow:
-    """The cached fundamental flow of the model at the given base time."""
-    if base_t is None:
-        base_t = model.default_base_t()
-    key = float(base_t)
-    fl = model._flows.get(key)
-    if fl is None:
-        fl = CauchyFlow(model, key)
-        model._flows[key] = fl
-    return fl
+def flow(model: ModelManifold) -> CauchyFlow:
+    """The fundamental flow of the model, built on first use."""
+    if model._flow is None:
+        model._flow = CauchyFlow(model)
+    return model._flow
 
 
 @dataclass
 class SolutionE:
-    """An element of E as Cauchy data (value, deriv) at base_t."""
+    """An element of E as Cauchy data (value, deriv) at the model's base
+    time."""
 
     model: ModelManifold
-    base_t: float
     value: np.ndarray
     deriv: np.ndarray
 
     def __post_init__(self):
-        self.base_t = float(self.base_t)
         self.value = np.asarray(self.value, dtype=float).reshape(-1)
         self.deriv = np.asarray(self.deriv, dtype=float).reshape(-1)
         if self.value.shape != (self.model.m,) or self.deriv.shape != (self.model.m,):
@@ -155,23 +151,23 @@ class SolutionE:
         return np.concatenate([self.value, self.deriv])
 
     @staticmethod
-    def from_data(model: ModelManifold, base_t: float, data) -> "SolutionE":
+    def from_data(model: ModelManifold, data) -> "SolutionE":
         data = np.asarray(data, dtype=float).reshape(-1)
         m = model.m
-        return SolutionE(model, base_t, data[:m], data[m:])
+        return SolutionE(model, data[:m], data[m:])
 
     def __add__(self, other: "SolutionE") -> "SolutionE":
-        _same_base(self, other)
-        return SolutionE(self.model, self.base_t,
-                         self.value + other.value, self.deriv + other.deriv)
+        _same_model(self, other)
+        return SolutionE(self.model, self.value + other.value,
+                         self.deriv + other.deriv)
 
     def __sub__(self, other: "SolutionE") -> "SolutionE":
-        _same_base(self, other)
-        return SolutionE(self.model, self.base_t,
-                         self.value - other.value, self.deriv - other.deriv)
+        _same_model(self, other)
+        return SolutionE(self.model, self.value - other.value,
+                         self.deriv - other.deriv)
 
     def scaled(self, a: float) -> "SolutionE":
-        return SolutionE(self.model, self.base_t, a * self.value, a * self.deriv)
+        return SolutionE(self.model, a * self.value, a * self.deriv)
 
     def at(self, t) -> tuple[np.ndarray, np.ndarray]:
         """(u(t), u'(t)) by propagating the Cauchy data.
@@ -180,7 +176,7 @@ class SolutionE:
         (...) -> (..., m). Each time is one scalar CauchyFlow.matrix lookup,
         so an entry is bit-identical to asking for its time alone.
         """
-        fl = flow(self.model, self.base_t)
+        fl = flow(self.model)
         t = np.asarray(t, dtype=float)
         d = self.data()
         data = np.array([fl.matrix(x) @ d for x in t.ravel()])
@@ -189,23 +185,19 @@ class SolutionE:
         return data[..., :m], data[..., m:]
 
 
-def _same_base(u: SolutionE, w: SolutionE):
+def _same_model(u: SolutionE, w: SolutionE):
     if u.model is not w.model:
         raise ValueError("solutions belong to different models")
-    if u.base_t != w.base_t:
-        raise ValueError("solutions carry Cauchy data at different base times")
 
 
-def zero_solution(model: ModelManifold, base_t: Optional[float] = None) -> SolutionE:
-    if base_t is None:
-        base_t = model.default_base_t()
+def zero_solution(model: ModelManifold) -> SolutionE:
     m = model.m
-    return SolutionE(model, base_t, np.zeros(m), np.zeros(m))
+    return SolutionE(model, np.zeros(m), np.zeros(m))
 
 
 def omega(u: SolutionE, w: SolutionE) -> float:
-    """Symplectic pairing <u', w> - <u, w'>, evaluated at the shared base."""
-    _same_base(u, w)
+    """Symplectic pairing <u', w> - <u, w'>, evaluated at the base time."""
+    _same_model(u, w)
     gram = u.model.space.gram
     return float(u.deriv @ gram @ w.value - u.value @ gram @ w.deriv)
 
@@ -241,12 +233,7 @@ def omega_drift(u: SolutionE, w: SolutionE, ts: Iterable[float]) -> float:
     return worst
 
 
-def random_solution(model: ModelManifold, rng: np.random.Generator,
-                    base_t: Optional[float] = None, scale: float = 1.0) -> SolutionE:
-    if base_t is None:
-        base_t = model.default_base_t()
+def random_solution(model: ModelManifold, rng: np.random.Generator) -> SolutionE:
     m = model.m
-    return SolutionE(model, base_t,
-                     scale * rng.standard_normal(m),
-                     scale * rng.standard_normal(m))
+    return SolutionE(model, rng.standard_normal(m), rng.standard_normal(m))
 

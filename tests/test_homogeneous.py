@@ -43,7 +43,7 @@ from ecs_lab.isometry_group import (
     pullback_residual,
 )
 from ecs_lab.model_geometry import random_chart_point
-from ecs_lab.solution_space import zero_solution
+from ecs_lab.solution_space import flow
 
 GRID = [(2, 0.3), (2, 1.5), (3, 0.25), (3, 0.7j)]
 
@@ -118,7 +118,7 @@ class TestGeneratorB:
     def test_closed_form_needs_no_flow(self):
         hm = model_for(3, 1.5)
         generator_matrix(hm)
-        assert not hm.model._flows
+        assert hm.model._flow is None
 
     def test_trace_checksum(self):
         for m, c in GRID:
@@ -403,8 +403,7 @@ class TestStandardSpace:
 
     def test_base_anchored_at_one(self):
         hm = model_for(2, 0.3)
-        assert hm.base_t == 1.0
-        assert zero_solution(hm.model).base_t == 1.0
+        assert flow(hm.model).base_t == 1.0
 
 
 class TestNormalizeToStandard:

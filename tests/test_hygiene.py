@@ -1,5 +1,6 @@
-"""Source hygiene: every module of the package (except its export list in
-__init__.py) and of the test suite references each name it imports.
+"""Source hygiene: every Python file of the package (except its export list
+in __init__.py), of the test suite, of its oracle generators and of the
+benchmark references each name it imports.
 
 The scan uses only the standard library's ast, so it needs no linter.
 """
@@ -12,7 +13,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(
     [p for p in (ROOT / "src" / "ecs_lab").glob("*.py") if p.name != "__init__.py"]
-    + list((ROOT / "tests").glob("*.py")))
+    + [p for d in ("tests", "tests/oracles", "bench") for p in (ROOT / d).glob("*.py")])
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:

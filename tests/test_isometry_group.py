@@ -108,15 +108,15 @@ class TestSigmaAction:
 
     def test_matrix_matches_action(self, roster):
         # the matrix against the formula at the base time: C u(src) and
-        # C u'(src) / q with src = (base_t - p) / q
+        # C u'(src) / q with src = (t0 - p) / q, t0 the model's base time
         rng = np.random.default_rng(52)
         hm = roster[1].hm
         model = hm.model
         elem = hm.dilation(1.7)
-        M = sigma_matrix(model, elem, hm.base_t)
+        M = sigma_matrix(model, elem)
         for _ in range(5):
             u = random_solution(model, rng)
-            uv, ud = u.at((hm.base_t - elem.p) / elem.q)
+            uv, ud = u.at((model.default_base_t() - elem.p) / elem.q)
             expected = np.concatenate([elem.C @ uv, elem.C @ ud / elem.q])
             assert np.max(np.abs(M @ u.data() - expected)) < 1e-10
 

@@ -17,9 +17,11 @@ from ecs_lab.homogeneous import HomogeneousModel, generator_matrix
 from ecs_lab.isometry_group import (
     IsoElement,
     SElement,
+    iso_apply,
     iso_compose,
     iso_identity,
     iso_inverse,
+    sigma_matrix,
 )
 from ecs_lab.model_geometry import (
     HomogeneousProfile,
@@ -28,6 +30,7 @@ from ecs_lab.model_geometry import (
 )
 from ecs_lab.pseudo_linear import PseudoEuclideanSpace
 from ecs_lab.solution_space import (
+    CauchyFlow,
     SolutionE,
     flow,
     omega,
@@ -55,7 +58,7 @@ class TestClosedForms:
     def test_euler_growing_branch(self):
         # u(t) = t^2 e1 from data (1, 0; 2, 0) at t0 = 1
         model = scalar_model()
-        u = SolutionE(model, 1.0, [1.0, 0.0], [2.0, 0.0])
+        u = SolutionE(model, [1.0, 0.0], [2.0, 0.0])
         val, der = u.at(2.0)
         assert np.allclose(val, [4.0, 0.0], atol=1e-10)
         assert np.allclose(der, [4.0, 0.0], atol=1e-10)
@@ -63,7 +66,7 @@ class TestClosedForms:
     def test_euler_decaying_branch(self):
         # u(t) = t^{-1} e2 from data (0, 1; 0, -1) at t0 = 1
         model = scalar_model()
-        u = SolutionE(model, 1.0, [0.0, 1.0], [0.0, -1.0])
+        u = SolutionE(model, [0.0, 1.0], [0.0, -1.0])
         val, der = u.at(2.0)
         assert np.allclose(val, [0.0, 0.5], atol=1e-10)
         assert np.allclose(der, [0.0, -0.25], atol=1e-10)
@@ -71,7 +74,7 @@ class TestClosedForms:
     def test_shift_gives_cubics(self):
         # u2 = t forces u1'' = t, so u1 = t^3/6 from zero data
         model = shift_only_model()
-        u = SolutionE(model, 0.0, [0.0, 0.0], [0.0, 1.0])
+        u = SolutionE(model, [0.0, 0.0], [0.0, 1.0])
         val, der = u.at(3.0)
         assert np.allclose(val, [4.5, 3.0], atol=1e-9)
         assert np.allclose(der, [4.5, 1.0], atol=1e-9)
@@ -79,7 +82,7 @@ class TestClosedForms:
     def test_coupled_homogeneous(self):
         # c = 3/2: u = t^2 e2 + (t^4/10) e1 solves the full coupled system
         hm = HomogeneousModel.standard(2, 1.5)
-        u = SolutionE(hm.model, 1.0, [0.1, 1.0], [0.4, 2.0])
+        u = SolutionE(hm.model, [0.1, 1.0], [0.4, 2.0])
         val, der = u.at(2.0)
         assert np.allclose(val, [1.6, 4.0], atol=1e-9)
         assert np.allclose(der, [3.2, 4.0], atol=1e-9)
@@ -87,7 +90,7 @@ class TestClosedForms:
     def test_power_law_branch(self):
         # c = 0.3: u = t^0.8 e1 (the e1 line is A-invariant trivially)
         hm = HomogeneousModel.standard(2, 0.3)
-        u = SolutionE(hm.model, 1.0, [1.0, 0.0], [0.8, 0.0])
+        u = SolutionE(hm.model, [1.0, 0.0], [0.8, 0.0])
         val, der = u.at(4.0)
         assert abs(val[0] - 4.0 ** 0.8) < 1e-10
         assert abs(val[1]) < 1e-12
@@ -95,7 +98,7 @@ class TestClosedForms:
 
     def test_backward_propagation(self):
         model = scalar_model()
-        u = SolutionE(model, 1.0, [1.0, 0.0], [2.0, 0.0])
+        u = SolutionE(model, [1.0, 0.0], [2.0, 0.0])
         val, der = u.at(0.5)
         assert np.allclose(val, [0.25, 0.0], atol=1e-10)
         assert np.allclose(der, [1.0, 0.0], atol=1e-10)
@@ -104,22 +107,51 @@ class TestClosedForms:
 class TestFlow:
     def test_cached_per_model_and_base(self, roster):
         model = roster[1].model
-        assert flow(model, 1.0) is flow(model, 1.0)
-        assert flow(model, 1.0) is not flow(model, 2.0)
+        assert flow(model) is flow(model)
 
     def test_identity_at_base(self, roster):
         model = roster[1].model
-        assert np.array_equal(flow(model, 1.0).matrix(1.0), np.eye(4))
+        assert np.array_equal(flow(model).matrix(1.0), np.eye(4))
+
+    def test_one_flow_serves_every_lookup(self, monkeypatch):
+        # SolutionE.at, sigma_matrix and iso_apply all look up the one flow
+        # that a model builds, at its base time, on first use.
+        built, used = [], []
+        init, matrix = CauchyFlow.__init__, CauchyFlow.matrix
+
+        def counting_init(self, model):
+            built.append(self)
+            init(self, model)
+
+        def recording_matrix(self, t):
+            used.append(self)
+            return matrix(self, t)
+
+        monkeypatch.setattr(CauchyFlow, "__init__", counting_init)
+        monkeypatch.setattr(CauchyFlow, "matrix", recording_matrix)
+        hm = HomogeneousModel.standard(2, 0.3)     # a fresh model, no flow yet
+        model = hm.model
+        rng = np.random.default_rng(13)
+        g = IsoElement(hm.dilation(1.7), 0.5, random_solution(model, rng))
+        x = np.array([[0.4, 0.1, 0.2, -0.3], [3.0, -0.5, 0.1, 0.6]])
+        for lookup in (lambda: g.u.at(2.0),
+                       lambda: sigma_matrix(model, hm.dilation(0.6)),
+                       lambda: iso_apply(model, g, x)):
+            before = len(used)
+            lookup()
+            assert len(used) > before
+        assert built == [flow(model)]
+        assert all(fl is built[0] for fl in used)
+        assert built[0].base_t == model.default_base_t() == 1.0
 
     def test_flow_is_symplectic(self, roster):
         # Phi^T J Phi = J is the matrix form of Omega conservation
         for entry in roster[:4]:
             model = entry.model
             J = omega_matrix(model)
-            base = model.default_base_t()
             lo, hi = model.compact_window()
             for t in (lo, hi):
-                M = flow(model, base).matrix(t)
+                M = flow(model).matrix(t)
                 assert np.max(np.abs(M.T @ J @ M - J)) < 1e-9
 
     @pytest.mark.parametrize("make,window,pairs", [
@@ -132,18 +164,16 @@ class TestFlow:
     def test_lookup_ignores_query_history(self, make, window, pairs):
         # matrix(b) must not depend on an earlier query at another time a
         rng = np.random.default_rng(11)
-        base = make().default_base_t()
         for _ in range(pairs):
             a, b = rng.uniform(*window, size=2)
             fresh, used = make(), make()
-            flow(used, base).matrix(a)
-            assert np.array_equal(flow(fresh, base).matrix(b),
-                                  flow(used, base).matrix(b))
+            flow(used).matrix(a)
+            assert np.array_equal(flow(fresh).matrix(b), flow(used).matrix(b))
 
     def test_segments_chain_from_base(self):
         # only the first segment of each direction starts at the base time
         model = HomogeneousModel.standard(3, 1.5).model
-        fl = flow(model, 1.0)
+        fl = flow(model)
         fl.matrix(0.3)
         fl.matrix(4.0)
         for sign in (1.0, -1.0):
@@ -165,18 +195,16 @@ class TestFlow:
         for t in (0.05, 0.2, 0.5, 0.9, 1.3, 3.0, 7.0, 20.0):
             C = hm.c_matrix(t)
             exact = np.block([[C, zero], [zero, C / t]]) @ expm(-np.log(t) * B)
-            got = flow(hm.model, 1.0).matrix(t)
+            got = flow(hm.model).matrix(t)
             assert np.max(np.abs(got - exact)) < 1e-9 * np.max(np.abs(exact))
 
     def test_barrier_refuses_endpoint(self, roster):
         model = roster[1].model           # interval (0, inf)
-        u = SolutionE(model, 1.0, [1.0, 0.0], [0.0, 0.0])
+        u = SolutionE(model, [1.0, 0.0], [0.0, 0.0])
         with pytest.raises(ValueError):
             u.at(1e-12)
         with pytest.raises(ValueError):
             u.at(-1.0)
-        with pytest.raises(ValueError):
-            flow(model, 1e-12)
 
 
 class TestOmega:
@@ -193,8 +221,7 @@ class TestOmega:
 
     def test_matches_pairing_on_basis(self, roster):
         model = roster[2].model
-        base = model.default_base_t()
-        bas = [SolutionE.from_data(model, base, e) for e in np.eye(2 * model.m)]
+        bas = [SolutionE.from_data(model, e) for e in np.eye(2 * model.m)]
         J = omega_matrix(model)
         for i, u in enumerate(bas):
             for j, w in enumerate(bas):
@@ -221,13 +248,6 @@ class TestOmega:
             lo, hi = model.compact_window()
             ts = np.linspace(lo, hi, 9)
             assert omega_drift(u, w, ts) < 1e-9
-
-    def test_base_mismatch_rejected(self, roster):
-        model = roster[1].model
-        u = zero_solution(model, 1.0)
-        w = zero_solution(model, 2.0)
-        with pytest.raises(ValueError):
-            omega(u, w)
 
 
 class TestHeisenberg:
@@ -279,9 +299,8 @@ class TestHeisenberg:
     def test_noncommutative(self, roster):
         model = roster[0].model
         eye = np.eye(2 * model.m)
-        base = model.default_base_t()
-        a = self.element(model, 0.0, SolutionE.from_data(model, base, eye[0]))
-        b = self.element(model, 0.0, SolutionE.from_data(model, base, eye[model.m]))
+        a = self.element(model, 0.0, SolutionE.from_data(model, eye[0]))
+        b = self.element(model, 0.0, SolutionE.from_data(model, eye[model.m]))
         ab = iso_compose(model, a, b)
         ba = iso_compose(model, b, a)
         assert abs(ab.r - ba.r) > 0.5
@@ -292,7 +311,7 @@ class TestSolutionArithmetic:
         model = roster[2].model
         rng = np.random.default_rng(31)
         data = rng.standard_normal(2 * model.m)
-        u = SolutionE.from_data(model, 1.5, data)
+        u = SolutionE.from_data(model, data)
         assert np.array_equal(u.data(), data)
 
     def test_linear_combinations_propagate_linearly(self, roster):
@@ -311,11 +330,11 @@ class TestSolutionArithmetic:
     def test_wrong_dimension_rejected(self, roster):
         model = roster[0].model
         with pytest.raises(ValueError):
-            SolutionE(model, 1.0, [1.0, 2.0, 3.0], [0.0, 0.0])
+            SolutionE(model, [1.0, 2.0, 3.0], [0.0, 0.0])
 
     def test_cross_model_arithmetic_rejected(self, roster):
-        u = zero_solution(roster[0].model, 1.0)
-        w = zero_solution(roster[1].model, 1.0)
+        u = zero_solution(roster[0].model)
+        w = zero_solution(roster[1].model)
         with pytest.raises(ValueError):
             _ = u + w
 
