@@ -95,7 +95,10 @@ from .model_geometry import (
     ModelManifold,
     ProfileF,
     PseudoEuclideanSpace,
+    _finite_list,
+    _is_finite,
     curvature_at,
+    curvature_identity_residuals,
     christoffel_pattern_residual,
     nabla_riemann_norm,
     olszak_span_check,
@@ -105,7 +108,6 @@ from .model_geometry import (
     weyl_nonzero_norm,
     weyl_tidal_operator,
 )
-from .model_geometry import curvature_identity_residuals
 from .solution_space import omega, random_solution
 
 SCHEMA_VERSION = "1"
@@ -252,10 +254,30 @@ def _decode_interval(raw) -> tuple[float, float]:
     return (lo, hi)
 
 
+# The keys a scenario and its model object may carry; any other is rejected.
+SCENARIO_KEYS = {"schema_version", "seed", "model", "tasks", "tolerances"}
+MODEL_KEYS = {"gram", "A", "profile", "interval"}
+
+
+def _reject_unknown(obj: dict, allowed: set, where: str):
+    unknown = set(obj) - allowed
+    if unknown:
+        raise ScenarioError(f"unknown keys {sorted(unknown)} in {where}")
+
+
+def _matrix(spec: dict, key: str) -> np.ndarray:
+    """A model matrix: a list of rows of finite JSON numbers."""
+    raw = spec[key]
+    if not isinstance(raw, list) or not all(_finite_list(row) for row in raw):
+        raise ValueError(f"{key} must be a list of rows of finite numbers")
+    return np.asarray(raw, dtype=float)
+
+
 def build_model(spec: dict) -> ModelManifold:
+    _reject_unknown(spec, MODEL_KEYS, "the model")
     try:
-        gram = np.asarray(spec["gram"], dtype=float)
-        A = np.asarray(spec["A"], dtype=float)
+        gram = _matrix(spec, "gram")
+        A = _matrix(spec, "A")
         profile = ProfileF.from_dict(spec["profile"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"bad model description: {exc}") from exc
@@ -285,6 +307,7 @@ class Scenario:
             raise ScenarioError(f"scenario is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ScenarioError("scenario must be a JSON object")
+        _reject_unknown(raw, SCENARIO_KEYS, "the scenario")
         version = str(raw.get("schema_version", SCHEMA_VERSION))
         if version != SCHEMA_VERSION:
             raise ScenarioError(f"unsupported schema_version {version!r}")
@@ -298,10 +321,8 @@ class Scenario:
                 raise ScenarioError("each task entry needs a 'task' name")
             if entry["task"] not in TASK_RUNNERS:
                 raise ScenarioError(f"unknown task {entry['task']!r}")
-            unknown = set(entry) - TASK_KEYS[entry["task"]] - {"task"}
-            if unknown:
-                raise ScenarioError(f"unknown keys {sorted(unknown)} in task "
-                                    f"{entry['task']!r}")
+            _reject_unknown(entry, TASK_KEYS[entry["task"]] | {"task"},
+                            f"task {entry['task']!r}")
         seed = raw.get("seed", 0) if seed_override is None else seed_override
         if not _is_int(seed) or seed < 0:
             raise ScenarioError(f"seed must be a nonnegative integer, got {seed!r}")
@@ -328,12 +349,6 @@ def _require_homogeneous(model: ModelManifold, task: str) -> HomogeneousModel:
 def _is_int(value) -> bool:
     """A JSON integer; JSON true and false are not counts."""
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_finite(value) -> bool:
-    """A JSON number of finite float value (not a bool, string or NaN)."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) \
-        and abs(value) <= sys.float_info.max
 
 
 def _count(params: dict, key: str, default: int, least: int = 1) -> int:
@@ -366,45 +381,44 @@ def task_verify_model(model: ModelManifold, params: dict, tol: Tolerances,
                       "validate.structure",
                       max(res["self_adjoint_residual"], res["trace_residual"]),
                       detail=res)]
-    worst = {
-        "ricci": 0.0, "scalar": 0.0, "weyl_par": 0.0, "leaf": 0.0,
-        "tidal": 0.0, "olszak": 0.0, "bianchi": 0.0,
-    }
-    least = {"riemann_par": float("inf"), "weyl": float("inf")}
+    norms, residuals, olszak, identities = [], [], [], []
     for _ in range(points):
         pt = random_chart_point(model, rng)
         pack = curvature_at(model, pt)
-        worst["ricci"] = max(worst["ricci"], ricci_profile_residual(model, pt, pack))
-        worst["scalar"] = max(worst["scalar"], abs(pack.scalar))
-        worst["weyl_par"] = max(worst["weyl_par"], parallel_weyl_residual(pack))
-        worst["leaf"] = max(worst["leaf"], christoffel_pattern_residual(pack))
-        worst["tidal"] = max(worst["tidal"], float(np.max(np.abs(
-            weyl_tidal_operator(model, pt, pack) - model.A))))
-        ol = olszak_span_check(pack)
-        worst["olszak"] = max(worst["olszak"], max(ol.values()))
-        idn = curvature_identity_residuals(pack)
-        worst["bianchi"] = max(worst["bianchi"], max(idn.values()))
-        least["riemann_par"] = min(least["riemann_par"], nabla_riemann_norm(pack))
-        least["weyl"] = min(least["weyl"], weyl_nonzero_norm(pack))
+        norms.append((nabla_riemann_norm(pack), weyl_nonzero_norm(pack)))
+        residuals.append((
+            ricci_profile_residual(model, pt, pack),
+            abs(pack.scalar),
+            parallel_weyl_residual(pack),
+            christoffel_pattern_residual(pack),
+            float(np.max(np.abs(weyl_tidal_operator(model, pt, pack) - model.A))),
+        ))
+        olszak.append(list(olszak_span_check(pack).values()))
+        identities.append(list(curvature_identity_residuals(pack).values()))
+    # NumPy's max and min propagate NaN, so a point whose curvature overflows
+    # fails its rows instead of dropping out of the fold.
+    riemann_par, weyl = np.min(norms, axis=0)
+    ricci, scalar, weyl_par, leaf, tidal = np.max(residuals, axis=0)
+    olszak, bianchi = np.max(olszak), np.max(identities)
     rows.extend([
         tol.check("verify-model", f"Ricci = (2-n) f dt^2 over {points} points",
-                  "curvature.ricci-profile", worst["ricci"]),
+                  "curvature.ricci-profile", ricci),
         tol.check("verify-model", "scalar curvature vanishes",
-                  "curvature.scalar-zero", worst["scalar"]),
+                  "curvature.scalar-zero", scalar),
         tol.check("verify-model", "Weyl tensor is parallel",
-                  "curvature.parallel-weyl", worst["weyl_par"]),
+                  "curvature.parallel-weyl", weyl_par),
         tol.check("verify-model", "Riemann tensor is not parallel",
-                  "curvature.nonparallel-riemann", least["riemann_par"]),
+                  "curvature.nonparallel-riemann", riemann_par),
         tol.check("verify-model", "Weyl tensor does not vanish",
-                  "curvature.weyl-nonzero", least["weyl"]),
+                  "curvature.weyl-nonzero", weyl),
         tol.check("verify-model", "leafwise Christoffel symbols vanish",
-                  "curvature.leaf-christoffel", worst["leaf"]),
+                  "curvature.leaf-christoffel", leaf),
         tol.check("verify-model", "tidal operator recovers A",
-                  "curvature.tidal-endomorphism", worst["tidal"]),
+                  "curvature.tidal-endomorphism", tidal),
         tol.check("verify-model", "null parallel line spanned by d/ds",
-                  "curvature.olszak-line", worst["olszak"]),
+                  "curvature.olszak-line", olszak),
         tol.check("verify-model", "curvature symmetries and Bianchi identities",
-                  "curvature.bianchi", worst["bianchi"]),
+                  "curvature.bianchi", bianchi),
     ])
     return rows
 

@@ -34,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .model_geometry import HomogeneousProfile, ModelManifold
 from .pseudo_linear import (
@@ -132,6 +131,8 @@ def _match_multisets(predicted: np.ndarray, computed: np.ndarray) -> float:
     """Best-bijection matching error between two eigenvalue lists, measured
     relative to |predicted| above unit scale and absolutely below it (a
     predicted eigenvalue of exactly 0 is matched by absolute error)."""
+    from scipy.optimize import linear_sum_assignment
+
     pr = np.asarray(predicted, dtype=complex)
     co = np.asarray(computed, dtype=complex)
     scale = np.maximum(np.abs(pr)[:, None], 1.0)

@@ -25,7 +25,9 @@ tensor in its fully lowered form.
 
 from __future__ import annotations
 
+import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
@@ -41,11 +43,28 @@ _INF = float("inf")
 # profile functions
 # ---------------------------------------------------------------------------
 
+def _is_finite(value) -> bool:
+    """A JSON number of finite float value (not a bool, string or NaN)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and abs(value) <= sys.float_info.max
+
+
+def _finite_list(value, length: Optional[int] = None) -> bool:
+    """A JSON list of finite numbers, of the given length if one is given."""
+    return isinstance(value, list) and all(_is_finite(x) for x in value) \
+        and (length is None or len(value) == length)
+
+
+# The one data key of each profile kind besides "kind".
+_PROFILE_KEYS = {"homogeneous": "c", "polynomial": "coefficients",
+                 "sum-of-powers": "terms", "sum_of_powers": "terms"}
+
+
 class ProfileF:
     """Base class for the curvature profile f.
 
     Subclasses provide value(t) and derivative(t, order), both vectorized
-    over t, plus JSON-friendly serialization. natural_interval() is the
+    over t; from_dict reads the scenario form. natural_interval() is the
     largest interval on which the formula is smooth ((0, inf) for the
     singular kinds, all of R for polynomials).
     """
@@ -77,17 +96,41 @@ class ProfileF:
 
     @staticmethod
     def from_dict(d: dict) -> "ProfileF":
+        """The profile of a scenario's `profile` object. Raises ValueError on
+        an unknown kind, a missing or unknown key, or a value not of the
+        documented form: `c` a number, a string such as "0.7j" or
+        [re, im]; `coefficients` a list of numbers; `terms` a list of
+        [coeff, power] pairs."""
+        if not isinstance(d, dict):
+            raise ValueError(f"profile must be a JSON object, got {d!r}")
         kind = d.get("kind")
+        key = _PROFILE_KEYS.get(kind) if isinstance(kind, str) else None
+        if key is None:
+            raise ValueError(f"unknown profile kind: {kind!r}")
+        unknown = set(d) - {"kind", key}
+        if unknown:
+            raise ValueError(f"unknown keys {sorted(unknown)} in a {kind} profile")
+        if key not in d:
+            raise ValueError(f"a {kind} profile needs {key!r}")
+        value = d[key]
         if kind == "homogeneous":
-            c = d["c"]
-            if isinstance(c, (list, tuple)):
-                c = complex(c[0], c[1])
-            return HomogeneousProfile(c)
+            if isinstance(value, str):
+                return HomogeneousProfile(complex(value))
+            if _is_finite(value):
+                return HomogeneousProfile(value)
+            if _finite_list(value, 2):
+                return HomogeneousProfile(complex(*value))
+            raise ValueError(f"c must be a number, a string such as '0.7j' or "
+                             f"[re, im], got {value!r}")
         if kind == "polynomial":
-            return PolynomialProfile(d["coefficients"])
-        if kind in ("sum_of_powers", "sum-of-powers"):
-            return SumOfPowersProfile([tuple(term) for term in d["terms"]])
-        raise ValueError(f"unknown profile kind: {kind!r}")
+            if not _finite_list(value):
+                raise ValueError(f"coefficients must be a list of finite numbers, "
+                                 f"got {value!r}")
+            return PolynomialProfile(value)
+        if not isinstance(value, list) or not all(_finite_list(t, 2) for t in value):
+            raise ValueError(f"terms must be a list of [coeff, power] pairs of "
+                             f"finite numbers, got {value!r}")
+        return SumOfPowersProfile([tuple(term) for term in value])
 
 
 class HomogeneousProfile(ProfileF):
@@ -101,6 +144,8 @@ class HomogeneousProfile(ProfileF):
 
     def __init__(self, c):
         c = complex(c)
+        if not cmath.isfinite(c):
+            raise ValueError(f"c must be finite, got {c}")
         if min(abs(c.real), abs(c.imag)) > 1e-12 * max(1.0, abs(c)):
             raise ValueError("c must be real or purely imaginary (c^2 real)")
         if abs(c.imag) <= 1e-12 * max(1.0, abs(c)):
@@ -108,7 +153,10 @@ class HomogeneousProfile(ProfileF):
         else:
             c = complex(0.0, abs(c.imag))
         self.c = c
-        self.h = (c ** 2).real - 0.25
+        # c^2 by products, so an overflow is inf rather than an exception
+        self.h = c.real * c.real - c.imag * c.imag - 0.25
+        if not math.isfinite(self.h):
+            raise ValueError(f"c^2 must be finite, got c = {c}")
 
     def value(self, t):
         return self.h / np.asarray(t) ** 2
@@ -137,6 +185,8 @@ class PolynomialProfile(ProfileF):
         self.coefficients = np.asarray(coefficients, dtype=float)
         if self.coefficients.ndim != 1 or self.coefficients.size == 0:
             raise ValueError("coefficients must be a nonempty 1-d sequence")
+        if not np.all(np.isfinite(self.coefficients)):
+            raise ValueError("coefficients must be finite")
         # Metric jets and the Christoffel symbols ask for orders 1-3 on every
         # call; value_slope serves the ODE right-hand sides.
         self._derived = {k: np.polynomial.polynomial.polyder(self.coefficients, m=k)
@@ -173,6 +223,8 @@ class SumOfPowersProfile(ProfileF):
         self.terms = [(float(a), float(e)) for a, e in terms]
         if not self.terms:
             raise ValueError("need at least one term")
+        if not all(math.isfinite(a) and math.isfinite(e) for a, e in self.terms):
+            raise ValueError("terms must be finite")
 
     def value(self, t):
         t = np.asarray(t, dtype=float)

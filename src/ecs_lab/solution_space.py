@@ -29,6 +29,11 @@ model has one flow, built on first use and shared by everything that uses
 the model. `SolutionE.at` takes a time or an array of times and makes one
 `CauchyFlow.matrix` lookup per time; callers that need u at many times pass
 them in one array.
+
+This module also owns `solve_ivp`, the one integrator name of the package:
+it imports SciPy's integrator on its first call, so importing the package
+and checks that integrate nothing (curvature) never load it, and the
+geodesics module imports the name from here.
 """
 
 from __future__ import annotations
@@ -38,7 +43,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .model_geometry import ModelManifold
 
@@ -48,6 +52,18 @@ ENDPOINT_BARRIER = 1e-8
 
 _RTOL = 1e-13
 _ATOL = 1e-13
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported on the first integration.
+
+    Both ODE modules call this module-level name at call time, so replacing
+    it (on this module and on geodesics, which binds it on import) swaps
+    the integrator for every flow, geodesic, variation and null geodesic.
+    """
+    from scipy.integrate import solve_ivp
+
+    return solve_ivp(*args, **kwargs)
 
 
 def _check_t(model: ModelManifold, t: float) -> float:

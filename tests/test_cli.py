@@ -251,6 +251,102 @@ class TestExitCodes:
         code, _ = run_cli(tmp_path, payload)
         assert code == 2 and not ran
 
+    @pytest.mark.parametrize("profile", [
+        {"kind": "homogeneous", "c": float("nan")},
+        {"kind": "homogeneous", "c": [float("nan"), 0.0]},
+        {"kind": "homogeneous", "c": "nan"},
+        {"kind": "homogeneous", "c": "1e999j"},
+        {"kind": "homogeneous", "c": 1e200},
+        {"kind": "homogeneous", "c": [1.5]},
+        {"kind": "homogeneous", "c": [1.5, 0, 7]},
+        {"kind": "homogeneous", "c": [1.5, "0"]},
+        {"kind": "homogeneous", "c": True},
+        {"kind": "homogeneous", "c": "abc"},
+        {"kind": "homogeneous", "c": None},
+        {"kind": "homogeneous"},
+        {"kind": "polynomial", "coefficients": [0.0, float("nan")]},
+        {"kind": "polynomial", "coefficients": [0, 1e999]},
+        {"kind": "polynomial", "coefficients": ["0", "1"]},
+        {"kind": "polynomial", "coefficients": [False, True]},
+        {"kind": "polynomial", "coefficients": 1.0},
+        {"kind": "sum-of-powers", "terms": [[1.0, float("nan")]]},
+        {"kind": "sum-of-powers", "terms": [[1.0]]},
+        {"kind": "sum-of-powers", "terms": [[1.0, 1.0, 2.0]]},
+        {"kind": "sum-of-powers", "terms": [1.0, 1.0]},
+        {"kind": ["polynomial"], "coefficients": [0.0, 1.0]},
+        3, None, [0.3],
+    ])
+    def test_bad_profile_is_two(self, tmp_path, profile):
+        # NaN values used to pass with every "below" row at 0.0 (and hang a
+        # geodesic task); short or long c, overflowing coefficients and a
+        # non-object profile used to exit 3 or be accepted
+        payload = copy.deepcopy(HOMOGENEOUS)
+        payload["model"]["profile"] = profile
+        payload["tasks"] = [{"task": "verify-model", "points": 2},
+                            {"task": "geodesic", "count": 2, "tau": 1.0}]
+        code, report = run_cli(tmp_path, payload)
+        assert code == 2 and report is None
+
+    def test_overflowing_curvature_fails_its_rows(self, tmp_path):
+        # finite coefficients whose curvature overflows: NaN residuals fail
+        # their rows instead of dropping out of the worst-case fold
+        payload = copy.deepcopy(HOMOGENEOUS)
+        payload["model"]["profile"] = {"kind": "polynomial",
+                                       "coefficients": [0, 1e300, 0, 1e300]}
+        payload["tasks"] = [{"task": "verify-model", "points": 3}]
+        with np.errstate(all="ignore"):
+            code, report = run_cli(tmp_path, payload)
+        failed = {row["anchor"] for row in report["checks"] if not row["pass"]}
+        assert code == 1
+        assert {"curvature.parallel-weyl", "curvature.nonparallel-riemann",
+                "curvature.weyl-nonzero"} <= failed
+
+    @pytest.mark.parametrize("profile", [
+        {"kind": "homogeneous", "c": 0.3},
+        {"kind": "homogeneous", "c": "0.7j"},
+        {"kind": "homogeneous", "c": [0.0, 0.7]},
+        {"kind": "polynomial", "coefficients": [0, 1, 0, 0.1]},
+        {"kind": "sum-of-powers", "terms": [[1.0, 1.0], [2, -2]]},
+    ])
+    def test_documented_profile_forms_are_accepted(self, tmp_path, profile):
+        payload = copy.deepcopy(HOMOGENEOUS)
+        payload["model"]["profile"] = profile
+        payload["tasks"] = [{"task": "verify-model", "points": 2},
+                            {"task": "geodesic", "count": 2, "tau": 1.0}]
+        code, report = run_cli(tmp_path, payload)
+        assert code == 0 and report["summary"]["failed"] == 0
+
+    @pytest.mark.parametrize("key,value", [
+        ("gram", [["0", "1"], ["1", "0"]]),
+        ("gram", [[float("nan"), 1.0], [1.0, 0.0]]),
+        ("gram", [0.0, 1.0]),
+        ("A", [[False, True], [False, False]]),
+        ("A", [[0.0, float("inf")], [0.0, 0.0]]),
+        ("A", "[[0, 1], [0, 0]]"),
+    ])
+    def test_bad_model_matrix_is_two(self, tmp_path, key, value):
+        payload = copy.deepcopy(HOMOGENEOUS)
+        payload["model"][key] = value
+        code, _ = run_cli(tmp_path, payload)
+        assert code == 2
+
+    @pytest.mark.parametrize("where,key,value", [
+        ("scenario", "tolerance", {"geodesic.energy": 1e-30}),
+        ("scenario", "task", "verify-model"),
+        ("model", "intervall", [0, None]),
+        ("model", "c", 0.3),
+        ("profile", "coefficients", [0.0, 1.0]),
+        ("profile", "C", 0.3),
+    ])
+    def test_unknown_key_is_two(self, tmp_path, where, key, value):
+        # a misspelled "tolerance" used to run with the default budgets
+        payload = copy.deepcopy(HOMOGENEOUS)
+        target = {"scenario": payload, "model": payload["model"],
+                  "profile": payload["model"]["profile"]}[where]
+        target[key] = value
+        code, report = run_cli(tmp_path, payload)
+        assert code == 2 and report is None
+
     @pytest.mark.parametrize("name", sorted(WITHOUT_DILATIONS))
     def test_model_without_dilations_samples_q_one(self, tmp_path, name):
         payload = copy.deepcopy(HOMOGENEOUS)

@@ -342,6 +342,20 @@ class TestVariationField:
         field = variation_field(model, curve, z0, zdot0, (lo, hi), samples=17)
         assert affine_defect_residual(model, field) < 1e-9
 
+    def test_affine_defect_matches_loop_reference(self, roster):
+        # The array form against the per-(t, s) loop it replaced. They agree
+        # bit for bit here; 1e-15 (a few eps) allows a BLAS that orders the
+        # (f + A) v sums differently.
+        rng = np.random.default_rng(153)
+        for entry in roster:
+            model = entry.model
+            lo, hi = model.compact_window()
+            for _ in range(2):
+                curve, z0, zdot0 = self.seeded_configuration(model, rng)
+                field = variation_field(model, curve, z0, zdot0, (lo, hi))
+                assert affine_defect_residual(model, field) == pytest.approx(
+                    reference_affine_defect_residual(model, field), rel=0, abs=1e-15)
+
     def test_zero_configuration_stays_zero(self, roster):
         model = roster[1].model
         m = model.m
@@ -351,6 +365,23 @@ class TestVariationField:
         assert np.max(np.abs(field.z_s)) < 1e-12
         assert np.max(np.abs(field.z_v)) < 1e-12
         assert terminal_curve_residual(model, field) < 1e-10
+
+
+def reference_affine_defect_residual(model, field):
+    """The loop form of affine_defect_residual: one (t, s) pair at a time."""
+    worst = 0.0
+    scale = 1.0
+    for i, t in enumerate(field.t_grid):
+        fa = model.f_plus_A(t)
+        v_y = field.curve.v(t)
+        vdd_y = field.curve.v(t, 2)
+        base = vdd_y - fa @ v_y
+        zdd_v = fa @ field.z_v[i] + fa @ v_y - vdd_y
+        scale = max(scale, float(np.max(np.abs(base))))
+        for s in np.linspace(-1.0, 2.0, 7):
+            defect = vdd_y + s * zdd_v - fa @ (v_y + s * field.z_v[i])
+            worst = max(worst, float(np.max(np.abs(defect - (1.0 - s) * base))))
+    return worst / scale
 
 
 class TestTransverseNull:

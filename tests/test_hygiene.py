@@ -1,11 +1,16 @@
 """Source hygiene: every Python file of the package (except its export list
 in __init__.py), of the test suite, of its oracle generators and of the
-benchmark references each name it imports.
+benchmark references each name it imports; and the package loads SciPy's
+heavy subpackages only when a task needs them.
 
 The scan uses only the standard library's ast, so it needs no linter.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -52,3 +57,48 @@ def test_scan_resolves_aliases_and_dotted_imports():
         "    return np.zeros(1)\n"
     )
     assert unused_imports(source) == ["Spare (line 4)", "os (line 3)"]
+
+
+# SciPy subpackages that cost most of a cold start. Importing the CLI and a
+# verify-model run load none of them; only integrations, eigenvalue matching
+# and matrix exponentials do, on first use.
+HEAVY_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.special")
+
+_PROBE = """
+import contextlib, io, json, sys
+import ecs_lab.cli as cli
+heavy = {heavy!r}
+after_import = [m for m in heavy if m in sys.modules]
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["run", "--scenario", {scenario!r}, "--report", {report!r}])
+after_run = [m for m in heavy if m in sys.modules]
+print(json.dumps({{"code": code, "after_import": after_import, "after_run": after_run}}))
+"""
+
+
+def _fresh_run(tmp_path, task: dict) -> dict:
+    """Import the CLI and run one task on scenarios/polynomial_m3.json's model
+    in a fresh interpreter; the heavy SciPy subpackages loaded after each."""
+    scenario = json.loads((ROOT / "scenarios" / "polynomial_m3.json").read_text())
+    scenario["tasks"] = [task]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    source = _PROBE.format(heavy=HEAVY_SCIPY, scenario=str(path),
+                           report=str(tmp_path / "report.json"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", source], capture_output=True,
+                          text=True, env=env, check=True)
+    return json.loads(proc.stdout)
+
+
+def test_cli_and_verify_model_load_no_heavy_scipy(tmp_path):
+    out = _fresh_run(tmp_path, {"task": "verify-model", "points": 2})
+    assert out == {"code": 0, "after_import": [], "after_run": []}
+
+
+def test_an_integration_loads_the_integrator(tmp_path):
+    # The probe sees a subpackage that a task does load.
+    out = _fresh_run(tmp_path, {"task": "geodesic", "count": 1, "tau": 0.5})
+    assert out["code"] == 0 and out["after_import"] == []
+    assert "scipy.integrate" in out["after_run"]

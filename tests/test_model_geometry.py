@@ -242,6 +242,7 @@ class TestProfiles:
              PolynomialProfile([1.0, 0.0, 0.5])),
             ({"kind": "homogeneous", "c": 0.3}, HomogeneousProfile(0.3)),
             ({"kind": "homogeneous", "c": [0.0, 0.7]}, HomogeneousProfile(0.7j)),
+            ({"kind": "homogeneous", "c": "0.7j"}, HomogeneousProfile(0.7j)),
             ({"kind": "sum-of-powers", "terms": [[1.0, -2.0], [3.0, 0.5]]},
              SumOfPowersProfile([(1.0, -2.0), (3.0, 0.5)])),
             ({"kind": "sum_of_powers", "terms": [[1.0, -2.0], [3.0, 0.5]]},
@@ -254,6 +255,18 @@ class TestProfiles:
                 assert g.value(t) == pytest.approx(f.value(t), rel=1e-14)
                 assert g.derivative(t, 2) == pytest.approx(
                     f.derivative(t, 2), rel=1e-14)
+
+    @pytest.mark.parametrize("build", [
+        lambda: HomogeneousProfile(float("nan")),
+        lambda: HomogeneousProfile(complex(0.0, float("inf"))),
+        lambda: PolynomialProfile([0.0, float("nan")]),
+        lambda: PolynomialProfile([0.0, float("inf")]),
+        lambda: SumOfPowersProfile([(1.0, float("nan"))]),
+        lambda: SumOfPowersProfile([(float("-inf"), 1.0)]),
+    ])
+    def test_nonfinite_values_rejected(self, build):
+        with pytest.raises(ValueError, match="finite"):
+            build()
 
     def test_value_slope_matches_value_and_derivative(self):
         profiles = [
