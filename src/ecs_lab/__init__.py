@@ -39,7 +39,7 @@ from .model_geometry import (
     olszak_span_check,
 )
 from .solution_space import (
-    SolutionE,
+    solution_at,
     omega,
     omega_matrix,
 )

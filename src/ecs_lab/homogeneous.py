@@ -42,7 +42,7 @@ from .pseudo_linear import (
     fit_basis,
     scaling_isometry,
 )
-from .solution_space import SolutionE, omega, omega_matrix, random_solution
+from .solution_space import omega, omega_matrix, random_solution
 from .isometry_group import IsoElement, SElement, iso_compose, sigma_act, sigma_matrix
 
 # Relative singular-value cutoff separating the kernel of the generator from
@@ -232,8 +232,7 @@ def spectral_split(hm: HomogeneousModel) -> SpectralSplit:
 
 def g0_element(hm: HomogeneousModel, q: float, r: float, data) -> IsoElement:
     """The element (sigma_q, r, u) of G_0, with u given as Cauchy data."""
-    u = SolutionE.from_data(hm.model, data)
-    return IsoElement(hm.dilation(q), r, u)
+    return IsoElement(hm.dilation(q), r, data)
 
 
 @dataclass
@@ -264,16 +263,15 @@ def commute_test(hm: HomogeneousModel, a: IsoElement, b: IsoElement) -> CommuteT
     ba = iso_compose(model, b, a)
     direct_residual = max(
         abs(ab.r - ba.r),
-        float(np.max(np.abs(ab.u.data() - ba.u.data()))),
+        float(np.max(np.abs(ab.u - ba.u))),
     )
 
     moved_b = sigma_act(model, a.sigma, b.u)
     moved_a = sigma_act(model, b.sigma, a.u)
-    solution_eq = float(np.max(np.abs(
-        (moved_b - b.u).data() - (moved_a - a.u).data())))
+    solution_eq = float(np.max(np.abs((moved_b - b.u) - (moved_a - a.u))))
     central_eq = abs(
         a.r * (1.0 - 1.0 / b.sigma.q) - b.r * (1.0 - 1.0 / a.sigma.q)
-        - omega(a.u, moved_b) + omega(b.u, moved_a))
+        - omega(model, a.u, moved_b) + omega(model, b.u, moved_a))
     criterion_residual = max(solution_eq, central_eq)
 
     return CommuteTest(
@@ -331,7 +329,7 @@ def conjugation_matrix(hm: HomogeneousModel, g: IsoElement) -> np.ndarray:
     out = np.zeros((1 + m2, 1 + m2))
     out[0, 0] = 1.0 / q
     # r-row: conjugating (0, u') picks up -2 Omega(u, sigma_q u').
-    out[0, 1:] = -2.0 * (g.u.data() @ J @ M)
+    out[0, 1:] = -2.0 * (g.u @ J @ M)
     out[1:, 1:] = M
     return out
 
@@ -351,15 +349,12 @@ def conjugation_spectrum_check(hm: HomogeneousModel, g: IsoElement) -> SpectrumC
 
 def class_map(hm: HomogeneousModel, a: float, z_data, q: float, w_data) -> IsoElement:
     """J(a, z, q, w): the element of the commuting class labeled (a, z) with
-    dilation q and kernel displacement w."""
+    dilation q and kernel displacement w, both given as Cauchy-data arrays."""
     model = hm.model
-    z = SolutionE.from_data(model, z_data)
-    w = SolutionE.from_data(model, w_data)
     sq = hm.dilation(q)
-    sz = sigma_act(model, sq, z)
-    r = a * (1.0 - 1.0 / q) + omega(z, sz + w.scaled(1.0 + 1.0 / q))
-    u = (sz - z) + w
-    return IsoElement(sq, r, u)
+    sz = sigma_act(model, sq, z_data)
+    r = a * (1.0 - 1.0 / q) + omega(model, z_data, sz + (1.0 + 1.0 / q) * w_data)
+    return IsoElement(sq, r, (sz - z_data) + w_data)
 
 
 def class_map_inverse(hm: HomogeneousModel, g: IsoElement,
@@ -375,7 +370,7 @@ def class_map_inverse(hm: HomogeneousModel, g: IsoElement,
         raise ValueError("class parametrization needs q != 1")
     model = hm.model
     M = hm.sigma_q_matrix(q)
-    u_plus_coeff, u_zero_coeff = split.decompose(g.u.data())
+    u_plus_coeff, u_zero_coeff = split.decompose(g.u)
     u_plus = split.eplus @ u_plus_coeff
     w_data = split.e0 @ u_zero_coeff
 
@@ -384,10 +379,8 @@ def class_map_inverse(hm: HomogeneousModel, g: IsoElement,
     coeff, *_ = np.linalg.lstsq(shifted, u_plus, rcond=None)
     z_data = split.eplus @ coeff
 
-    z = SolutionE.from_data(model, z_data)
-    w = SolutionE.from_data(model, w_data)
-    sz = sigma_act(model, g.sigma, z)
-    off = omega(z, sz + w.scaled(1.0 + 1.0 / q))
+    sz = sigma_act(model, g.sigma, z_data)
+    off = omega(model, z_data, sz + (1.0 + 1.0 / q) * w_data)
     a = (g.r - off) / (1.0 - 1.0 / q)
     return a, z_data, q, w_data
 

@@ -18,10 +18,12 @@ sigma . u = C u((. - p)/q) on solutions:
     (sigma, r, u)(sigma', r', u')
         = (sigma sigma', r + q^{-1} r' - Omega(u, sigma . u'), u + sigma . u').
 
-In Cauchy coordinates at the base time, sigma . is one matrix,
-`sigma_matrix`, and `sigma_act` applies it. Omega rescales under sigma by
-q^{-1} and the action of sigma on E has determinant q^{2 - n}; both show up
-as checks on that matrix here and in tests.
+The solution part u is a plain (2m,) array of Cauchy data at the model's
+base time, as in solution_space, so u + sigma . u' is array addition. In
+those coordinates sigma . is one matrix, `sigma_matrix`, and `sigma_act`
+applies it. Omega rescales under sigma by q^{-1} and the action of sigma on
+E has determinant q^{2 - n}; both show up as checks on that matrix here and
+in tests.
 
 The Jacobian of the action is computed analytically (the map is affine in
 (s, v) and its t-derivative only needs u'' = (f + A) u), which keeps
@@ -44,7 +46,7 @@ import numpy as np
 
 from .model_geometry import ModelManifold, metric_at
 from .pseudo_linear import _as_matrix
-from .solution_space import SolutionE, flow, omega, omega_matrix, zero_solution
+from .solution_space import flow, omega, omega_matrix, solution_at
 
 
 @dataclass
@@ -65,18 +67,15 @@ class SElement:
 
 @dataclass
 class IsoElement:
-    """Isometry (sigma, r, u); u carries Cauchy data at the model base time."""
+    """Isometry (sigma, r, u); u is Cauchy data at the model base time."""
 
     sigma: SElement
     r: float
-    u: SolutionE
+    u: np.ndarray
 
     def __post_init__(self):
         self.r = float(self.r)
-
-    @property
-    def model(self) -> ModelManifold:
-        return self.u.model
+        self.u = np.asarray(self.u, dtype=float).reshape(-1)
 
 
 def _containment_residual(model: ModelManifold, q: float, p: float) -> float:
@@ -144,22 +143,22 @@ def sigma_matrix(model: ModelManifold, elem: SElement) -> np.ndarray:
     return block @ phi
 
 
-def sigma_act(model: ModelManifold, elem: SElement, u: SolutionE) -> SolutionE:
+def sigma_act(model: ModelManifold, elem: SElement, u: np.ndarray) -> np.ndarray:
     """sigma . u, as Cauchy data."""
-    return SolutionE.from_data(model, sigma_matrix(model, elem) @ u.data())
+    return sigma_matrix(model, elem) @ u
 
 
 def iso_identity(model: ModelManifold) -> IsoElement:
     m = model.m
-    return IsoElement(SElement(1.0, 0.0, np.eye(m)), 0.0, zero_solution(model))
+    return IsoElement(SElement(1.0, 0.0, np.eye(m)), 0.0, np.zeros(2 * m))
 
 
-def _lookup(g: IsoElement, x: np.ndarray):
+def _lookup(model: ModelManifold, g: IsoElement, x: np.ndarray):
     """T = q t + p, C v and (u(T), u'(T)) at stacked chart coordinates x: the
     one flow lookup per point that the image and the Jacobian share."""
     T = g.sigma.q * x[..., 0] + g.sigma.p
     Cv = (g.sigma.C @ x[..., 2:, None])[..., 0]
-    return (T, Cv, *g.u.at(T))
+    return (T, Cv, *solution_at(model, g.u, T))
 
 
 def _image(model: ModelManifold, g: IsoElement, x: np.ndarray,
@@ -189,14 +188,14 @@ def _jacobian(model: ModelManifold, g: IsoElement, x: np.ndarray,
 def iso_apply(model: ModelManifold, g: IsoElement, x) -> np.ndarray:
     """Images of chart coordinates x = (t, s, v), shape (..., n) -> (..., n)."""
     x = np.asarray(x, dtype=float)
-    return _image(model, g, x, *_lookup(g, x))
+    return _image(model, g, x, *_lookup(model, g, x))
 
 
 def iso_jacobian(model: ModelManifold, g: IsoElement, x) -> np.ndarray:
     """Analytic Jacobians of the action at chart coordinates x,
     shape (..., n) -> (..., n, n)."""
     x = np.asarray(x, dtype=float)
-    return _jacobian(model, g, x, *_lookup(g, x))
+    return _jacobian(model, g, x, *_lookup(model, g, x))
 
 
 def pullback_residual(model: ModelManifold, g: IsoElement,
@@ -208,7 +207,7 @@ def pullback_residual(model: ModelManifold, g: IsoElement,
     and the Jacobian share one lookup of u(T), u'(T) per point.
     """
     x = np.asarray(x, dtype=float)
-    shared = _lookup(g, x)
+    shared = _lookup(model, g, x)
     image = _image(model, g, x, *shared)
     J = _jacobian(model, g, x, *shared)
     pulled = np.swapaxes(J, -1, -2) @ metric_at(model, image) @ J
@@ -220,7 +219,7 @@ def iso_compose(model: ModelManifold, a: IsoElement, b: IsoElement) -> IsoElemen
     sa, sb = a.sigma, b.sigma
     sigma = SElement(sa.q * sb.q, sa.q * sb.p + sa.p, sa.C @ sb.C)
     moved = sigma_act(model, sa, b.u)
-    r = a.r + b.r / sa.q - omega(a.u, moved)
+    r = a.r + b.r / sa.q - omega(model, a.u, moved)
     return IsoElement(sigma, r, a.u + moved)
 
 
@@ -228,7 +227,7 @@ def iso_inverse(model: ModelManifold, a: IsoElement) -> IsoElement:
     """Inverse element; sigma inverts as an affine map and u pulls back."""
     sa = a.sigma
     inv_sigma = SElement(1.0 / sa.q, -sa.p / sa.q, np.linalg.inv(sa.C))
-    u_star = sigma_act(model, inv_sigma, a.u).scaled(-1.0)
+    u_star = -sigma_act(model, inv_sigma, a.u)
     return IsoElement(inv_sigma, -sa.q * a.r, u_star)
 
 
@@ -237,7 +236,7 @@ def iso_distance(a: IsoElement, b: IsoElement) -> float:
     elements of one model."""
     return max(abs(a.sigma.q - b.sigma.q), abs(a.sigma.p - b.sigma.p),
                float(np.max(np.abs(a.sigma.C - b.sigma.C))), abs(a.r - b.r),
-               float(np.max(np.abs(a.u.data() - b.u.data()))))
+               float(np.max(np.abs(a.u - b.u))))
 
 
 def classify_holonomy(elements: list[IsoElement]) -> str:
@@ -253,15 +252,14 @@ def classify_holonomy(elements: list[IsoElement]) -> str:
 
 
 def omega_scaling_residual(model: ModelManifold, elem: SElement,
-                           pairs: list[tuple[SolutionE, SolutionE]]) -> float:
-    """Residual of Omega(sigma.u, sigma.w) = q^{-1} Omega(u, w) over pairs,
-    as (M x)^T J (M y) against x^T J y / q with M the sigma matrix and J the
-    matrix of Omega."""
+                           pairs: list[tuple[np.ndarray, np.ndarray]]) -> float:
+    """Residual of Omega(sigma.u, sigma.w) = q^{-1} Omega(u, w) over pairs
+    (x, y) of Cauchy data, as (M x)^T J (M y) against x^T J y / q with M the
+    sigma matrix and J the matrix of Omega."""
     M = sigma_matrix(model, elem)
     J = omega_matrix(model)
     worst = 0.0
-    for u, w in pairs:
-        x, y = u.data(), w.data()
+    for x, y in pairs:
         worst = max(worst, abs((M @ x) @ J @ (M @ y) - x @ J @ y / elem.q))
     return float(worst)
 

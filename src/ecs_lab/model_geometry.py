@@ -57,7 +57,7 @@ def _finite_list(value, length: Optional[int] = None) -> bool:
 
 # The one data key of each profile kind besides "kind".
 _PROFILE_KEYS = {"homogeneous": "c", "polynomial": "coefficients",
-                 "sum-of-powers": "terms", "sum_of_powers": "terms"}
+                 "sum-of-powers": "terms"}
 
 
 class ProfileF:
@@ -697,11 +697,10 @@ def curvature_identity_residuals(pack: CurvaturePack) -> dict:
     }
 
 
-def random_chart_point(model: ModelManifold, rng: np.random.Generator,
-                       v_scale: float = 1.0) -> ChartPoint:
+def random_chart_point(model: ModelManifold, rng: np.random.Generator) -> ChartPoint:
     """Uniform t in the model's compact window, normal s and v."""
     lo, hi = model.compact_window()
     t = rng.uniform(lo, hi)
     s = float(rng.standard_normal())
-    v = v_scale * rng.standard_normal(model.m)
+    v = rng.standard_normal(model.m)
     return ChartPoint(t, s, v)

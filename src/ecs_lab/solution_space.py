@@ -26,9 +26,13 @@ integrated with a high-order adaptive scheme and dense output over fixed
 segments on either side of the base time. The segment edges depend only on
 the model, so a query's answer never depends on the queries before it. Each
 model has one flow, built on first use and shared by everything that uses
-the model. `SolutionE.at` takes a time or an array of times and makes one
-`CauchyFlow.matrix` lookup per time; callers that need u at many times pass
-them in one array.
+the model.
+
+An element of E is a plain (2m,) array of its Cauchy data, the value block
+followed by the derivative block, so the vector-space operations are array
+arithmetic. `solution_at` takes such a vector and a time or an array of
+times and makes one `CauchyFlow.matrix` lookup per time; callers that need
+u at many times pass them in one array.
 
 This module also owns `solve_ivp`, the one integrator name of the package:
 it imports SciPy's integrator on its first call, so importing the package
@@ -39,7 +43,6 @@ geodesics module imports the name from here.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -148,74 +151,30 @@ def flow(model: ModelManifold) -> CauchyFlow:
     return model._flow
 
 
-@dataclass
-class SolutionE:
-    """An element of E as Cauchy data (value, deriv) at the model's base
-    time."""
+def solution_at(model: ModelManifold, data, t) -> tuple[np.ndarray, np.ndarray]:
+    """(u(t), u'(t)) of the solution with Cauchy data `data` at the base
+    time.
 
-    model: ModelManifold
-    value: np.ndarray
-    deriv: np.ndarray
-
-    def __post_init__(self):
-        self.value = np.asarray(self.value, dtype=float).reshape(-1)
-        self.deriv = np.asarray(self.deriv, dtype=float).reshape(-1)
-        if self.value.shape != (self.model.m,) or self.deriv.shape != (self.model.m,):
-            raise ValueError("Cauchy data must have the dimension of V")
-
-    def data(self) -> np.ndarray:
-        return np.concatenate([self.value, self.deriv])
-
-    @staticmethod
-    def from_data(model: ModelManifold, data) -> "SolutionE":
-        data = np.asarray(data, dtype=float).reshape(-1)
-        m = model.m
-        return SolutionE(model, data[:m], data[m:])
-
-    def __add__(self, other: "SolutionE") -> "SolutionE":
-        _same_model(self, other)
-        return SolutionE(self.model, self.value + other.value,
-                         self.deriv + other.deriv)
-
-    def __sub__(self, other: "SolutionE") -> "SolutionE":
-        _same_model(self, other)
-        return SolutionE(self.model, self.value - other.value,
-                         self.deriv - other.deriv)
-
-    def scaled(self, a: float) -> "SolutionE":
-        return SolutionE(self.model, a * self.value, a * self.deriv)
-
-    def at(self, t) -> tuple[np.ndarray, np.ndarray]:
-        """(u(t), u'(t)) by propagating the Cauchy data.
-
-        t is a time or an array of times; the values stack on its shape,
-        (...) -> (..., m). Each time is one scalar CauchyFlow.matrix lookup,
-        so an entry is bit-identical to asking for its time alone.
-        """
-        fl = flow(self.model)
-        t = np.asarray(t, dtype=float)
-        d = self.data()
-        data = np.array([fl.matrix(x) @ d for x in t.ravel()])
-        data = data.reshape(t.shape + d.shape)
-        m = self.model.m
-        return data[..., :m], data[..., m:]
-
-
-def _same_model(u: SolutionE, w: SolutionE):
-    if u.model is not w.model:
-        raise ValueError("solutions belong to different models")
-
-
-def zero_solution(model: ModelManifold) -> SolutionE:
+    t is a time or an array of times; the values stack on its shape,
+    (...) -> (..., m). Each time is one scalar CauchyFlow.matrix lookup,
+    so an entry is bit-identical to asking for its time alone. Data of the
+    wrong size raises ValueError in the first lookup.
+    """
+    fl = flow(model)
+    t = np.asarray(t, dtype=float)
+    d = np.asarray(data, dtype=float).reshape(-1)
+    data = np.array([fl.matrix(x) @ d for x in t.ravel()])
+    data = data.reshape(t.shape + d.shape)
     m = model.m
-    return SolutionE(model, np.zeros(m), np.zeros(m))
+    return data[..., :m], data[..., m:]
 
 
-def omega(u: SolutionE, w: SolutionE) -> float:
-    """Symplectic pairing <u', w> - <u, w'>, evaluated at the base time."""
-    _same_model(u, w)
-    gram = u.model.space.gram
-    return float(u.deriv @ gram @ w.value - u.value @ gram @ w.deriv)
+def omega(model: ModelManifold, x, y) -> float:
+    """Symplectic pairing <u', w> - <u, w'> of the solutions with Cauchy
+    data x and y, evaluated at the base time."""
+    m = model.m
+    gram = model.space.gram
+    return float(x[m:] @ gram @ y[:m] - x[:m] @ gram @ y[m:])
 
 
 def omega_matrix(model: ModelManifold) -> np.ndarray:
@@ -232,24 +191,24 @@ def omega_matrix(model: ModelManifold) -> np.ndarray:
     return J
 
 
-def omega_drift(u: SolutionE, w: SolutionE, ts: Iterable[float]) -> float:
+def omega_drift(model: ModelManifold, x, y, ts: Iterable[float]) -> float:
     """max deviation of Omega evaluated from propagated data along ts.
 
     Constancy of Omega in t is the first nontrivial conservation law of the
     system; this is the direct numerical witness.
     """
-    base = omega(u, w)
-    gram = u.model.space.gram
+    base = omega(model, x, y)
+    gram = model.space.gram
     worst = 0.0
     for t in ts:
-        uv, ud = u.at(t)
-        wv, wd = w.at(t)
+        uv, ud = solution_at(model, x, t)
+        wv, wd = solution_at(model, y, t)
         val = float(ud @ gram @ wv - uv @ gram @ wd)
         worst = max(worst, abs(val - base))
     return worst
 
 
-def random_solution(model: ModelManifold, rng: np.random.Generator) -> SolutionE:
+def random_solution(model: ModelManifold, rng: np.random.Generator) -> np.ndarray:
+    """Cauchy data (value, deriv) with standard normal entries."""
     m = model.m
-    return SolutionE(model, rng.standard_normal(m), rng.standard_normal(m))
-
+    return np.concatenate([rng.standard_normal(m), rng.standard_normal(m)])

@@ -244,7 +244,7 @@ def test_ac06_symplectic_form_and_determinant(roster, capsys):
         for _ in range(5):
             u = random_solution(model, rng)
             w = random_solution(model, rng)
-            worst_drift = max(worst_drift, omega_drift(u, w, ts))
+            worst_drift = max(worst_drift, omega_drift(model, u, w, ts))
         if entry.kind != "homogeneous":
             continue
         pairs = [(random_solution(model, rng), random_solution(model, rng))
@@ -354,7 +354,7 @@ def test_ac09_commuting_class_suite(spectral_grid, capsys):
                            rng.standard_normal(m2))
             labels = class_map_inverse(hm, g, split)
             back = class_map(hm, *labels)
-            scale = max(1.0, abs(g.r), float(np.max(np.abs(g.u.data()))))
+            scale = max(1.0, abs(g.r), float(np.max(np.abs(g.u))))
             worst_rt = max(worst_rt, iso_distance(g, back) / scale)
             round_trips += 1
 

@@ -275,11 +275,13 @@ class TestExitCodes:
         {"kind": "sum-of-powers", "terms": [1.0, 1.0]},
         {"kind": ["polynomial"], "coefficients": [0.0, 1.0]},
         3, None, [0.3],
+        {"kind": "sum_of_powers", "terms": [[1.0, -2.0], [3.0, 0.5]]},
     ])
     def test_bad_profile_is_two(self, tmp_path, profile):
         # NaN values used to pass with every "below" row at 0.0 (and hang a
-        # geodesic task); short or long c, overflowing coefficients and a
-        # non-object profile used to exit 3 or be accepted
+        # geodesic task); short or long c, overflowing coefficients, a
+        # non-object profile and the undocumented "sum_of_powers" spelling
+        # used to exit 3 or be accepted
         payload = copy.deepcopy(HOMOGENEOUS)
         payload["model"]["profile"] = profile
         payload["tasks"] = [{"task": "verify-model", "points": 2},

@@ -368,10 +368,10 @@ class TestConjugation:
                            rng.standard_normal(4))
             conj = iso_compose(model, iso_compose(model, g, h), ginv)
             assert abs(conj.sigma.q - 1.0) < 1e-12
-            vec = np.concatenate([[h.r], h.u.data()])
+            vec = np.concatenate([[h.r], h.u])
             out = M @ vec
             assert abs(out[0] - conj.r) < 1e-9
-            assert np.max(np.abs(out[1:] - conj.u.data())) < 1e-9
+            assert np.max(np.abs(out[1:] - conj.u)) < 1e-9
 
     def test_spectrum_prediction(self):
         rng = np.random.default_rng(100)
