@@ -2,10 +2,9 @@
 
 `ecs-lab run --scenario cfg.json --report out.json` loads a model
 description plus a list of verification tasks, runs every check at pinned
-tolerances, and writes a deterministic JSON report (and optionally a CSV of
-the check rows). Exit codes: 0 all checks passed, 1 at least one check
-failed, 2 the scenario or model failed validation, 3 unexpected internal
-error.
+tolerances, and writes a deterministic JSON report. Exit codes: 0 all
+checks passed, 1 at least one check failed, 2 the scenario or model failed
+validation, 3 unexpected internal error.
 
 Scenario format (JSON):
 
@@ -28,16 +27,13 @@ Scenario format (JSON):
 
 Every check row carries a stable `anchor` id, the measured value, the
 tolerance, and the comparison direction ("below" for residuals, "above" for
-quantities that must stay away from zero). The environment variable
-ECS_LAB_TOL_SCALE multiplies all tolerances of "below" checks (and divides
-those of "above" checks), which supports cross-platform drift studies
-without editing scenarios.
+quantities that must stay away from zero). Budgets change only through the
+scenario's `tolerances` object; no environment variable rescales them.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import platform
@@ -186,7 +182,7 @@ def _jsonable(x: Any) -> Any:
 
 
 class Tolerances:
-    def __init__(self, overrides: Optional[dict] = None, scale: float = 1.0):
+    def __init__(self, overrides: Optional[dict] = None):
         self.table = dict(DEFAULT_TOLERANCES)
         for key, val in (overrides or {}).items():
             if key not in self.table:
@@ -195,21 +191,18 @@ class Tolerances:
                 raise ScenarioError(f"tolerance {key!r} must be a finite positive "
                                     f"number, got {val!r}")
             self.table[key] = float(val)
-        self.scale = float(scale)
 
-    def check(self, task: str, name: str, anchor: str, value: float,
+    def check(self, name: str, anchor: str, value: float,
               detail: Optional[dict] = None) -> dict:
-        """The report row of one check."""
-        base = self.table[anchor]
+        """The report row of one check; the runner adds its task."""
+        tol = self.table[anchor]
         if anchor in _ABOVE:
-            tol = base / self.scale
             passed = bool(value > tol)
             direction = "above"
         else:
-            tol = base * self.scale
             passed = bool(value <= tol)
             direction = "below"
-        row = {"task": task, "name": name, "anchor": anchor,
+        row = {"name": name, "anchor": anchor,
                "value": _jsonable(float(value)), "tolerance": tol,
                "direction": direction, "pass": passed}
         if detail:
@@ -285,7 +278,7 @@ class Scenario:
         if not isinstance(raw, dict):
             raise ScenarioError("scenario must be a JSON object")
         _reject_unknown(raw, SCENARIO_KEYS, "the scenario")
-        version = str(raw.get("schema_version", SCHEMA_VERSION))
+        version = raw.get("schema_version", SCHEMA_VERSION)
         if version != SCHEMA_VERSION:
             raise ScenarioError(f"unsupported schema_version {version!r}")
         if "model" not in raw or not isinstance(raw["model"], dict):
@@ -354,7 +347,7 @@ def task_verify_model(model: ModelManifold, params: dict, tol: Tolerances,
                       rng: np.random.Generator) -> list[dict]:
     points = _count(params, "points", 25)
     res = model.validation_residuals()
-    rows = [tol.check("verify-model", "structural residuals of (A, f)",
+    rows = [tol.check("structural residuals of (A, f)",
                       "validate.structure",
                       max(res["self_adjoint_residual"], res["trace_residual"]),
                       detail=res)]
@@ -378,23 +371,23 @@ def task_verify_model(model: ModelManifold, params: dict, tol: Tolerances,
     ricci, scalar, weyl_par, leaf, tidal = np.max(residuals, axis=0)
     olszak, bianchi = np.max(olszak), np.max(identities)
     rows.extend([
-        tol.check("verify-model", f"Ricci = (2-n) f dt^2 over {points} points",
+        tol.check(f"Ricci = (2-n) f dt^2 over {points} points",
                   "curvature.ricci-profile", ricci),
-        tol.check("verify-model", "scalar curvature vanishes",
+        tol.check("scalar curvature vanishes",
                   "curvature.scalar-zero", scalar),
-        tol.check("verify-model", "Weyl tensor is parallel",
+        tol.check("Weyl tensor is parallel",
                   "curvature.parallel-weyl", weyl_par),
-        tol.check("verify-model", "Riemann tensor is not parallel",
+        tol.check("Riemann tensor is not parallel",
                   "curvature.nonparallel-riemann", riemann_par),
-        tol.check("verify-model", "Weyl tensor does not vanish",
+        tol.check("Weyl tensor does not vanish",
                   "curvature.weyl-nonzero", weyl),
-        tol.check("verify-model", "leafwise Christoffel symbols vanish",
+        tol.check("leafwise Christoffel symbols vanish",
                   "curvature.leaf-christoffel", leaf),
-        tol.check("verify-model", "tidal operator recovers A",
+        tol.check("tidal operator recovers A",
                   "curvature.tidal-endomorphism", tidal),
-        tol.check("verify-model", "null parallel line spanned by d/ds",
+        tol.check("null parallel line spanned by d/ds",
                   "curvature.olszak-line", olszak),
-        tol.check("verify-model", "curvature symmetries and Bianchi identities",
+        tol.check("curvature symmetries and Bianchi identities",
                   "curvature.bianchi", bianchi),
     ])
     return rows
@@ -406,32 +399,28 @@ def task_spectra(model: ModelManifold, params: dict, tol: Tolerances,
     q_values = _q_values(params, "spectra", [0.25, 0.5, 2.0, 4.0])
     rows = []
     gchk = generator_spectrum_check(hm)
-    rows.append(tol.check(
-        "spectra", "generator eigenvalues match m + 1/2 - 2j -+ c",
-        "spectra.generator-eigenvalues", gchk.max_rel_error,
-        detail={"predicted": gchk.predicted, "computed": np.sort_complex(gchk.computed)}))
+    rows.append(tol.check("generator eigenvalues match m + 1/2 - 2j -+ c",
+                          "spectra.generator-eigenvalues", gchk.max_rel_error,
+                          detail={"predicted": gchk.predicted,
+                                  "computed": np.sort_complex(gchk.computed)}))
     split = spectral_split(hm)
-    rows.append(tol.check(
-        "spectra", "kernel dimension matches the odd-integer rule for 2c",
-        "spectra.kernel-dimension",
-        abs(split.kernel_dim - expected_kernel_dim(hm.c)),
-        detail={"kernel_dim": split.kernel_dim,
-                "expected": expected_kernel_dim(hm.c)}))
+    rows.append(tol.check("kernel dimension matches the odd-integer rule for 2c",
+                          "spectra.kernel-dimension",
+                          abs(split.kernel_dim - expected_kernel_dim(hm.c)),
+                          detail={"kernel_dim": split.kernel_dim,
+                                  "expected": expected_kernel_dim(hm.c)}))
     for q in q_values:
         chk = dilation_spectrum_check(hm, q)
-        rows.append(tol.check(
-            "spectra", f"dilation eigenvalues at q = {q:g}",
-            "spectra.dilation-eigenvalues", chk.max_rel_error))
-        rows.append(tol.check(
-            "spectra", f"exp(log(q) B) reproduces the dilation at q = {q:g}",
-            "spectra.exponential-consistency",
-            exponential_consistency_residual(hm, q)))
+        rows.append(tol.check(f"dilation eigenvalues at q = {q:g}",
+                              "spectra.dilation-eigenvalues", chk.max_rel_error))
+        rows.append(tol.check(f"exp(log(q) B) reproduces the dilation at q = {q:g}",
+                              "spectra.exponential-consistency",
+                              exponential_consistency_residual(hm, q)))
         if abs(q - 1.0) > 1e-10:
             inv = shifted_invertibility(hm, q, split)
-            rows.append(tol.check(
-                "spectra", f"(sigma_q - 1) invertible on the range at q = {q:g}",
-                "spectra.shifted-invertibility", inv["min_singular_value"],
-                detail=inv))
+            rows.append(tol.check(f"(sigma_q - 1) invertible on the range at q = {q:g}",
+                                  "spectra.shifted-invertibility",
+                                  inv["min_singular_value"], detail=inv))
     return rows
 
 
@@ -484,18 +473,18 @@ def task_isometry_check(model: ModelManifold, params: dict, tol: Tolerances,
         return float(values[idx]), detail
 
     return [
-        tol.check("isometry-check", "structural membership residuals",
+        tol.check("structural membership residuals",
                   "isometry.membership", *worst(member)),
-        tol.check("isometry-check", f"metric pullback over {n_points} points",
+        tol.check(f"metric pullback over {n_points} points",
                   "isometry.pullback", *worst(pull)),
-        tol.check("isometry-check", "composition law matches composed action",
+        tol.check("composition law matches composed action",
                   "isometry.action-compatibility",
                   *worst(compat, composed, stride=2)),
-        tol.check("isometry-check", "g g^-1 = g^-1 g = id",
+        tol.check("g g^-1 = g^-1 g = id",
                   "isometry.inverse", *worst(inverse)),
-        tol.check("isometry-check", "pairing rescales by 1/q",
+        tol.check("pairing rescales by 1/q",
                   "isometry.omega-scaling", *worst(omega_res)),
-        tol.check("isometry-check", "determinant on solutions is q^(2-n)",
+        tol.check("determinant on solutions is q^(2-n)",
                   "isometry.determinant-power", *worst(det)),
     ]
 
@@ -571,22 +560,19 @@ def task_tcp_check(model: ModelManifold, params: dict, tol: Tolerances,
                             float(np.max(np.abs(comm.u))))
 
     rows = [
-        tol.check("tcp-check", f"class parametrization round trip x{round_trips}",
+        tol.check(f"class parametrization round trip x{round_trips}",
                   "group.class-roundtrip", worst_round),
-        tol.check("tcp-check", "elements of one class commute",
+        tol.check("elements of one class commute",
                   "group.commuting-within-class", worst_within),
     ]
     if n_classes >= 2:
-        rows.append(tol.check(
-            "tcp-check", "elements of distinct classes do not commute",
-            "group.separating-across-classes", least_across))
+        rows.append(tol.check("elements of distinct classes do not commute",
+                              "group.separating-across-classes", least_across))
     rows.extend([
-        tol.check("tcp-check",
-                  f"direct and criterion commutation tests agree x{agreement_pairs}",
+        tol.check(f"direct and criterion commutation tests agree x{agreement_pairs}",
                   "group.commute-agreement", float(disagreements),
                   detail={"pairs": agreement_pairs}),
-        tol.check("tcp-check",
-                  f"commutation is transitive on {n_triples} constructed triples",
+        tol.check(f"commutation is transitive on {n_triples} constructed triples",
                   "group.transitive-commutation",
                   float(transitivity.counterexamples),
                   detail={
@@ -594,9 +580,9 @@ def task_tcp_check(model: ModelManifold, params: dict, tol: Tolerances,
                       "worst_conclusion_residual":
                           transitivity.worst_conclusion_residual,
                   }),
-        tol.check("tcp-check", "conjugation spectrum is {1/q} + dilation spectrum",
+        tol.check("conjugation spectrum is {1/q} + dilation spectrum",
                   "group.conjugation-spectrum", worst_conj),
-        tol.check("tcp-check", "commutators are central with charge -2 Omega",
+        tol.check("commutators are central with charge -2 Omega",
                   "heisenberg.commutator-central", worst_central),
     ])
     return rows
@@ -635,16 +621,15 @@ def task_geodesic(model: ModelManifold, params: dict, tol: Tolerances,
         return values[i], {"worst_index": i, "t0": starts[i][0], "dt0": starts[i][1]}
 
     rows = [
-        tol.check("geodesic", f"energy conservation over {count} geodesics",
+        tol.check(f"energy conservation over {count} geodesics",
                   "geodesic.energy", *worst_run(energies)),
-        tol.check("geodesic", "t is affine in the parameter",
+        tol.check("t is affine in the parameter",
                   "geodesic.t-affine", *worst_run(affines)),
     ]
     if np.isfinite(model.interval[0]) or np.isfinite(model.interval[1]):
-        rows.append(tol.check(
-            "geodesic", f"boundary exits stop at the endpoint ({hits} hits)",
-            "geodesic.boundary-exit", worst_boundary,
-            detail={"hits": hits}))
+        rows.append(tol.check(f"boundary exits stop at the endpoint ({hits} hits)",
+                              "geodesic.boundary-exit", worst_boundary,
+                              detail={"hits": hits}))
     return rows
 
 
@@ -660,11 +645,10 @@ def task_classify_group(model: ModelManifold, params: dict, tol: Tolerances,
                                 random_solution(model, rng)))
     got = classify_holonomy(elems)
     expected = "dilational" if dilational else "translational"
-    return [tol.check(
-        "classify-group", f"group sample classified as {got}",
-        "classify.holonomy-type", 0.0 if got == expected else 1.0,
-        detail={"classified": got, "expected": expected,
-                "q_values": q_values})]
+    return [tol.check(f"group sample classified as {got}",
+                      "classify.holonomy-type", 0.0 if got == expected else 1.0,
+                      detail={"classified": got, "expected": expected,
+                              "q_values": q_values})]
 
 
 def task_appendix_a(model: ModelManifold, params: dict, tol: Tolerances,
@@ -683,9 +667,9 @@ def task_appendix_a(model: ModelManifold, params: dict, tol: Tolerances,
         worst_terminal = max(worst_terminal, terminal_curve_residual(model, fld))
         worst_affine = max(worst_affine, affine_defect_residual(model, fld))
     return [
-        tol.check("appendix-a", f"endpoint curve of {count} variations is geodesic",
+        tol.check(f"endpoint curve of {count} variations is geodesic",
                   "variation.terminal-geodesic", worst_terminal),
-        tol.check("appendix-a", "transverse defect decays affinely in s",
+        tol.check("transverse defect decays affinely in s",
                   "variation.affine-field", worst_affine),
     ]
 
@@ -709,10 +693,9 @@ def task_appendix_b(model: ModelManifold, params: dict, tol: Tolerances,
         rep = straightening_pullback_residual(geo, t_grid, s_grid, v_grid)
         worst = max(worst, rep["pullback_residual"])
         worst_null = max(worst_null, rep["null_residual"])
-    return [tol.check(
-        "appendix-b", f"straightening of {count} null geodesics pulls g back to g",
-        "reconstruction.pullback-identity", worst,
-        detail={"null_residual": worst_null})]
+    return [tol.check(f"straightening of {count} null geodesics pulls g back to g",
+                      "reconstruction.pullback-identity", worst,
+                      detail={"null_residual": worst_null})]
 
 
 TASK_RUNNERS = {
@@ -743,13 +726,15 @@ TASK_KEYS = {
 # runner
 # ---------------------------------------------------------------------------
 
-def run_scenario(scenario: Scenario, tol_scale: float = 1.0) -> dict:
+def run_scenario(scenario: Scenario) -> dict:
     model = build_model(scenario.model_spec)
-    tol = Tolerances(scenario.tolerances, scale=tol_scale)
+    tol = Tolerances(scenario.tolerances)
     rows = []
     for index, entry in enumerate(scenario.tasks):
         rng = np.random.default_rng([scenario.seed, index])
-        rows.extend(TASK_RUNNERS[entry["task"]](model, entry, tol, rng))
+        for row in TASK_RUNNERS[entry["task"]](model, entry, tol, rng):
+            row["task"] = entry["task"]
+            rows.append(row)
     passed = sum(1 for r in rows if r["pass"])
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -765,7 +750,6 @@ def run_scenario(scenario: Scenario, tol_scale: float = 1.0) -> dict:
             "model": scenario.model_spec,
             "tasks": [entry["task"] for entry in scenario.tasks],
         },
-        "tolerance_scale": tol_scale,
         "checks": rows,
         "summary": {
             "total": len(rows),
@@ -782,30 +766,6 @@ def write_report(report: dict, path: str):
         fh.write("\n")
 
 
-def write_csv(report: dict, path: str):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["task", "name", "anchor", "value", "tolerance",
-                         "direction", "pass"])
-        for row in report["checks"]:
-            writer.writerow([row["task"], row["name"], row["anchor"],
-                             row["value"], row["tolerance"],
-                             row["direction"], row["pass"]])
-
-
-def _tol_scale_from_env() -> float:
-    raw = os.environ.get("ECS_LAB_TOL_SCALE")
-    if raw is None:
-        return 1.0
-    try:
-        scale = float(raw)
-    except ValueError as exc:
-        raise ScenarioError(f"ECS_LAB_TOL_SCALE is not a number: {raw!r}") from exc
-    if not (np.isfinite(scale) and scale > 0):
-        raise ScenarioError("ECS_LAB_TOL_SCALE must be finite and positive")
-    return scale
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="ecs-lab",
@@ -814,15 +774,17 @@ def main(argv: Optional[list[str]] = None) -> int:
     run_p = sub.add_parser("run", help="run a scenario and write a report")
     run_p.add_argument("--scenario", required=True, help="scenario JSON path")
     run_p.add_argument("--report", required=True, help="report JSON output path")
-    run_p.add_argument("--csv", help="also write check rows as CSV")
     run_p.add_argument("--seed", type=int, help="override the scenario seed")
     args = parser.parse_args(argv)
 
     if args.command == "run":
+        if "ECS_LAB_TOL_SCALE" in os.environ:
+            print("ECS_LAB_TOL_SCALE is not supported; set budgets in the "
+                  "scenario's 'tolerances' object", file=sys.stderr)
+            return 2
         try:
-            scale = _tol_scale_from_env()
             scenario = Scenario.load(args.scenario, seed_override=args.seed)
-            report = run_scenario(scenario, tol_scale=scale)
+            report = run_scenario(scenario)
         except ScenarioError as exc:
             print(f"scenario error: {exc}", file=sys.stderr)
             return 2
@@ -831,8 +793,6 @@ def main(argv: Optional[list[str]] = None) -> int:
             return 3
         try:
             write_report(report, args.report)
-            if args.csv:
-                write_csv(report, args.csv)
         except OSError as exc:
             print(f"cannot write output: {exc}", file=sys.stderr)
             return 3

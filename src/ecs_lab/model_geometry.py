@@ -272,10 +272,10 @@ class ChartPoint:
 class ModelManifold:
     """The model I x R x V with the metric described in the module docstring.
 
-    Use ecs() for validated construction and raw() to bypass validation (for
-    flat or otherwise degenerate comparison metrics in tests). An instance
-    holds its solution-space flow (`solution_space.flow`), built on first
-    use, so nothing global leaks between models.
+    Use ecs() for validated construction; the plain constructor validates
+    nothing (for flat or otherwise degenerate comparison metrics in tests).
+    An instance holds its solution-space flow (`solution_space.flow`), built
+    on first use, so nothing global leaks between models.
     """
 
     space: PseudoEuclideanSpace
@@ -314,13 +314,6 @@ class ModelManifold:
         if profile.is_constant(model.compact_window()):
             raise ValueError("profile f must be nonconstant on the interval")
         return model
-
-    @classmethod
-    def raw(cls, space: PseudoEuclideanSpace, A, profile: ProfileF,
-            interval: tuple[float, float]) -> "ModelManifold":
-        """Unvalidated constructor for comparison geometries in tests."""
-        return cls(space=space, A=_as_matrix(A), profile=profile,
-                   interval=tuple(interval))
 
     # -- basic geometry -----------------------------------------------------
 

@@ -51,15 +51,11 @@ class PseudoEuclideanSpace:
         sv = np.linalg.svd(self.gram, compute_uv=False)
         if sv[-1] <= RANK_RTOL * sv[0]:
             raise ValueError("Gram matrix is degenerate")
-        self._gram_inv = np.linalg.inv(self.gram)
+        self.gram_inv = np.linalg.inv(self.gram)
 
     @property
     def dim(self) -> int:
         return self.gram.shape[0]
-
-    @property
-    def gram_inv(self) -> np.ndarray:
-        return self._gram_inv
 
     def signature(self) -> tuple[int, int]:
         """Return (n_plus, n_minus) counting positive and negative eigenvalues."""
@@ -92,7 +88,7 @@ class PseudoEuclideanSpace:
                 s = np.zeros((m, m))
                 s[i, j] = 1.0
                 s[j, i] = -1.0
-                out.append(self._gram_inv @ s)
+                out.append(self.gram_inv @ s)
         return out
 
 

@@ -53,8 +53,8 @@ def oracle_point(curvature_oracle):
 
 def flat_model():
     space = PseudoEuclideanSpace(np.diag([1.0, -1.0]))
-    return ModelManifold.raw(space, np.zeros((2, 2)),
-                             PolynomialProfile([0.0]), (-np.inf, np.inf))
+    return ModelManifold(space, np.zeros((2, 2)),
+                         PolynomialProfile([0.0]), (-np.inf, np.inf))
 
 
 def reference_curvature_from_jet(g, dg, ddg, dddg) -> CurvaturePack:
@@ -324,7 +324,7 @@ class TestConstructors:
                               HomogeneousProfile(0.3), interval=(-1.0, 1.0))
 
     def test_raw_bypasses_validation(self):
-        # ecs() rejects the zero A and constant f that raw() accepts
+        # ecs() rejects the zero A and constant f that ModelManifold() accepts
         model = flat_model()
         with pytest.raises(ValueError):
             ModelManifold.ecs(model.space, model.A, model.profile, model.interval)
@@ -547,17 +547,17 @@ class TestNegativeControls:
 
     def test_traceful_A_breaks_ricci_profile(self):
         space = PseudoEuclideanSpace(np.eye(2))
-        model = ModelManifold.raw(space, np.diag([1.0, 0.5]),
-                                  PolynomialProfile([0.0, 1.0]),
-                                  (-np.inf, np.inf))
+        model = ModelManifold(space, np.diag([1.0, 0.5]),
+                              PolynomialProfile([0.0, 1.0]),
+                              (-np.inf, np.inf))
         pt = ChartPoint(0.8, 0.0, np.array([0.7, -0.4]))
         assert ricci_profile_residual(model, pt, curvature_at(model, pt)) > 1e-3
 
     def test_zero_A_kills_weyl(self):
         space = PseudoEuclideanSpace(np.eye(2))
-        model = ModelManifold.raw(space, np.zeros((2, 2)),
-                                  PolynomialProfile([0.0, 1.0]),
-                                  (-np.inf, np.inf))
+        model = ModelManifold(space, np.zeros((2, 2)),
+                              PolynomialProfile([0.0, 1.0]),
+                              (-np.inf, np.inf))
         pt = ChartPoint(0.8, 0.0, np.array([0.7, -0.4]))
         pack = curvature_at(model, pt)
         assert np.max(np.abs(pack.weyl)) < 1e-13
@@ -565,9 +565,9 @@ class TestNegativeControls:
 
     def test_constant_profile_is_locally_symmetric(self):
         space = PseudoEuclideanSpace(np.eye(2))
-        model = ModelManifold.raw(space, np.diag([1.0, -1.0]),
-                                  PolynomialProfile([2.0]),
-                                  (-np.inf, np.inf))
+        model = ModelManifold(space, np.diag([1.0, -1.0]),
+                              PolynomialProfile([2.0]),
+                              (-np.inf, np.inf))
         pt = ChartPoint(0.8, 0.0, np.array([0.7, -0.4]))
         pack = curvature_at(model, pt)
         assert np.max(np.abs(pack.nabla_riemann)) < 1e-13
@@ -628,10 +628,10 @@ class TestStructuralChecks:
         assert np.allclose(two, 2 * one, atol=1e-12)
 
     def test_tidal_operator_zero_for_zero_A(self):
-        model = ModelManifold.raw(PseudoEuclideanSpace(np.eye(2)),
-                                  np.zeros((2, 2)),
-                                  PolynomialProfile([0.0, 1.0]),
-                                  (-np.inf, np.inf))
+        model = ModelManifold(PseudoEuclideanSpace(np.eye(2)),
+                              np.zeros((2, 2)),
+                              PolynomialProfile([0.0, 1.0]),
+                              (-np.inf, np.inf))
         pt = ChartPoint(0.9, 0.2, np.array([0.3, 0.8]))
         pack = curvature_at(model, pt)
         assert np.max(np.abs(weyl_tidal_operator(model, pt, pack))) < 1e-14

@@ -43,14 +43,14 @@ from ecs_lab.solution_space import (
 def scalar_model():
     """f = 2/t^2 with A = 0: components decouple into Euler equations."""
     space = PseudoEuclideanSpace(np.eye(2))
-    return ModelManifold.raw(space, np.zeros((2, 2)),
-                             HomogeneousProfile(1.5), (0.0, float("inf")))
+    return ModelManifold(space, np.zeros((2, 2)),
+                         HomogeneousProfile(1.5), (0.0, float("inf")))
 
 
 def shift_only_model():
     space = PseudoEuclideanSpace(np.eye(2))
-    return ModelManifold.raw(space, np.eye(2, k=1),
-                             PolynomialProfile([0.0]), (-50.0, 50.0))
+    return ModelManifold(space, np.eye(2, k=1),
+                         PolynomialProfile([0.0]), (-50.0, 50.0))
 
 
 class TestClosedForms:
