@@ -54,6 +54,7 @@ from .isometry_group import (
     iso_identity,
     iso_distance,
     pullback_residual,
+    straightening_element,
     classify_holonomy,
 )
 from .homogeneous import (
@@ -81,8 +82,7 @@ from .geodesics import (
     variation_field,
     terminal_curve_residual,
     affine_defect_residual,
-    transverse_null_geodesic,
-    straightening_pullback_residual,
+    straightened_axis_residual,
 )
 
 __version__ = "0.1.0"

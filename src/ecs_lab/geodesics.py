@@ -1,6 +1,9 @@
 """Geodesics, second-order transport along leaf curves, and the two
-structural maps built on them: leafwise geodesic variations and the
-chart-straightening of a transverse null geodesic.
+structural maps of the appendices built on them: leafwise geodesic
+variations, and the straightening of a transverse null geodesic. The
+straightening map is the Heisenberg isometry of
+`isometry_group.straightening_element`; here it is checked against the
+null geodesic that `geodesic` integrates.
 
 Geodesic equations of the model metric in chart coordinates, with
 kappa_t = f'(t) <v, v> and kappa_v = 2 gram (f + A) v:
@@ -30,8 +33,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .model_geometry import ChartPoint, ModelManifold, metric_at
-from .solution_space import ENDPOINT_BARRIER, solve_ivp
+from .isometry_group import IsoElement, iso_apply
+from .model_geometry import ChartPoint, ModelManifold
+from .solution_space import ENDPOINT_BARRIER, IntegrationError, solve_ivp
 
 _RTOL = 1e-12
 _ATOL = 1e-12
@@ -61,12 +65,12 @@ def christoffel_closed_form(model: ModelManifold, t: float, v: np.ndarray) -> np
 
 def _solve(rhs, span, y0, what: str):
     """The integrator policy of this module: DOP853 at rtol = atol = 1e-12
-    with dense output. Returns the dense solution; raises RuntimeError,
+    with dense output. Returns the dense solution; raises IntegrationError,
     naming what was integrated, when the solver fails."""
     sol = solve_ivp(rhs, span, y0, method="DOP853",
                     rtol=_RTOL, atol=_ATOL, dense_output=True)
     if not sol.success:
-        raise RuntimeError(f"{what} integration failed: {sol.message}")
+        raise IntegrationError(f"{what} integration failed: {sol.message}")
     return sol.sol
 
 
@@ -224,14 +228,11 @@ def affine_transport_residual(model: ModelManifold,
         return np.concatenate([-M @ Z, Y - M @ X, -M @ Y])
 
     state0 = np.concatenate([Z0, Z0, -Z0])
-    dense = _solve(rhs, (0.0, 1.5), state0, "transport")
-    worst = 0.0
-    scale = max(1.0, float(np.max(np.abs(Z0))))
-    for s in np.linspace(0.0, 1.5, 31):
-        st = dense(s)
-        Z, X = st[:n], st[n:2 * n]
-        worst = max(worst, float(np.max(np.abs(X - (1.0 - s) * Z))))
-    return worst / scale
+    s = np.linspace(0.0, 1.5, 31)
+    states = _solve(rhs, (0.0, 1.5), state0, "transport")(s)
+    Z, X = states[:n], states[n:2 * n]
+    worst = float(np.max(np.abs(X - (1.0 - s) * Z)))
+    return worst / max(1.0, float(np.max(np.abs(Z0))))
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +261,10 @@ class PolyCurve:
     def m(self) -> int:
         return self.v_coeffs.shape[0]
 
-    def s(self, t: float, order: int = 0) -> float:
+    def s(self, t, order: int = 0):
+        """s_y or its derivative at a time or an array of times."""
         c = self._s[order] if order < 3 else _polyder(self.s_coeffs, order)
-        return float(np.polynomial.polynomial.polyval(t, c))
+        return np.polynomial.polynomial.polyval(t, c)
 
     def v(self, t: float, order: int = 0) -> np.ndarray:
         c = self._v[order] if order < 3 else _polyder(self.v_coeffs, order, axis=1).T
@@ -356,17 +358,9 @@ def terminal_curve_residual(model: ModelManifold, field: VariationField) -> floa
         curve.v(t_a, 1) + field.zdot_v[0],
     ])
     res = geodesic(model, p0, vel0, (0.0, ts[-1] - t_a), samples=ts.size)
-    worst = 0.0
-    scale = 1.0
-    for i, t in enumerate(ts):
-        expected = np.concatenate([
-            [t, curve.s(t) + field.z_s[i]],
-            curve.v(t) + field.z_v[i],
-        ])
-        got = res.states[i, : model.dim]
-        worst = max(worst, float(np.max(np.abs(got - expected))))
-        scale = max(scale, float(np.max(np.abs(expected))))
-    return worst / scale
+    expected = np.column_stack([ts, curve.s(ts) + field.z_s, curve.v(ts).T + field.z_v])
+    worst = float(np.max(np.abs(res.states[:, :model.dim] - expected)))
+    return worst / max(1.0, float(np.max(np.abs(expected))))
 
 
 def affine_defect_residual(model: ModelManifold, field: VariationField) -> float:
@@ -400,118 +394,26 @@ def affine_defect_residual(model: ModelManifold, field: VariationField) -> float
 # straightening a transverse null geodesic
 # ---------------------------------------------------------------------------
 
-@dataclass
-class TransverseNullGeodesic:
-    """A null geodesic parametrized by t, stored as a dense solution of
-    (s, s', v, v') over a t-window, with s'(t) pinned by the null condition
-    kappa + s' + <v', v'> = 0 at the initial time (and conserved)."""
+def straightened_axis_residual(model: ModelManifold, g: IsoElement,
+                               point: ChartPoint, vdot0,
+                               t_span: tuple[float, float]) -> float:
+    """max |g(t, 0, 0) - x(t)| over the t-span, where x is the null geodesic
+    through `point` with transverse velocity vdot0 and g is meant to be its
+    straightening element (`isometry_group.straightening_element`).
 
-    model: ModelManifold
-    t_window: tuple[float, float]
-    _dense: object
-
-    def state(self, t: float):
-        y = self._dense(t)
-        m = self.model.m
-        return y[0], y[1], y[2:2 + m], y[2 + m:]
-
-    def null_residual(self, t: float) -> float:
-        s, sd, v, vd = self.state(t)
-        space = self.model.space
-        return abs(float(self.model.kappa(t, v)) + sd + float(space.norm_sq(vd)))
-
-
-def transverse_null_geodesic(model: ModelManifold, t0: float, s0: float,
-                             v0, vdot0, t_window: tuple[float, float]) -> TransverseNullGeodesic:
-    """Build the unique t-parametrized null geodesic through (t0, s0, v0)
-    with transverse velocity vdot0; s'(t0) is forced by nullness."""
-    m = model.m
-    gram = model.space.gram
-    v0 = np.asarray(v0, dtype=float).reshape(-1)
-    vdot0 = np.asarray(vdot0, dtype=float).reshape(-1)
-    sdot0 = -float(model.kappa(t0, v0)) - float(vdot0 @ gram @ vdot0)
-    A, profile = model.A, model.profile
-
-    def rhs(t, y):
-        v = y[2:2 + m]
-        vd = y[2 + m:]
-        f, f1 = profile.value_slope(t)
-        fav = f * v + A @ v
-        kappa_t = f1 * float(v @ gram @ v)
-        kappa_v = 2.0 * (gram @ fav)
-        out = np.empty_like(y)
-        out[0] = y[1]
-        out[1] = -kappa_t - 2.0 * float(kappa_v @ vd)
-        out[2:2 + m] = vd
-        out[2 + m:] = fav
-        return out
-
-    y0 = np.concatenate([[s0, sdot0], v0, vdot0])
-    lo, hi = sorted(t_window)
-    fwd = _solve(rhs, (t0, hi), y0, "null geodesic")
-    bwd = _solve(rhs, (t0, lo), y0, "null geodesic")
-
-    def dense(t):
-        return fwd(t) if t >= t0 else bwd(t)
-
-    return TransverseNullGeodesic(model=model, t_window=(lo, hi), _dense=dense)
-
-
-def straightening_map(geo: TransverseNullGeodesic, t: float, s: float, v) -> ChartPoint:
-    """F(t, s, v) = (t, s_x(t) + s - 2 <v, v_x'(t)>, v_x(t) + v).
-
-    A local self-isometry of the model carrying the curves (t, const, 0),
-    which are null geodesics along the t-axis, onto s-translates of the
-    given null geodesic. Equivalently: any transverse null geodesic can be
-    straightened onto the t-axis by a chart change that preserves the metric
-    form on the nose. The pullback identity F* g = g is exact up to the
-    conservation of the null invariant along x.
+    x is integrated by `geodesic` with t' = 1, so tau = t - t0, and
+    s'(t0) = -kappa(t0, v0) - <vdot0, vdot0> makes it null; it runs from
+    t0 forward to one end of the span and backward to the other, and is
+    compared with the image of the t-axis at 9 parameters per run.
     """
-    model = geo.model
-    gram = model.space.gram
-    v = np.asarray(v, dtype=float).reshape(-1)
-    s_x, sd_x, v_x, vd_x = geo.state(t)
-    new_s = s_x + s - 2.0 * float(v @ gram @ vd_x)
-    return ChartPoint(t, new_s, v_x + v)
-
-
-def straightening_jacobian(geo: TransverseNullGeodesic, t: float, v) -> np.ndarray:
-    """Analytic Jacobian of the straightening map (independent of s)."""
-    model = geo.model
-    n, m = model.dim, model.m
-    gram = model.space.gram
-    v = np.asarray(v, dtype=float).reshape(-1)
-    s_x, sd_x, v_x, vd_x = geo.state(t)
-    vdd_x = model.f_plus_A(t) @ v_x
-    J = np.zeros((n, n))
-    J[0, 0] = 1.0
-    J[1, 0] = sd_x - 2.0 * float(v @ gram @ vdd_x)
-    J[1, 1] = 1.0
-    J[1, 2:] = -2.0 * (gram @ vd_x)
-    J[2:, 0] = vd_x
-    J[2:, 2:] = np.eye(m)
-    return J
-
-
-def straightening_pullback_residual(geo: TransverseNullGeodesic,
-                                    t_grid, s_grid, v_grid) -> dict:
-    """max over the grid of |J^T g(F(x)) J - g_hat(x)| where g_hat is the
-    model metric at the source point; exactness rests on the null invariant,
-    whose worst drift is reported alongside."""
-    model = geo.model
-    worst = 0.0
-    null_worst = 0.0
-    count = 0
-    for t in t_grid:
-        null_worst = max(null_worst, geo.null_residual(float(t)))
-        for s in s_grid:
-            for v in v_grid:
-                src = ChartPoint(float(t), float(s), v)
-                img = straightening_map(geo, float(t), float(s), v)
-                J = straightening_jacobian(geo, float(t), v)
-                G_img = metric_at(model, img.coords())
-                G_src = metric_at(model, src.coords())
-                worst = max(worst, float(np.max(np.abs(J.T @ G_img @ J - G_src))))
-                count += 1
-    return {"pullback_residual": worst, "null_residual": null_worst,
-            "points": count}
+    vdot0 = np.asarray(vdot0, dtype=float).reshape(-1)
+    sdot0 = -float(model.kappa(point.t, point.v)) - float(model.space.norm_sq(vdot0))
+    velocity = np.concatenate([[1.0, sdot0], vdot0])
+    gaps = []
+    for end in t_span:
+        x = geodesic(model, point, velocity, (0.0, end - point.t),
+                     samples=9).states[:, :model.dim]
+        axis = np.zeros_like(x)
+        axis[:, 0] = x[:, 0]
+        gaps.append(np.max(np.abs(iso_apply(model, g, axis) - x)))
+    return float(np.max(gaps))

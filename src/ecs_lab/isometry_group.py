@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model_geometry import ModelManifold, metric_at
+from .model_geometry import ChartPoint, ModelManifold, metric_at
 from .pseudo_linear import _as_matrix
 from .solution_space import flow, omega, omega_matrix, solution_at
 
@@ -151,6 +151,22 @@ def sigma_act(model: ModelManifold, elem: SElement, u: np.ndarray) -> np.ndarray
 def iso_identity(model: ModelManifold) -> IsoElement:
     m = model.m
     return IsoElement(SElement(1.0, 0.0, np.eye(m)), 0.0, np.zeros(2 * m))
+
+
+def straightening_element(model: ModelManifold, point: ChartPoint,
+                          vdot0) -> IsoElement:
+    """The Heisenberg element g = (id, r, u) that straightens the null
+    geodesic x(t) = (t, s_x(t), v_x(t)) through `point` with transverse
+    velocity vdot0 (Appendix B): g(t, s, v) = (t, s_x(t) + s - 2 <v, v_x'(t)>,
+    v_x(t) + v), so g carries the t-axis onto x.
+
+    v_x is the solution u of E with Cauchy data (v0, vdot0) at t0, and along
+    a null geodesic s_x = r - <u, u'> with r = s0 + <v0, vdot0>.
+    """
+    data = np.linalg.solve(flow(model).matrix(point.t),
+                           np.concatenate([point.v, vdot0]))
+    r = point.s + float(model.space.inner(point.v, vdot0))
+    return IsoElement(iso_identity(model).sigma, r, data)
 
 
 def _lookup(model: ModelManifold, g: IsoElement, x: np.ndarray):

@@ -56,13 +56,22 @@ ENDPOINT_BARRIER = 1e-8
 _RTOL = 1e-13
 _ATOL = 1e-13
 
+# A flow segment fails after this many right-hand-side evaluations (the
+# shipped models need a few hundred): on an overflowing profile the steps
+# can shrink without end while the solver never reports a failure.
+_MAX_EVALS = 100_000
+
+
+class IntegrationError(RuntimeError):
+    """An integration that could not be completed."""
+
 
 def solve_ivp(*args, **kwargs):
     """scipy.integrate.solve_ivp, imported on the first integration.
 
     Both ODE modules call this module-level name at call time, so replacing
     it (on this module and on geodesics, which binds it on import) swaps
-    the integrator for every flow, geodesic, variation and null geodesic.
+    the integrator for every flow, geodesic, variation and transport run.
     """
     from scipy.integrate import solve_ivp
 
@@ -104,6 +113,10 @@ class CauchyFlow:
         self._sols = {1.0: [], -1.0: []}
 
     def _rhs(self, t, y):
+        self._evals += 1
+        if self._evals > _MAX_EVALS:
+            raise IntegrationError(f"flow integration failed: more than "
+                                   f"{_MAX_EVALS} evaluations in one segment")
         m = self.m
         M = y.reshape(2 * m, 2 * m)
         top = M[m:, :]
@@ -132,12 +145,13 @@ class CauchyFlow:
                 break   # the barrier edge; t lies past it only by rounding
             start = sign * ends[-1] if ends else self.base_t
             y0 = sols[-1].y[:, -1] if sols else np.eye(n).ravel()
+            self._evals = 0
             sol = solve_ivp(
                 self._rhs, (start, stop), y0,
                 method="DOP853", rtol=_RTOL, atol=_ATOL, dense_output=True,
             )
             if not sol.success:
-                raise RuntimeError(f"flow integration failed: {sol.message}")
+                raise IntegrationError(f"flow integration failed: {sol.message}")
             sols.append(sol)
             ends.append(sign * stop)
         i = min(bisect_left(ends, sign * t), len(ends) - 1)

@@ -25,8 +25,11 @@ from ecs_lab.isometry_group import (
     pullback_residual,
     s_membership,
     sigma_det_residual,
+    straightening_element,
 )
 from ecs_lab.model_geometry import random_chart_point
+
+SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
 HOMOGENEOUS = {
     "schema_version": "1",
@@ -306,6 +309,24 @@ class TestExitCodes:
         assert {"curvature.parallel-weyl", "curvature.nonparallel-riemann",
                 "curvature.weyl-nonzero"} <= failed
 
+    @pytest.mark.parametrize("task", ["geodesic", "appendix-a", "appendix-b"])
+    def test_overflowing_profile_fails_ode_rows(self, tmp_path, task):
+        # finite coefficients on which every integration fails: each failed
+        # sample contributes NaN, so the task's rows read "nan" and fail
+        # instead of ending the run with an internal error
+        payload = json.loads((SCENARIOS / "polynomial_m3.json").read_text())
+        payload["model"]["profile"]["coefficients"] = [0, 1e300, 0, 1e300]
+        payload["tasks"] = [{"task": task, "count": 1}]
+        with np.errstate(all="ignore"):
+            code, report = run_cli(tmp_path, payload)
+        assert code == 1
+        assert report["checks"]
+        assert all(row["value"] == "nan" and not row["pass"]
+                   for row in report["checks"])
+        if task == "appendix-b":
+            # strict JSON: NaN in detail is written as "nan" too
+            assert report["checks"][0]["detail"] == {"pullback": "nan", "axis": "nan"}
+
     @pytest.mark.parametrize("profile", [
         {"kind": "homogeneous", "c": 0.3},
         {"kind": "homogeneous", "c": "0.7j"},
@@ -553,6 +574,33 @@ class TestPlantedFaults:
         assert [r["anchor"] for r in report["checks"] if not r["pass"]] == [
             "isometry.inverse"]
 
+    @pytest.mark.parametrize("fault", ["r", "u"])
+    def test_perturbed_straightening_fails_appendix_b(self, tmp_path, monkeypatch,
+                                                      fault):
+        # Any Heisenberg element is an isometry, so only the axis part of the
+        # row sees a straightening element whose r or u is off.
+        payload = copy.deepcopy(HOMOGENEOUS)
+        payload["tasks"] = [{"task": "appendix-b", "count": 2}]
+        code, report = run_cli(tmp_path, payload)
+        assert code == 0 and report["checks"][0]["pass"]
+
+        def perturbed(model, point, vdot0):
+            g = straightening_element(model, point, vdot0)
+            if fault == "r":
+                return IsoElement(g.sigma, g.r + 1e-3, g.u)
+            return IsoElement(g.sigma, g.r, g.u + 1e-3)
+
+        monkeypatch.setattr(cli, "straightening_element", perturbed)
+        code, report = run_cli(tmp_path, payload, report_name="faulty.json")
+        assert code == 1
+        [row] = report["checks"]
+        assert row["anchor"] == "reconstruction.pullback-identity"
+        assert not row["pass"]
+        assert row["detail"]["pullback"] < 1e-12
+        assert row["detail"]["axis"] > 1e-4
+        if fault == "r":
+            assert row["detail"]["axis"] == pytest.approx(1e-3, rel=1e-6)
+
 
 class TestDeterminism:
     def test_identical_runs_identical_reports(self, tmp_path):
@@ -618,8 +666,7 @@ class TestReadme:
 class TestShippedScenarios:
     @pytest.mark.parametrize("name", ["homogeneous_m2", "polynomial_m3"])
     def test_scenarios_pass(self, tmp_path, name):
-        import pathlib
-        scenario = pathlib.Path(__file__).parent.parent / "scenarios" / f"{name}.json"
+        scenario = SCENARIOS / f"{name}.json"
         report = tmp_path / f"{name}.json"
         code = main(["run", "--scenario", str(scenario),
                      "--report", str(report)])

@@ -2,7 +2,8 @@
 metric-jet pipeline, the integrator policy, conservation laws, leaf
 flatness, boundary behavior on (0, inf) and on a bounded interval, plunges
 against the exact dilation flow, deviation fields with geodesic endpoint
-curves, and the straightening of transverse null geodesics."""
+curves, and the straightening of transverse null geodesics by a Heisenberg
+isometry."""
 
 import importlib.util
 from pathlib import Path
@@ -20,14 +21,19 @@ from ecs_lab.geodesics import (
     christoffel_closed_form,
     energy_report,
     geodesic,
-    straightening_map,
-    straightening_pullback_residual,
+    straightened_axis_residual,
     t_affinity_report,
     terminal_curve_residual,
-    transverse_null_geodesic,
     variation_field,
 )
 from ecs_lab.homogeneous import HomogeneousModel, generator_matrix
+from ecs_lab.isometry_group import (
+    iso_apply,
+    iso_distance,
+    iso_identity,
+    pullback_residual,
+    straightening_element,
+)
 from ecs_lab.model_geometry import (
     ChartPoint,
     ModelManifold,
@@ -82,8 +88,9 @@ class TestIntegratorPolicy:
         assert not regular.hit_boundary and plunge.hit_boundary
         variation_field(model, PolyCurve([0.1, 0.2], 0.1 * np.ones((m, 2))),
                         (0.1, np.full(m, 0.1)), (0.0, np.zeros(m)), (0.5, 2.0))
-        transverse_null_geodesic(model, 1.0, 0.0, np.full(m, 0.2),
-                                 np.full(m, -0.1), (0.5, 2.0))
+        start, vdot0 = ChartPoint(1.0, 0.0, np.full(m, 0.2)), np.full(m, -0.1)
+        straightened_axis_residual(model, straightening_element(model, start, vdot0),
+                                   start, vdot0, (0.5, 2.0))
         affine_transport_residual(model, leaf_circle(model, t0=1.0),
                                   np.array([1.0, 0.5, -0.3, 0.8]))
         assert len(calls) == 6
@@ -97,7 +104,7 @@ class TestIntegratorPolicy:
         spec.loader.exec_module(tracer)
         kinds = [tracer.RHS_KINDS.get(name) for name, _ in calls[:5]]
         assert kinds == ["geodesic", "geodesic", "variation_field",
-                         "null_geodesic", "null_geodesic"]
+                         "geodesic", "geodesic"]
 
 
 class TestGeodesicBasics:
@@ -384,57 +391,80 @@ def reference_affine_defect_residual(model, field):
     return worst / scale
 
 
+def null_start(model, rng, scale):
+    """A point at the middle of the model's window and a transverse
+    velocity, both with entries of the given scale."""
+    lo, hi = model.compact_window()
+    return (ChartPoint(0.5 * (lo + hi), float(rng.standard_normal()),
+                       scale * rng.standard_normal(model.m)),
+            scale * rng.standard_normal(model.m))
+
+
+def reference_straightening(model, pt, vdot0, x):
+    """Appendix B's map F(t, s, v) = (t, s_x(t) + s - 2 <v, v_x'(t)>,
+    v_x(t) + v) at chart points x of shape (k, n), with t the time of the
+    k-th sample of a null geodesic run from pt; the run comes from
+    `geodesic` with t' = 1 and the null s'(t0)."""
+    m = model.m
+    sdot0 = -float(model.kappa(pt.t, pt.v)) - float(model.space.norm_sq(vdot0))
+    run = geodesic(model, pt, np.concatenate([[1.0, sdot0], vdot0]),
+                   (0.0, x[-1, 0] - pt.t), samples=len(x))
+    s_x, v_x, vd_x = (run.states[:, 1], run.states[:, 2:2 + m],
+                      run.states[:, 4 + m:])
+    new_s = s_x + x[:, 1] - 2.0 * model.space.inner(x[:, 2:], vd_x)
+    return np.column_stack([run.states[:, 0], new_s, v_x + x[:, 2:]])
+
+
 class TestTransverseNull:
-    def test_null_invariant_conserved(self, roster):
+    def test_t_axis_maps_onto_the_null_geodesic(self, roster):
         rng = np.random.default_rng(161)
         for entry in (roster[0], roster[1]):
             model = entry.model
             lo, hi = model.compact_window()
-            t0 = 0.5 * (lo + hi)
-            geo = transverse_null_geodesic(
-                model, t0, float(rng.standard_normal()),
-                0.4 * rng.standard_normal(model.m),
-                0.4 * rng.standard_normal(model.m), (lo, hi))
-            for t in np.linspace(lo, hi, 7):
-                assert geo.null_residual(float(t)) < 1e-9
+            pt, vdot0 = null_start(model, rng, 0.4)
+            g = straightening_element(model, pt, vdot0)
+            assert straightened_axis_residual(model, g, pt, vdot0, (lo, hi)) < 1e-9
 
-    def test_t_axis_case(self, roster):
+    def test_zero_data_is_the_identity(self, roster):
         model = roster[1].model
-        geo = transverse_null_geodesic(model, 1.0, 0.0, np.zeros(2),
-                                       np.zeros(2), (0.5, 2.0))
-        s, sd, v, vd = geo.state(1.7)
-        assert abs(s) < 1e-12 and abs(sd) < 1e-12
-        assert np.max(np.abs(v)) < 1e-12
-        # straightening along the axis is the identity
-        out = straightening_map(geo, 1.3, 0.7, np.array([0.2, -0.1]))
-        assert out.t == 1.3
-        assert out.s == pytest.approx(0.7, abs=1e-12)
-        assert np.allclose(out.v, [0.2, -0.1], atol=1e-12)
+        g = straightening_element(model, ChartPoint(1.3, 0.0, np.zeros(2)),
+                                  np.zeros(2))
+        assert iso_distance(g, iso_identity(model)) == 0.0
+        x = np.array([1.3, 0.7, 0.2, -0.1])
+        assert np.max(np.abs(iso_apply(model, g, x) - x)) < 1e-12
+
+    def test_matches_the_reference_map(self, roster):
+        # the old chart formula, evaluated on an independent null geodesic
+        rng = np.random.default_rng(163)
+        for entry in (roster[1], roster[2]):
+            model = entry.model
+            lo, hi = model.compact_window()
+            pt, vdot0 = null_start(model, rng, 0.5)
+            g = straightening_element(model, pt, vdot0)
+            ts = np.linspace(pt.t, hi - 0.1 * (hi - lo), 9)
+            for s in (-1.0, 0.0, 2.0):
+                v = 0.5 * rng.standard_normal(model.m)
+                x = np.column_stack([ts, np.full(9, s), np.tile(v, (9, 1))])
+                want = reference_straightening(model, pt, vdot0, x)
+                assert np.max(np.abs(iso_apply(model, g, x) - want)) < 1e-9
 
     def test_straightening_preserves_metric(self, roster):
         rng = np.random.default_rng(162)
         for entry in (roster[1], roster[0]):
             model = entry.model
             lo, hi = model.compact_window()
-            t0 = 0.5 * (lo + hi)
-            geo = transverse_null_geodesic(
-                model, t0, 0.3, 0.5 * rng.standard_normal(model.m),
-                0.5 * rng.standard_normal(model.m), (lo, hi))
-            rep = straightening_pullback_residual(
-                geo,
-                t_grid=np.linspace(lo, hi, 5),
-                s_grid=[-1.0, 0.0, 2.0],
-                v_grid=[0.5 * rng.standard_normal(model.m) for _ in range(3)],
-            )
-            assert rep["points"] == 45
-            assert rep["null_residual"] < 1e-9
-            assert rep["pullback_residual"] < 1e-6
+            pt, vdot0 = null_start(model, rng, 0.5)
+            g = straightening_element(model, pt, vdot0)
+            grid = np.array([[[t, s, *(0.5 * rng.standard_normal(model.m))]
+                              for s in (-1.0, 0.0, 2.0) for _ in range(3)]
+                             for t in np.linspace(lo, hi, 5)])
+            residuals, _ = pullback_residual(model, g, grid)
+            assert residuals.shape == (5, 9)
+            assert np.max(residuals) < 1e-6
 
     def test_straightening_fixes_t(self, roster):
         model = roster[1].model
-        geo = transverse_null_geodesic(model, 1.0, 0.0,
-                                       np.array([0.3, -0.2]),
-                                       np.array([0.1, 0.4]), (0.5, 3.0))
+        g = straightening_element(model, ChartPoint(1.0, 0.0, [0.3, -0.2]),
+                                  np.array([0.1, 0.4]))
         for t in (0.6, 1.0, 2.8):
-            out = straightening_map(geo, t, 0.0, np.zeros(2))
-            assert out.t == t
+            assert iso_apply(model, g, np.array([t, 0.0, 0.0, 0.0]))[0] == t

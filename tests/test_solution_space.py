@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import ecs_lab.solution_space as solution_space
 from ecs_lab.homogeneous import HomogeneousModel, generator_matrix
 from ecs_lab.isometry_group import (
     IsoElement,
@@ -31,6 +32,7 @@ from ecs_lab.model_geometry import (
 from ecs_lab.pseudo_linear import PseudoEuclideanSpace
 from ecs_lab.solution_space import (
     CauchyFlow,
+    IntegrationError,
     flow,
     omega,
     omega_drift,
@@ -190,6 +192,18 @@ class TestFlow:
             exact = np.block([[C, zero], [zero, C / t]]) @ expm(-np.log(t) * B)
             got = flow(hm.model).matrix(t)
             assert np.max(np.abs(got - exact)) < 1e-9 * np.max(np.abs(exact))
+
+    def test_segment_over_evaluation_budget_fails(self, monkeypatch):
+        # A segment that exceeds the evaluation budget raises and is not
+        # kept, so the flow answers as before once the budget allows it.
+        model = scalar_model()
+        expected = flow(scalar_model()).matrix(1.7)
+        monkeypatch.setattr(solution_space, "_MAX_EVALS", 20)
+        with pytest.raises(IntegrationError, match="evaluations in one segment"):
+            flow(model).matrix(1.7)
+        assert flow(model)._sols[1.0] == []
+        monkeypatch.undo()
+        assert np.array_equal(flow(model).matrix(1.7), expected)
 
     def test_barrier_refuses_endpoint(self, roster):
         model = roster[1].model           # interval (0, inf)
