@@ -75,6 +75,7 @@ from .homogeneous import (
 from .geodesics import (
     GeodesicResult,
     geodesic,
+    geodesic_closed_form,
     energy_report,
     t_affinity_report,
     affine_transport_residual,

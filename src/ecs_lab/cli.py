@@ -38,6 +38,7 @@ import json
 import os
 import platform
 import sys
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -57,6 +58,7 @@ from .geodesics import (
 )
 from .homogeneous import (
     HomogeneousModel,
+    TransitivityReport,
     away_from_one,
     class_map_inverse,
     commute_test,
@@ -286,13 +288,7 @@ class Scenario:
         tasks = raw.get("tasks")
         if not isinstance(tasks, list) or not tasks:
             raise ScenarioError("scenario needs a nonempty 'tasks' list")
-        for entry in tasks:
-            if not isinstance(entry, dict) or not isinstance(entry.get("task"), str):
-                raise ScenarioError("each task entry needs a 'task' name")
-            if entry["task"] not in TASK_RUNNERS:
-                raise ScenarioError(f"unknown task {entry['task']!r}")
-            _reject_unknown(entry, TASK_KEYS[entry["task"]] | {"task"},
-                            f"task {entry['task']!r}")
+        tasks = [_task_params(entry) for entry in tasks]
         seed = raw.get("seed", 0) if seed_override is None else seed_override
         if not _is_int(seed) or seed < 0:
             raise ScenarioError(f"seed must be a nonnegative integer, got {seed!r}")
@@ -321,31 +317,62 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _count(params: dict, key: str, default: int, least: int = 1) -> int:
-    """A task's sample count, an integer of at least `least`: fewer than one
-    sample would pass vacuously, and a check over pairs needs two."""
-    value = params.get(key, default)
-    if not _is_int(value) or value < least:
-        raise ScenarioError(f"{key!r} must be an integer of at least {least}, "
-                            f"got {value!r}")
-    return value
+# What a sample may raise when its flow or ODE integration fails or its
+# values overflow; every other exception is an internal error.
+_SAMPLE_FAILURES = (IntegrationError, np.linalg.LinAlgError)
 
 
-def _q_values(params: dict, task: str, default: list) -> list[float]:
-    """A task's dilation parameters: a nonempty list of finite positive
-    numbers."""
-    q_values = params.get("q_values", default)
-    if not isinstance(q_values, list) or not q_values:
-        raise ScenarioError(f"{task} q_values must be a nonempty list")
-    if not all(_is_finite(q) and q > 0 for q in q_values):
-        raise ScenarioError(f"{task} q_values must be finite positive numbers, "
-                            f"got {q_values!r}")
-    return [float(q) for q in q_values]
+def _or_nan(fn, *args, failed=float("nan")):
+    """fn(*args), or `failed` when an argument is None (a sample that could
+    not be built), a flow or ODE integration that fn needs fails, or its
+    linear algebra meets a value that overflowed. NumPy's max, min and
+    argmax propagate NaN, so such a sample fails its row instead of ending
+    the run."""
+    if any(arg is None for arg in args):
+        return failed
+    try:
+        return fn(*args)
+    except _SAMPLE_FAILURES:
+        return failed
+
+
+def _task_params(entry) -> dict:
+    """A task entry with every parameter checked and its defaults filled in
+    from TASK_PARAMS."""
+    if not isinstance(entry, dict) or not isinstance(entry.get("task"), str):
+        raise ScenarioError("each task entry needs a 'task' name")
+    task = entry["task"]
+    if task not in TASK_PARAMS:
+        raise ScenarioError(f"unknown task {task!r}")
+    _reject_unknown(entry, set(TASK_PARAMS[task]) | {"task"}, f"task {task!r}")
+    params = {"task": task}
+    for key, default in TASK_PARAMS[task].items():
+        value = entry.get(key, default)
+        if key == "q_values":
+            if not (isinstance(value, list) and value
+                    and all(_is_finite(q) and q > 0 for q in value)):
+                raise ScenarioError(f"{task} q_values must be a nonempty list of "
+                                    f"finite positive numbers, got {value!r}")
+            value = [float(q) for q in value]
+        elif key == "tau":
+            if not _is_finite(value) or value == 0:
+                # a zero span samples one point and passes vacuously
+                raise ScenarioError(f"{task} tau must be finite and nonzero, got {value!r}")
+            value = float(value)
+        else:
+            # A sample count: fewer than one sample would pass vacuously, and
+            # a check over pairs needs two.
+            least = 2 if (task, key) in _PAIR_COUNTS else 1
+            if not _is_int(value) or value < least:
+                raise ScenarioError(f"{task} {key!r} must be an integer of at least "
+                                    f"{least}, got {value!r}")
+        params[key] = value
+    return params
 
 
 def task_verify_model(model: ModelManifold, params: dict, tol: Tolerances,
                       rng: np.random.Generator) -> list[dict]:
-    points = _count(params, "points", 25)
+    points = params["points"]
     res = model.validation_residuals()
     rows = [tol.check("structural residuals of (A, f)",
                       "validate.structure",
@@ -396,7 +423,7 @@ def task_verify_model(model: ModelManifold, params: dict, tol: Tolerances,
 def task_spectra(model: ModelManifold, params: dict, tol: Tolerances,
                  rng: np.random.Generator) -> list[dict]:
     hm = _require_homogeneous(model, "spectra")
-    q_values = _q_values(params, "spectra", [0.25, 0.5, 2.0, 4.0])
+    q_values = params["q_values"]
     rows = []
     gchk = generator_spectrum_check(hm)
     rows.append(tol.check("generator eigenvalues match m + 1/2 - 2j -+ c",
@@ -410,14 +437,15 @@ def task_spectra(model: ModelManifold, params: dict, tol: Tolerances,
                           detail={"kernel_dim": split.kernel_dim,
                                   "expected": expected_kernel_dim(hm.c)}))
     for q in q_values:
-        chk = dilation_spectrum_check(hm, q)
         rows.append(tol.check(f"dilation eigenvalues at q = {q:g}",
-                              "spectra.dilation-eigenvalues", chk.max_rel_error))
+                              "spectra.dilation-eigenvalues",
+                              _or_nan(lambda: dilation_spectrum_check(hm, q).max_rel_error)))
         rows.append(tol.check(f"exp(log(q) B) reproduces the dilation at q = {q:g}",
                               "spectra.exponential-consistency",
-                              exponential_consistency_residual(hm, q)))
+                              _or_nan(exponential_consistency_residual, hm, q)))
         if abs(q - 1.0) > 1e-10:
-            inv = shifted_invertibility(hm, q, split)
+            inv = _or_nan(shifted_invertibility, hm, q, split,
+                          failed={"min_singular_value": float("nan")})
             rows.append(tol.check(f"(sigma_q - 1) invertible on the range at q = {q:g}",
                                   "spectra.shifted-invertibility",
                                   inv["min_singular_value"], detail=inv))
@@ -426,36 +454,42 @@ def task_spectra(model: ModelManifold, params: dict, tol: Tolerances,
 
 def task_isometry_check(model: ModelManifold, params: dict, tol: Tolerances,
                         rng: np.random.Generator) -> list[dict]:
-    n_elements = _count(params, "elements", 10, least=2)
-    n_points = _count(params, "points", 5)
+    n_elements, n_points = params["elements"], params["points"]
     elems = sample_isometries(model, rng, n_elements)
     pts = np.array([random_chart_point(model, rng).coords() for _ in range(n_points)])
+    # A value stays NaN when a flow lookup it needs fails, and worst() picks
+    # NaN first, so the element fails its rows.
     member = np.zeros(n_elements)
-    omega_res = np.zeros(n_elements)
-    det = np.zeros(n_elements)
-    pull = np.zeros((n_elements, n_points))
-    images = np.zeros((n_elements, n_points, model.dim))
-    inverse = np.zeros(n_elements)
+    omega_res = np.full(n_elements, np.nan)
+    det = np.full(n_elements, np.nan)
+    pull = np.full((n_elements, n_points), np.nan)
+    images = np.full((n_elements, n_points, model.dim), np.nan)
+    inverse = np.full(n_elements, np.nan)
     ident = iso_identity(model)
     for k, g in enumerate(elems):
         member[k] = max(s_membership(model, g.sigma).values())
         pairs = [(random_solution(model, rng), random_solution(model, rng))
                  for _ in range(3)]
-        omega_res[k] = omega_scaling_residual(model, g.sigma, pairs)
-        det[k] = sigma_det_residual(model, g.sigma)
-        pull[k], images[k] = pullback_residual(model, g, pts)
-        g_inv = iso_inverse(model, g)
-        inverse[k] = max(iso_distance(iso_compose(model, g, g_inv), ident),
-                         iso_distance(iso_compose(model, g_inv, g), ident))
-    # Pair (g, h) = elements (2i, 2i + 1); h(x) is already in images.
+        with suppress(*_SAMPLE_FAILURES):
+            omega_res[k] = omega_scaling_residual(model, g.sigma, pairs)
+            det[k] = sigma_det_residual(model, g.sigma)
+            pull[k], images[k] = pullback_residual(model, g, pts)
+            g_inv = iso_inverse(model, g)
+            inverse[k] = max(iso_distance(iso_compose(model, g, g_inv), ident),
+                             iso_distance(iso_compose(model, g_inv, g), ident))
+    # Pair (g, h) = elements (2i, 2i + 1); h(x) is already in images, unless
+    # h's lookups failed.
     n_pairs = n_elements // 2
-    compat = np.zeros((n_pairs, n_points))
-    composed = np.zeros((n_pairs, n_points, model.dim))
+    compat = np.full((n_pairs, n_points), np.nan)
+    composed = np.full((n_pairs, n_points, model.dim), np.nan)
     for i in range(n_pairs):
         g, h = elems[2 * i], elems[2 * i + 1]
-        composed[i] = iso_apply(model, iso_compose(model, g, h), pts)
-        compat[i] = np.max(np.abs(composed[i] - iso_apply(model, g, images[2 * i + 1])),
-                           axis=-1)
+        if np.isnan(images[2 * i + 1]).any():
+            continue
+        with suppress(*_SAMPLE_FAILURES):
+            composed[i] = iso_apply(model, iso_compose(model, g, h), pts)
+            compat[i] = np.max(np.abs(composed[i] - iso_apply(model, g, images[2 * i + 1])),
+                               axis=-1)
 
     def worst(values, scale_of=None, stride=1):
         """The largest value and its element (row index times stride) and
@@ -492,54 +526,63 @@ def task_isometry_check(model: ModelManifold, params: dict, tol: Tolerances,
 def task_tcp_check(model: ModelManifold, params: dict, tol: Tolerances,
                    rng: np.random.Generator) -> list[dict]:
     hm = _require_homogeneous(model, "tcp-check")
-    n_classes = _count(params, "classes", 5)
-    per_class = _count(params, "per_class", 3, least=2)
-    round_trips = _count(params, "round_trips", 20)
+    n_classes, per_class = params["classes"], params["per_class"]
+    round_trips = params["round_trips"]
     m2 = 2 * hm.m
     split = spectral_split(hm)
 
-    # NumPy's max and min fold every residual below, NaN included.
-    round_errors = []
-    for _ in range(round_trips):
+    # A sample contributes NaN when a flow lookup it needs fails (_or_nan),
+    # and NumPy's max and min fold every residual below, NaN included. A
+    # class that cannot be built is None in each of its pairs; the
+    # transitivity check counts as one sample.
+    def round_trip():
         a, z, [(q, w)], [g] = sample_class(hm, split, rng, 1)
         a2, z2, q2, w2 = class_map_inverse(hm, g, split)
         err = np.max([abs(a2 - a), np.max(np.abs(z2 - z)),
                       abs(q2 - q), np.max(np.abs(w2 - w))])
-        scale = max(1.0, abs(a), float(np.max(np.abs(z))))
-        round_errors.append(err / scale)
+        return err / max(1.0, abs(a), float(np.max(np.abs(z))))
 
+    def direct(g1, g2):
+        return commute_test(hm, g1, g2).direct_residual
+
+    def disagree(g1, g2):
+        return float(not commute_test(hm, g1, g2).agree)
+
+    round_errors = [_or_nan(round_trip) for _ in range(round_trips)]
     within, across = [], []
     classes = []
     for _ in range(n_classes):
-        members = sample_class(hm, split, rng, per_class)[3]
+        members = _or_nan(lambda: sample_class(hm, split, rng, per_class)[3],
+                          failed=[None] * per_class)
         classes.append(members)
         for i in range(per_class):
             for j in range(i + 1, per_class):
-                within.append(commute_test(hm, members[i], members[j]).direct_residual)
+                within.append(_or_nan(direct, members[i], members[j]))
     for i in range(n_classes):
         for j in range(i + 1, n_classes):
-            across.append(commute_test(hm, classes[i][0], classes[j][0]).direct_residual)
+            across.append(_or_nan(direct, classes[i][0], classes[j][0]))
 
-    agreement_pairs = _count(params, "agreement_pairs", 30)
-    disagreements = 0
+    agreement_pairs = params["agreement_pairs"]
+    disagreements = 0.0
     for k in range(agreement_pairs):
         if k % 3 == 0 and classes:
             members = classes[k % n_classes]
-            outcome = commute_test(hm, members[0], members[-1])
+            disagreements += _or_nan(disagree, members[0], members[-1])
         else:
             g1 = g0_element(hm, away_from_one(rng), float(rng.standard_normal()),
                             rng.standard_normal(m2))
             g2 = g0_element(hm, away_from_one(rng), float(rng.standard_normal()),
                             rng.standard_normal(m2))
-            outcome = commute_test(hm, g1, g2)
-        if not outcome.agree:
-            disagreements += 1
+            disagreements += _or_nan(disagree, g1, g2)
 
-    n_triples = _count(params, "triples", 20)
-    transitivity = transitive_commutation_check(hm, split, n_triples, rng)
+    n_triples = params["triples"]
+    nan = float("nan")
+    transitivity = _or_nan(transitive_commutation_check, hm, split, n_triples, rng,
+                           failed=TransitivityReport(n_triples, nan, nan, nan))
 
-    worst_conj = np.max([conjugation_spectrum_check(hm, members[0]).max_rel_error
-                         for members in classes[: max(1, n_classes // 2)]])
+    worst_conj = np.max([
+        _or_nan(lambda g: conjugation_spectrum_check(hm, g).max_rel_error, members[0])
+        for members in classes[: max(1, n_classes // 2)]])
 
     central = []
     sigma_id = iso_identity(model).sigma
@@ -565,7 +608,7 @@ def task_tcp_check(model: ModelManifold, params: dict, tol: Tolerances,
                               "group.separating-across-classes", np.min(across)))
     rows.extend([
         tol.check(f"direct and criterion commutation tests agree x{agreement_pairs}",
-                  "group.commute-agreement", float(disagreements),
+                  "group.commute-agreement", disagreements,
                   detail={"pairs": agreement_pairs}),
         tol.check(f"commutation is transitive on {n_triples} constructed triples",
                   "group.transitive-commutation",
@@ -585,12 +628,7 @@ def task_tcp_check(model: ModelManifold, params: dict, tol: Tolerances,
 
 def task_geodesic(model: ModelManifold, params: dict, tol: Tolerances,
                   rng: np.random.Generator) -> list[dict]:
-    count = _count(params, "count", 20)
-    tau = params.get("tau", 2.0)
-    if not _is_finite(tau) or tau == 0:
-        # a zero span samples one point and passes vacuously
-        raise ScenarioError(f"geodesic tau must be finite and nonzero, got {tau!r}")
-    tau = float(tau)
+    count, tau = params["count"], params["tau"]
     energies, affines, starts, exits = [], [], [], []
     for _ in range(count):
         pt = random_chart_point(model, rng)
@@ -631,7 +669,7 @@ def task_geodesic(model: ModelManifold, params: dict, tol: Tolerances,
 
 def task_classify_group(model: ModelManifold, params: dict, tol: Tolerances,
                         rng: np.random.Generator) -> list[dict]:
-    q_values = _q_values(params, "classify-group", [1.0])
+    q_values = params["q_values"]
     dilational = any(abs(q - 1.0) > 1e-12 for q in q_values)
     hm = _require_homogeneous(model, "classify-group") if dilational else None
     elems = []
@@ -649,7 +687,7 @@ def task_classify_group(model: ModelManifold, params: dict, tol: Tolerances,
 
 def task_appendix_a(model: ModelManifold, params: dict, tol: Tolerances,
                     rng: np.random.Generator) -> list[dict]:
-    count = _count(params, "count", 5)
+    count = params["count"]
     lo, hi = model.compact_window()
     m = model.m
     residuals = []
@@ -676,7 +714,7 @@ def task_appendix_a(model: ModelManifold, params: dict, tol: Tolerances,
 
 def task_appendix_b(model: ModelManifold, params: dict, tol: Tolerances,
                     rng: np.random.Generator) -> list[dict]:
-    count = _count(params, "count", 3)
+    count = params["count"]
     lo, hi = model.compact_window()
     m = model.m
     t_grid = np.linspace(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), 5)
@@ -716,17 +754,22 @@ TASK_RUNNERS = {
     "appendix-b": task_appendix_b,
 }
 
-# The keys each task entry may carry besides "task"; any other is rejected.
-TASK_KEYS = {
-    "verify-model": {"points"},
-    "spectra": {"q_values"},
-    "isometry-check": {"elements", "points"},
-    "tcp-check": {"classes", "per_class", "round_trips", "agreement_pairs", "triples"},
-    "geodesic": {"count", "tau"},
-    "classify-group": {"q_values"},
-    "appendix-a": {"count"},
-    "appendix-b": {"count"},
+# The parameters of each task and their defaults. A task entry may carry
+# only these keys besides "task"; Scenario.load checks every value, so a bad
+# one exits 2 before any task runs.
+TASK_PARAMS = {
+    "verify-model": {"points": 25},
+    "spectra": {"q_values": [0.25, 0.5, 2.0, 4.0]},
+    "isometry-check": {"elements": 10, "points": 5},
+    "tcp-check": {"classes": 5, "per_class": 3, "round_trips": 20,
+                  "agreement_pairs": 30, "triples": 20},
+    "geodesic": {"count": 20, "tau": 2.0},
+    "classify-group": {"q_values": [1.0]},
+    "appendix-a": {"count": 5},
+    "appendix-b": {"count": 3},
 }
+# The counts that a check compares in pairs, which must be at least 2.
+_PAIR_COUNTS = {("isometry-check", "elements"), ("tcp-check", "per_class")}
 
 
 # ---------------------------------------------------------------------------

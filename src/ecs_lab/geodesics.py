@@ -1,9 +1,6 @@
 """Geodesics, second-order transport along leaf curves, and the two
 structural maps of the appendices built on them: leafwise geodesic
-variations, and the straightening of a transverse null geodesic. The
-straightening map is the Heisenberg isometry of
-`isometry_group.straightening_element`; here it is checked against the
-null geodesic that `geodesic` integrates.
+variations, and the straightening of a transverse null geodesic.
 
 Geodesic equations of the model metric in chart coordinates, with
 kappa_t = f'(t) <v, v> and kappa_v = 2 gram (f + A) v:
@@ -15,15 +12,21 @@ kappa_t = f'(t) <v, v> and kappa_v = 2 gram (f + A) v:
 so t is always affine in the parameter, the leaves {t} x R x V are flat and
 totally geodesic (every Christoffel symbol with both lower indices along a
 leaf vanishes), and the transverse dynamics is the same linear operator
-f + A that drives the solution space.
+f + A that drives the solution space. A geodesic with t' = 1 is therefore
+known in closed form (`geodesic_closed_form`): its v-part lies in E, and
+energy conservation fixes its s-part. The Appendix A variation field is
+such a geodesic minus its curve, and the Appendix B straightening map is
+the Heisenberg isometry of `isometry_group.straightening_element`; both
+are checked against `geodesic`, which integrates the equations above.
 
-Every integration goes through `_solve`: an explicit high-order adaptive
-scheme at tight tolerances with dense output. Since t is affine, a run that
-heads for a finite interval endpoint is known to do so in advance: it stops
-at a small barrier before the endpoint, at a parameter given in closed form,
-and is integrated in x = log|t - endpoint| so that its steps need not shrink
-near the singularity. The right-hand sides apply f v + A v rather than
-forming f + A; everything else reads kappa from `ModelManifold.kappa`.
+Every integration goes through `_solve`, with one of two right-hand sides:
+the geodesic equations and second-order transport. It is an explicit
+high-order adaptive scheme at tight tolerances with dense output. Since t
+is affine, a run that heads for a finite interval endpoint is known to do
+so in advance: it stops at a small barrier before the endpoint, at a
+parameter given in closed form, and is integrated in x = log|t - endpoint|
+so that its steps need not shrink near the singularity. The geodesic
+right-hand side applies f v + A v rather than forming f + A.
 """
 
 from __future__ import annotations
@@ -32,10 +35,11 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from numpy.polynomial import polynomial as _P
 
-from .isometry_group import IsoElement, iso_apply
+from .isometry_group import IsoElement, iso_apply, straightening_element
 from .model_geometry import ChartPoint, ModelManifold
-from .solution_space import ENDPOINT_BARRIER, IntegrationError, solve_ivp
+from .solution_space import ENDPOINT_BARRIER, IntegrationError, solution_at, solve_ivp
 
 _RTOL = 1e-12
 _ATOL = 1e-12
@@ -239,10 +243,6 @@ def affine_transport_residual(model: ModelManifold,
 # leafwise geodesic variations
 # ---------------------------------------------------------------------------
 
-def _polyder(c: np.ndarray, order: int, axis: int = 0) -> np.ndarray:
-    return np.polynomial.polynomial.polyder(c, m=order, axis=axis) if order else c
-
-
 class PolyCurve:
     """A t-parametrized transverse curve y(t) = (t, s_y(t), v_y(t)) with
     polynomial components, so derivatives of any order are exact."""
@@ -252,23 +252,14 @@ class PolyCurve:
         self.v_coeffs = np.asarray(v_coeffs, dtype=float)
         if self.v_coeffs.ndim != 2:
             raise ValueError("v_coeffs must be (m, degree+1)")
-        # Coefficients of orders 0-2, v's as (degree+1, m) columns, so that
-        # one polyval evaluates every component.
-        self._s = [_polyder(self.s_coeffs, k) for k in range(3)]
-        self._v = [_polyder(self.v_coeffs, k, axis=1).T for k in range(3)]
-
-    @property
-    def m(self) -> int:
-        return self.v_coeffs.shape[0]
 
     def s(self, t, order: int = 0):
         """s_y or its derivative at a time or an array of times."""
-        c = self._s[order] if order < 3 else _polyder(self.s_coeffs, order)
-        return np.polynomial.polynomial.polyval(t, c)
+        return _P.polyval(t, _P.polyder(self.s_coeffs, m=order))
 
-    def v(self, t: float, order: int = 0) -> np.ndarray:
-        c = self._v[order] if order < 3 else _polyder(self.v_coeffs, order, axis=1).T
-        return np.polynomial.polynomial.polyval(t, c)
+    def v(self, t, order: int = 0) -> np.ndarray:
+        """v_y or its derivative, shape (m,) + shape of t."""
+        return _P.polyval(t, _P.polyder(self.v_coeffs, m=order, axis=1).T)
 
 
 @dataclass
@@ -276,8 +267,8 @@ class VariationField:
     """The leafwise deviation field z(t) = (z_s, z_v) along a transverse
     curve y, sampled with its t-derivative on t_grid. The variation is
     x(t, s) = y(t) + s z(t): the leaves are flat, so the leafwise
-    exponential is coordinate addition. z is integrated so that the
-    endpoint curve x(., 1) = y + z is a geodesic.
+    exponential is coordinate addition. z is chosen so that the endpoint
+    curve x(., 1) = y + z is a geodesic.
     """
 
     curve: PolyCurve
@@ -288,58 +279,46 @@ class VariationField:
     zdot_v: np.ndarray
 
 
+def geodesic_closed_form(model: ModelManifold, point: ChartPoint, sdot0: float,
+                         vdot0, ts) -> np.ndarray:
+    """The geodesic with t' = 1 through `point` with velocity (1, sdot0,
+    vdot0) at the times ts, as rows (t, s, v, t', s', v') like
+    `GeodesicResult.states`, with no geodesic equation integrated.
+
+    Its v-part is the solution u of E with Cauchy data (v0, vdot0) at t0.
+    The energy E = kappa(t, u) + s' + <u', u'> is conserved and
+    kappa(t, u) = <u'', u>, so s = s0 + E (t - t0) - <u, u'> + <v0, vdot0>:
+    the image of the line (t, E (t - t0), 0) under the straightening
+    element of the null geodesic through `point` with velocity vdot0.
+    """
+    ts = np.asarray(ts, dtype=float)
+    space = model.space
+    g = straightening_element(model, point, vdot0)
+    u, du = solution_at(model, g.u, ts)
+    energy = model.kappa(point.t, point.v) + sdot0 + space.norm_sq(vdot0)
+    s = g.r + energy * (ts - point.t) - space.inner(u, du)
+    ds = energy - model.kappa(ts, u) - space.norm_sq(du)
+    return np.column_stack([ts, s, u, np.ones_like(ts), ds, du])
+
+
 def variation_field(model: ModelManifold, curve: PolyCurve,
                     z0: tuple[float, np.ndarray], zdot0: tuple[float, np.ndarray],
                     t_span: tuple[float, float], samples: int = 129) -> VariationField:
-    """Integrate the deviation field equations along the curve.
-
-    The V-part solves z_v'' = (f + A) z_v + (f + A) v_y - v_y'' (the
-    Jacobi-type operator with the curve's own geodesic defect as source) and
-    the s-part balances the full s-geodesic equation of y + z, including the
-    terms quadratic in z.
+    """The deviation field z = x - y whose endpoint curve x = y + z is the
+    geodesic with t' = 1 through y(t_a) + z0 with velocity y'(t_a) + zdot0,
+    t_a = t_span[0]: x is `geodesic_closed_form` on the grid, and
+    zdot = x' - y'.
     """
     m = model.m
-    gram = model.space.gram
-    A, profile = model.A, model.profile
-
-    def rhs(t, y):
-        z_s, zd_s = y[0], y[1]
-        z_v = y[2:2 + m]
-        zd_v = y[2 + m:]
-        f, f1 = profile.value_slope(t)
-        v_y = curve.v(t)
-        vd_y = curve.v(t, 1)
-        vdd_y = curve.v(t, 2)
-        sdd_y = curve.s(t, 2)
-        fa_z = f * z_v + A @ z_v
-        fa_v = f * v_y + A @ v_y
-
-        zdd_v = fa_z + fa_v - vdd_y
-        linear = (
-            2.0 * f1 * float(v_y @ gram @ z_v)
-            + 4.0 * float(vd_y @ gram @ fa_z)
-            + 4.0 * float(fa_v @ gram @ zd_v)
-        )
-        source = sdd_y + f1 * float(v_y @ gram @ v_y) \
-            + 4.0 * float(fa_v @ gram @ vd_y)
-        quadratic = f1 * float(z_v @ gram @ z_v) \
-            + 4.0 * float(fa_z @ gram @ zd_v)
-        zdd_s = -(linear + source + quadratic)
-
-        out = np.empty_like(y)
-        out[0], out[1] = zd_s, zdd_s
-        out[2:2 + m] = zd_v
-        out[2 + m:] = zdd_v
-        return out
-
-    y0 = np.concatenate([[z0[0], zdot0[0]], np.asarray(z0[1], dtype=float),
-                         np.asarray(zdot0[1], dtype=float)])
-    dense = _solve(rhs, t_span, y0, "variation")
-
+    t_a = t_span[0]
     ts = np.linspace(t_span[0], t_span[1], samples)
-    Y = dense(ts).T
-    return VariationField(curve=curve, t_grid=ts, z_s=Y[:, 0], z_v=Y[:, 2:2 + m],
-                          zdot_s=Y[:, 1], zdot_v=Y[:, 2 + m:])
+    start = ChartPoint(t_a, curve.s(t_a) + z0[0], curve.v(t_a) + z0[1])
+    x = geodesic_closed_form(model, start, curve.s(t_a, 1) + zdot0[0],
+                             curve.v(t_a, 1) + zdot0[1], ts)
+    return VariationField(curve=curve, t_grid=ts,
+                          z_s=x[:, 1] - curve.s(ts), z_v=x[:, 2:2 + m] - curve.v(ts).T,
+                          zdot_s=x[:, 3 + m] - curve.s(ts, 1),
+                          zdot_v=x[:, 4 + m:] - curve.v(ts, 1).T)
 
 
 def terminal_curve_residual(model: ModelManifold, field: VariationField) -> float:

@@ -128,9 +128,12 @@ class SpectrumCheck:
 
 
 def _match_multisets(predicted: np.ndarray, computed: np.ndarray) -> float:
-    """Best-bijection matching error between two eigenvalue lists, measured
-    relative to |predicted| above unit scale and absolutely below it (a
-    predicted eigenvalue of exactly 0 is matched by absolute error)."""
+    """The largest error of a matching between two eigenvalue lists, each
+    error measured relative to |predicted| above unit scale and absolutely
+    below it (a predicted eigenvalue of exactly 0 is matched by absolute
+    error). The matching minimizes the sum of the errors, not their max, so
+    the value is an upper bound on the best achievable max: it can
+    overstate it, never understate it."""
     from scipy.optimize import linear_sum_assignment
 
     pr = np.asarray(predicted, dtype=complex)

@@ -71,7 +71,7 @@ def solve_ivp(*args, **kwargs):
 
     Both ODE modules call this module-level name at call time, so replacing
     it (on this module and on geodesics, which binds it on import) swaps
-    the integrator for every flow, geodesic, variation and transport run.
+    the integrator for every flow, geodesic and transport run.
     """
     from scipy.integrate import solve_ivp
 
@@ -98,9 +98,11 @@ class CauchyFlow:
     t0 is cut into fixed segments: toward an infinite end the distance from
     t0 doubles (1, 2, 4, ...), toward a finite end the distance left to it
     halves, down to the endpoint barrier. A segment is integrated once, on
-    first use, from the end state of the segment before it. A query is a
-    bisect over the segment ends and one dense-output evaluation, so
-    matrix(t) is the same whatever was queried before.
+    first use, from the end state of the segment before it; one that fails
+    is not kept, and every later query past its start raises its
+    IntegrationError again without integrating. A query is a bisect over
+    the segment ends and one dense-output evaluation, so matrix(t) is the
+    same whatever was queried before.
     """
 
     def __init__(self, model: ModelManifold):
@@ -111,6 +113,8 @@ class CauchyFlow:
         # integrated segment, and the segment's dense solution.
         self._ends = {1.0: [], -1.0: []}
         self._sols = {1.0: [], -1.0: []}
+        # The message of the segment that failed, per direction.
+        self._failed = {1.0: None, -1.0: None}
 
     def _rhs(self, t, y):
         self._evals += 1
@@ -143,15 +147,21 @@ class CauchyFlow:
             stop = self._edge(sign, len(ends))
             if ends and sign * stop <= ends[-1]:
                 break   # the barrier edge; t lies past it only by rounding
+            if self._failed[sign]:
+                raise IntegrationError(self._failed[sign])
             start = sign * ends[-1] if ends else self.base_t
             y0 = sols[-1].y[:, -1] if sols else np.eye(n).ravel()
             self._evals = 0
-            sol = solve_ivp(
-                self._rhs, (start, stop), y0,
-                method="DOP853", rtol=_RTOL, atol=_ATOL, dense_output=True,
-            )
-            if not sol.success:
-                raise IntegrationError(f"flow integration failed: {sol.message}")
+            try:
+                sol = solve_ivp(
+                    self._rhs, (start, stop), y0,
+                    method="DOP853", rtol=_RTOL, atol=_ATOL, dense_output=True,
+                )
+                if not sol.success:
+                    raise IntegrationError(f"flow integration failed: {sol.message}")
+            except IntegrationError as exc:
+                self._failed[sign] = str(exc)
+                raise
             sols.append(sol)
             ends.append(sign * stop)
         i = min(bisect_left(ends, sign * t), len(ends) - 1)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import ecs_lab.cli as cli
-from ecs_lab.cli import TASK_KEYS, build_model, main
+from ecs_lab.cli import TASK_PARAMS, build_model, main
 from ecs_lab.geodesics import energy_report, geodesic, t_affinity_report
 from ecs_lab.homogeneous import sample_isometries
 from ecs_lab.isometry_group import (
@@ -28,6 +28,7 @@ from ecs_lab.isometry_group import (
     straightening_element,
 )
 from ecs_lab.model_geometry import random_chart_point
+from ecs_lab.solution_space import CauchyFlow
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
@@ -60,6 +61,14 @@ WITHOUT_DILATIONS = {
     "diagonal-A": {**HOMOGENEOUS["model"], "A": [[1.0, 0.0], [0.0, -1.0]],
                    "gram": [[1.0, 0.0], [0.0, 1.0]]},
     "finite-interval": {**HOMOGENEOUS["model"], "interval": [0.5, 3]},
+}
+
+
+# The rows of the group tasks that no flow lookup feeds.
+FLOW_FREE_ROWS = {
+    "isometry-check": {"isometry.membership"},
+    "spectra": {"spectra.generator-eigenvalues", "spectra.kernel-dimension"},
+    "tcp-check": {"heisenberg.commutator-central"},
 }
 
 
@@ -246,6 +255,13 @@ class TestExitCodes:
         {"task": "geodesic", "count": 1, "tau": 1.0, "seed": 3},
         {"task": ["geodesic"]},
         {"task": None},
+        {"task": "geodesic", "count": 0},
+        {"task": "geodesic", "count": 1, "tau": 0.0},
+        {"task": "isometry-check", "elements": 1},
+        {"task": "tcp-check", "triples": True},
+        {"task": "spectra", "q_values": [2.0, -1.0]},
+        {"task": "classify-group", "q_values": []},
+        {"task": "appendix-a", "count": 2.5},
     ])
     def test_bad_task_entry_is_two_before_any_task_runs(self, tmp_path, monkeypatch,
                                                          entry):
@@ -309,23 +325,48 @@ class TestExitCodes:
         assert {"curvature.parallel-weyl", "curvature.nonparallel-riemann",
                 "curvature.weyl-nonzero"} <= failed
 
-    @pytest.mark.parametrize("task", ["geodesic", "appendix-a", "appendix-b"])
+    @pytest.mark.parametrize("task", ["geodesic", "appendix-a", "appendix-b",
+                                      "isometry-check", "spectra", "tcp-check"])
     def test_overflowing_profile_fails_ode_rows(self, tmp_path, task):
-        # finite coefficients on which every integration fails: each failed
+        # finite profiles on which every integration fails: each failed
         # sample contributes NaN, so the task's rows read "nan" and fail
-        # instead of ending the run with an internal error
-        payload = json.loads((SCENARIOS / "polynomial_m3.json").read_text())
-        payload["model"]["profile"]["coefficients"] = [0, 1e300, 0, 1e300]
-        payload["tasks"] = [{"task": task, "count": 1}]
+        # instead of ending the run with an internal error. The group tasks
+        # run on homogeneous_m2 with c = 1e20, whose flow fails in both
+        # directions; the rows that need no flow keep their values.
+        if task in FLOW_FREE_ROWS:
+            payload = json.loads((SCENARIOS / "homogeneous_m2.json").read_text())
+            payload["model"]["profile"]["c"] = 1e20
+            payload["tasks"] = [{"task": task}]
+        else:
+            payload = json.loads((SCENARIOS / "polynomial_m3.json").read_text())
+            payload["model"]["profile"]["coefficients"] = [0, 1e300, 0, 1e300]
+            payload["tasks"] = [{"task": task, "count": 1}]
         with np.errstate(all="ignore"):
             code, report = run_cli(tmp_path, payload)
         assert code == 1
-        assert report["checks"]
-        assert all(row["value"] == "nan" and not row["pass"]
-                   for row in report["checks"])
+        flow_rows = [row for row in report["checks"]
+                     if row["anchor"] not in FLOW_FREE_ROWS.get(task, ())]
+        assert flow_rows
+        assert all(row["value"] == "nan" and not row["pass"] for row in flow_rows)
         if task == "appendix-b":
             # strict JSON: NaN in detail is written as "nan" too
             assert report["checks"][0]["detail"] == {"pullback": "nan", "axis": "nan"}
+
+    def test_overflowed_flow_values_fail_spectra_rows(self, tmp_path, monkeypatch):
+        # A flow segment can succeed with values so large that sigma_q
+        # overflows (homogeneous_m2 with c = 1e3 does, after seconds of
+        # integration). Its eigenvalues then raise LinAlgError, and the rows
+        # read "nan" and fail instead of ending the run.
+        monkeypatch.setattr(CauchyFlow, "matrix",
+                            lambda self, t: np.full((2 * self.m, 2 * self.m), np.inf))
+        payload = copy.deepcopy(HOMOGENEOUS)
+        payload["tasks"] = [{"task": "spectra", "q_values": [2.0]}]
+        with np.errstate(all="ignore"):
+            code, report = run_cli(tmp_path, payload)
+        assert code == 1
+        flow_rows = [row for row in report["checks"]
+                     if row["anchor"] not in FLOW_FREE_ROWS["spectra"]]
+        assert [row["value"] for row in flow_rows] == ["nan"] * 3
 
     @pytest.mark.parametrize("profile", [
         {"kind": "homogeneous", "c": 0.3},
@@ -601,6 +642,33 @@ class TestPlantedFaults:
         if fault == "r":
             assert row["detail"]["axis"] == pytest.approx(1e-3, rel=1e-6)
 
+    @pytest.mark.parametrize("name,scale", [
+        ("homogeneous_m2", 1.5),
+        ("polynomial_m3", 1.5),
+        ("polynomial_m3", 1.0 + 1e-6),
+    ])
+    def test_wrong_flow_fails_appendix_a(self, tmp_path, monkeypatch, name, scale):
+        # The endpoint curve comes from the flow and the terminal row
+        # integrates the geodesic equations, so a flow that solves
+        # u'' = (f + scale A) u fails the row. (At 1 + 1e-6, homogeneous_m2's
+        # draws read 8.8e-7, just under the budget.)
+        payload = json.loads((SCENARIOS / f"{name}.json").read_text())
+        payload["tasks"] = [t for t in payload["tasks"] if t["task"] == "appendix-a"]
+        code, report = run_cli(tmp_path, payload)
+        assert code == 0
+
+        def rhs(self, t, y):
+            m = self.m
+            M = y.reshape(2 * m, 2 * m)
+            fa = self.model.profile.value(t) * np.eye(m) + scale * self.model.A
+            return np.vstack([M[m:], fa @ M[:m]]).ravel()
+
+        monkeypatch.setattr(CauchyFlow, "_rhs", rhs)
+        code, report = run_cli(tmp_path, payload, report_name="faulty.json")
+        assert code == 1
+        assert [row["anchor"] for row in report["checks"] if not row["pass"]] == [
+            "variation.terminal-geodesic"]
+
 
 class TestDeterminism:
     def test_identical_runs_identical_reports(self, tmp_path):
@@ -660,7 +728,7 @@ class TestReadme:
         readme = (Path(__file__).parent.parent / "README.md").read_text()
         rows = re.findall(r"^\| `([a-z-]+)` \|.*\| (.*) \|$", readme, re.MULTILINE)
         knobs = {task: set(re.findall(r"`(\w+)`", cell)) for task, cell in rows}
-        assert knobs == TASK_KEYS
+        assert knobs == {task: set(params) for task, params in TASK_PARAMS.items()}
 
 
 class TestShippedScenarios:

@@ -21,6 +21,7 @@ from ecs_lab.geodesics import (
     christoffel_closed_form,
     energy_report,
     geodesic,
+    geodesic_closed_form,
     straightened_axis_residual,
     t_affinity_report,
     terminal_curve_residual,
@@ -69,7 +70,8 @@ class TestChristoffelClosedForm:
 class TestIntegratorPolicy:
     """Every integration in the geodesics module runs DOP853 at rtol = atol
     = 1e-12 with dense output, and hands solve_ivp the right-hand side
-    itself, whose qualified name the benchmark tracer classifies."""
+    itself, whose qualified name the benchmark tracer classifies. A
+    variation field integrates nothing here: it reads the flow."""
 
     def test_every_integration_uses_the_policy(self, roster, monkeypatch):
         calls = []
@@ -93,7 +95,7 @@ class TestIntegratorPolicy:
                                    start, vdot0, (0.5, 2.0))
         affine_transport_residual(model, leaf_circle(model, t0=1.0),
                                   np.array([1.0, 0.5, -0.3, 0.8]))
-        assert len(calls) == 6
+        assert len(calls) == 5
         for _, kwargs in calls:
             assert kwargs == {"method": "DOP853", "rtol": 1e-12, "atol": 1e-12,
                               "dense_output": True}
@@ -102,9 +104,8 @@ class TestIntegratorPolicy:
         spec = importlib.util.spec_from_file_location("ecs_lab_bench_tracer", path)
         tracer = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(tracer)
-        kinds = [tracer.RHS_KINDS.get(name) for name, _ in calls[:5]]
-        assert kinds == ["geodesic", "geodesic", "variation_field",
-                         "geodesic", "geodesic"]
+        kinds = [tracer.RHS_KINDS.get(name) for name, _ in calls[:4]]
+        assert kinds == ["geodesic"] * 4
 
 
 class TestGeodesicBasics:
@@ -221,6 +222,32 @@ class TestPlungeOracle:
             assert checked == res.taus.size - 1
 
 
+class TestFlowOracle:
+    """t is affine, so a run with t' = a != 0 is the t' = 1 geodesic with
+    velocity / a at t = t0 + a tau. `geodesic_closed_form` reads that one
+    from the flow; the run integrates the geodesic equations. They must
+    agree in every coordinate (t, s, v)."""
+
+    def test_regular_runs_match_the_closed_form(self, roster):
+        rng = np.random.default_rng(191)
+        for entry in roster:
+            model = entry.model
+            n = model.dim
+            checked = 0
+            while checked < 10:
+                pt = random_chart_point(model, rng)
+                vel = random_velocity(model, rng)
+                res = geodesic(model, pt, vel, (0.0, 1.0), samples=33)
+                if res.hit_boundary:
+                    continue
+                a = vel[0]
+                expected = geodesic_closed_form(model, pt, vel[1] / a, vel[2:] / a,
+                                                pt.t + a * res.taus)[:, :n]
+                gap = np.max(np.abs(res.states[:, :n] - expected))
+                assert gap <= 1e-8 * max(1.0, np.max(np.abs(expected))), entry.name
+                checked += 1
+
+
 def bounded_model():
     """n4-poly's space, A and profile on the interval (-1, 2)."""
     space = PseudoEuclideanSpace(np.eye(2))
@@ -253,8 +280,8 @@ class TestBoundedEndpoints:
 
 
 class TestCachedCoefficients:
-    """Cached derivative coefficients evaluate exactly as polyder + polyval,
-    within the cached orders and one order above them."""
+    """Curve and profile derivatives evaluate exactly as polyder + polyval,
+    within the profile's cached orders and one order above them."""
 
     P = np.polynomial.polynomial
 

@@ -195,15 +195,28 @@ class TestFlow:
 
     def test_segment_over_evaluation_budget_fails(self, monkeypatch):
         # A segment that exceeds the evaluation budget raises and is not
-        # kept, so the flow answers as before once the budget allows it.
+        # kept. The flow remembers it: a later lookup past it raises the same
+        # error at once, without integrating, while the other direction
+        # answers as a fresh flow does.
         model = scalar_model()
-        expected = flow(scalar_model()).matrix(1.7)
+        fresh = flow(scalar_model())
         monkeypatch.setattr(solution_space, "_MAX_EVALS", 20)
         with pytest.raises(IntegrationError, match="evaluations in one segment"):
             flow(model).matrix(1.7)
         assert flow(model)._sols[1.0] == []
         monkeypatch.undo()
-        assert np.array_equal(flow(model).matrix(1.7), expected)
+        calls = []
+        real = solution_space.solve_ivp
+
+        def recorder(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solution_space, "solve_ivp", recorder)
+        with pytest.raises(IntegrationError, match="evaluations in one segment"):
+            flow(model).matrix(3.0)
+        assert calls == []
+        assert np.array_equal(flow(model).matrix(0.7), fresh.matrix(0.7))
 
     def test_barrier_refuses_endpoint(self, roster):
         model = roster[1].model           # interval (0, inf)
