@@ -45,10 +45,11 @@ from .pseudo_linear import (
 from .solution_space import omega, omega_matrix, random_solution
 from .isometry_group import IsoElement, SElement, iso_compose, sigma_act, sigma_matrix
 
-# Relative singular-value cutoff separating the kernel of the generator from
-# its range. The smallest nonzero |kappa| across the supported parameter
-# range stays above 0.2, while the closed-form B puts a kernel singular value
-# at roundoff (near 1e-16 relative), so 1e-4 splits the gap safely.
+# Relative cutoff separating the kernel of the generator from its range: an
+# eigenvalue of B (an exponent kappa) at most KERNEL_RTOL times its spectral
+# radius counts as kernel. The smallest nonzero |kappa| across the supported
+# parameter range stays above 0.2, while the closed-form B puts a kernel
+# eigenvalue at roundoff (near 1e-16 relative), so 1e-4 splits the gap safely.
 KERNEL_RTOL = 1e-4
 
 # Residual at or below which commute_test counts a pair as commuting, by
@@ -221,9 +222,16 @@ def expected_kernel_dim(c: complex) -> int:
 
 
 def spectral_split(hm: HomogeneousModel) -> SpectralSplit:
-    U, sv, Vt = np.linalg.svd(generator_matrix(hm))
-    small = sv <= KERNEL_RTOL * sv[0]
-    k = int(np.sum(small))
+    """Bases of ker B and range B from the SVD of the generator B.
+
+    The kernel dimension counts small eigenvalues, not small singular
+    values: the spectral radius grows like c but the largest singular value
+    like c^2, and against that the unit singular values of B's -I block
+    would pass for a kernel at large c."""
+    B = generator_matrix(hm)
+    modulus = np.abs(np.linalg.eigvals(B))
+    k = int(np.sum(modulus <= KERNEL_RTOL * modulus.max()))
+    U, sv, Vt = np.linalg.svd(B)
     e0 = Vt[2 * hm.m - k:, :].T if k else np.zeros((2 * hm.m, 0))
     eplus = U[:, : 2 * hm.m - k]
     return SpectralSplit(e0=e0, eplus=eplus)

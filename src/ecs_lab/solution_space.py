@@ -34,10 +34,10 @@ arithmetic. `solution_at` takes such a vector and a time or an array of
 times and makes one `CauchyFlow.matrix` lookup per time; callers that need
 u at many times pass them in one array.
 
-This module also owns `solve_ivp`, the one integrator name of the package:
-it imports SciPy's integrator on its first call, so importing the package
-and checks that integrate nothing (curvature) never load it, and the
-geodesics module imports the name from here.
+The flow integrates through this module's `solve_ivp`, which imports
+SciPy's integrator on its first call, so importing the package and checks
+that integrate nothing (curvature) never load it. Geodesic and transport
+runs use the geodesics module's own DOP853 instead.
 """
 
 from __future__ import annotations
@@ -69,9 +69,9 @@ class IntegrationError(RuntimeError):
 def solve_ivp(*args, **kwargs):
     """scipy.integrate.solve_ivp, imported on the first integration.
 
-    Both ODE modules call this module-level name at call time, so replacing
-    it (on this module and on geodesics, which binds it on import) swaps
-    the integrator for every flow, geodesic and transport run.
+    CauchyFlow calls this module-level name at call time, so replacing it
+    swaps the integrator of every flow segment. Geodesic and transport runs
+    call `geodesics.solve_ivp`, which replacing this name does not touch.
     """
     from scipy.integrate import solve_ivp
 

@@ -670,6 +670,19 @@ class TestPlantedFaults:
             "variation.terminal-geodesic"]
 
 
+class TestLargeC:
+    def test_spectra_kernel_dimension_at_c_100(self, tmp_path):
+        # B's singular values grow like c^2, so a kernel counted against the
+        # largest of them took the unit ones for a kernel (2.0 at c = 100)
+        payload = json.loads((SCENARIOS / "homogeneous_m2.json").read_text())
+        payload["model"]["profile"]["c"] = [100.0, 0.0]
+        payload["tasks"] = [{"task": "spectra", "q_values": [2.0]}]
+        _, report = run_cli(tmp_path, payload)
+        rows = [row for row in report["checks"]
+                if row["anchor"] == "spectra.kernel-dimension"]
+        assert len(rows) == 1 and rows[0]["pass"] and rows[0]["value"] == 0.0
+
+
 class TestDeterminism:
     def test_identical_runs_identical_reports(self, tmp_path):
         scenario = write_scenario(tmp_path, HOMOGENEOUS)

@@ -1,18 +1,21 @@
 """Geodesics and transport: the closed-form Christoffel symbols against the
-metric-jet pipeline, the integrator policy, conservation laws, leaf
-flatness, boundary behavior on (0, inf) and on a bounded interval, plunges
-against the exact dilation flow, deviation fields with geodesic endpoint
-curves, and the straightening of transverse null geodesics by a Heisenberg
-isometry."""
+metric-jet pipeline, the integrator policy, the module's DOP853 against
+SciPy's bit for bit, conservation laws, leaf flatness, boundary behavior on
+(0, inf) and on a bounded interval, plunges against the exact dilation flow
+and the solution flow, deviation fields with geodesic endpoint curves, and
+the straightening of transverse null geodesics by a Heisenberg isometry."""
 
 import importlib.util
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp as scipy_solve_ivp
 from scipy.linalg import expm
 
 import ecs_lab.geodesics as geodesics
+import ecs_lab.solution_space as solution_space
 from ecs_lab.geodesics import (
     GeodesicResult,
     PolyCurve,
@@ -43,7 +46,7 @@ from ecs_lab.model_geometry import (
     random_chart_point,
 )
 from ecs_lab.pseudo_linear import PseudoEuclideanSpace
-from ecs_lab.solution_space import ENDPOINT_BARRIER
+from ecs_lab.solution_space import ENDPOINT_BARRIER, CauchyFlow
 
 
 def random_velocity(model, rng, transverse=True):
@@ -68,21 +71,23 @@ class TestChristoffelClosedForm:
 
 
 class TestIntegratorPolicy:
-    """Every integration in the geodesics module runs DOP853 at rtol = atol
-    = 1e-12 with dense output, and hands solve_ivp the right-hand side
-    itself, whose qualified name the benchmark tracer classifies. A
-    variation field integrates nothing here: it reads the flow."""
+    """Geodesic and transport runs go through `geodesics.solve_ivp`, the
+    module's own DOP853 at rtol = atol = 1e-12, sampled at t_eval. Flow
+    segments go through `solution_space.solve_ivp`, SciPy's DOP853 at
+    rtol = atol = 1e-13 with dense output. Each is handed the right-hand
+    side itself, whose qualified name the benchmark tracer classifies. A
+    variation field integrates no geodesic: it reads the flow."""
 
-    def test_every_integration_uses_the_policy(self, roster, monkeypatch):
-        calls = []
-        real = geodesics.solve_ivp
+    def test_every_integration_uses_the_policy(self, monkeypatch):
+        assert geodesics.solve_ivp.__module__ == "ecs_lab.geodesics"
+        calls = {geodesics: [], solution_space: []}
+        for mod, log in calls.items():
+            def recorder(fun, t_span, y0, real=mod.solve_ivp, log=log, **kwargs):
+                log.append((fun.__qualname__, kwargs))
+                return real(fun, t_span, y0, **kwargs)
 
-        def recorder(fun, t_span, y0, **kwargs):
-            calls.append((fun.__qualname__, kwargs))
-            return real(fun, t_span, y0, **kwargs)
-
-        monkeypatch.setattr(geodesics, "solve_ivp", recorder)
-        model = roster[1].model      # interval (0, inf)
+            monkeypatch.setattr(mod, "solve_ivp", recorder)
+        model = HomogeneousModel.standard(2, 0.3).model     # a fresh flow on (0, inf)
         m = model.m
         pt = ChartPoint(1.0, 0.2, np.array([0.3, -0.4]))
         regular = geodesic(model, pt, np.array([0.5, 0.1, 0.2, -0.3]), (0.0, 1.0))
@@ -95,17 +100,147 @@ class TestIntegratorPolicy:
                                    start, vdot0, (0.5, 2.0))
         affine_transport_residual(model, leaf_circle(model, t0=1.0),
                                   np.array([1.0, 0.5, -0.3, 0.8]))
-        assert len(calls) == 5
-        for _, kwargs in calls:
-            assert kwargs == {"method": "DOP853", "rtol": 1e-12, "atol": 1e-12,
+
+        runs = calls[geodesics]
+        assert len(runs) == 5
+        for _, kwargs in runs:
+            assert sorted(kwargs) == ["atol", "rtol", "t_eval"]
+            assert kwargs["rtol"] == kwargs["atol"] == 1e-12
+        # the samples: tau on a regular run, x = log t on a plunge into t = 0
+        assert np.array_equal(runs[0][1]["t_eval"], regular.taus)
+        assert np.array_equal(runs[1][1]["t_eval"],
+                              np.log(np.abs(pt.t - plunge.taus)))
+        assert np.array_equal(runs[4][1]["t_eval"], np.linspace(0.0, 1.5, 31))
+        segments = calls[solution_space]
+        assert segments
+        for name, kwargs in segments:
+            assert name == "CauchyFlow._rhs"
+            assert kwargs == {"method": "DOP853", "rtol": 1e-13, "atol": 1e-13,
                               "dense_output": True}
 
         path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
         spec = importlib.util.spec_from_file_location("ecs_lab_bench_tracer", path)
         tracer = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(tracer)
-        kinds = [tracer.RHS_KINDS.get(name) for name, _ in calls[:4]]
+        kinds = [tracer.RHS_KINDS.get(name) for name, _ in runs[:4]]
         assert kinds == ["geodesic"] * 4
+
+
+def sampled_by_scipy(fun, t_span, y0, *, rtol, atol, t_eval):
+    """`geodesics.solve_ivp` through SciPy's own solver and dense output."""
+    sol = scipy_solve_ivp(fun, t_span, y0, method="DOP853", rtol=rtol, atol=atol,
+                          dense_output=True)
+    return SimpleNamespace(t=t_eval, y=sol.sol(t_eval), nfev=sol.nfev,
+                           status=sol.status, success=sol.success, message=sol.message)
+
+
+class TestStepperMatchesScipy:
+    """`geodesics.solve_ivp` repeats SciPy's DOP853 operation for operation:
+    every sample has the same bits, and the sample array the same layout, as
+    SciPy's dense output at the same points."""
+
+    @staticmethod
+    def samples_of(monkeypatch, integrator, run):
+        """The sample arrays of every integration that run() makes."""
+        out = []
+
+        def recorder(*args, **kwargs):
+            sol = integrator(*args, **kwargs)
+            out.append(sol.y)
+            return sol
+
+        with monkeypatch.context() as mp:
+            mp.setattr(geodesics, "solve_ivp", recorder)
+            run()
+        return out
+
+    def assert_same_bits(self, monkeypatch, run):
+        ours = self.samples_of(monkeypatch, geodesics.solve_ivp, run)
+        scipy = self.samples_of(monkeypatch, sampled_by_scipy, run)
+        assert len(ours) == len(scipy) > 0
+        for a, b in zip(ours, scipy):
+            assert np.array_equal(a, b)
+            assert a.strides == b.strides
+
+    def test_regular_runs(self, roster, monkeypatch):
+        rng = np.random.default_rng(197)
+        for entry in roster:
+            model = entry.model
+            for tau in [1.0] * 10 + [-1.0] * 10:
+                pt = random_chart_point(model, rng)
+                vel = random_velocity(model, rng)
+                if entry.kind == "homogeneous":
+                    vel[0] = np.sign(tau) * abs(vel[0])     # away from t = 0
+                self.assert_same_bits(monkeypatch, lambda: geodesic(
+                    model, pt, vel, (0.0, tau), samples=17))
+
+    def test_plunges(self, roster, monkeypatch):
+        rng = np.random.default_rng(199)
+        for entry in roster:
+            if entry.kind != "homogeneous":
+                continue
+            for tau in (1e4, -1e4):
+                pt = random_chart_point(entry.model, rng)
+                vel = random_velocity(entry.model, rng)
+                vel[0] = -np.sign(tau) * abs(vel[0])
+                self.assert_same_bits(monkeypatch, lambda: geodesic(
+                    entry.model, pt, vel, (0.0, tau), samples=65))
+
+    @pytest.mark.parametrize("dt0,tau_end", [(0.8, 5.0), (0.7, -5.0)])
+    def test_walls(self, monkeypatch, dt0, tau_end):
+        model = bounded_model()
+        pt = ChartPoint(0.5, 0.3, np.array([0.4, -0.6]))
+        vel = np.array([dt0, -0.2, 0.5, 0.3])
+        self.assert_same_bits(monkeypatch, lambda: geodesic(
+            model, pt, vel, (0.0, tau_end), samples=65))
+
+    def test_transport(self, roster, monkeypatch):
+        model = roster[2].model
+        curve = leaf_circle(model, t0=0.5 * sum(model.compact_window()))
+        self.assert_same_bits(monkeypatch, lambda: affine_transport_residual(
+            model, curve, np.array([1.0, 0.5, -0.3, 0.8, 0.2])))
+
+    def test_empty_span(self, roster, monkeypatch):
+        # no step: every sample is the initial state
+        model = roster[0].model
+        pt = ChartPoint(0.5, 0.3, np.array([0.4, -0.6]))
+        vel = np.array([0.8, -0.2, 0.5, 0.3])
+        self.assert_same_bits(monkeypatch, lambda: geodesic(
+            model, pt, vel, (0.0, 0.0), samples=5))
+
+    @pytest.mark.parametrize("tau", [1.5, -1.5])
+    def test_step_end_and_past_the_end(self, roster, tau):
+        # A sample on a step end reads the step that ends there (the two
+        # steps meet there to the bit on these runs), and one a ulp past the
+        # span end reads the last step; the samples come unsorted. Steps that
+        # hold no sample skip the interpolation stages, so fewer evaluations.
+        model = roster[3].model
+        rhs = geodesics._geodesic_rhs(model)
+        y0 = np.array([1.0, 0.2, 0.1, -0.3, 0.4, 0.5, 0.1, 0.2, -0.3, 0.1])
+        span = (0.0, tau)
+        sol = scipy_solve_ivp(rhs, span, y0, method="DOP853", rtol=1e-12,
+                              atol=1e-12, dense_output=True)
+        assert sol.success and sol.t.size > 6
+        past = np.nextafter(tau, np.sign(tau) * np.inf)
+        samples = np.array([sol.t[3], 0.0, 0.3 * tau, past, sol.t[-2], tau])
+        ours = geodesics.solve_ivp(rhs, span, y0, rtol=1e-12, atol=1e-12,
+                                   t_eval=samples)
+        assert ours.success and ours.status == 0 and ours.message == sol.message
+        assert np.array_equal(ours.y, sol.sol(samples))
+        assert 0 < ours.nfev < sol.nfev
+
+    def test_step_size_underflow_fails_as_scipy_does(self):
+        # y' = y^2 from y(0) = 1 blows up at t = 1
+        def rhs(t, y):
+            return y * y
+
+        ours = geodesics.solve_ivp(rhs, (0.0, 2.0), np.ones(1), rtol=1e-12,
+                                   atol=1e-12, t_eval=[0.5, 2.0])
+        sol = scipy_solve_ivp(rhs, (0.0, 2.0), np.ones(1), method="DOP853",
+                              rtol=1e-12, atol=1e-12)
+        assert (ours.status, ours.success, ours.message) == \
+            (sol.status, sol.success, sol.message) == \
+            (-1, False, "Required step size is less than spacing between numbers.")
 
 
 class TestGeodesicBasics:
@@ -226,7 +361,14 @@ class TestFlowOracle:
     """t is affine, so a run with t' = a != 0 is the t' = 1 geodesic with
     velocity / a at t = t0 + a tau. `geodesic_closed_form` reads that one
     from the flow; the run integrates the geodesic equations. They must
-    agree in every coordinate (t, s, v)."""
+    agree in every coordinate (t, s, v), on regular runs and on runs that
+    reach the barrier at t = 0 of each homogeneous model, which `geodesic`
+    integrates in x = log t. Those plunge draws read at most 3.0e-8 (n4-homog)
+    relative per sample. With a flow that solves u'' = (f + (1 + 1e-6) A) u,
+    the worst of each model's five reads 4.5e-6 or more, though single runs
+    can read as little as 1.2e-8."""
+
+    PLUNGE_BUDGET = 1e-7
 
     def test_regular_runs_match_the_closed_form(self, roster):
         rng = np.random.default_rng(191)
@@ -246,6 +388,44 @@ class TestFlowOracle:
                 gap = np.max(np.abs(res.states[:, :n] - expected))
                 assert gap <= 1e-8 * max(1.0, np.max(np.abs(expected))), entry.name
                 checked += 1
+
+    def test_plunges_match_the_closed_form(self, roster):
+        rng = np.random.default_rng(193)
+        for entry in roster:
+            if entry.kind == "homogeneous":
+                for _ in range(5):
+                    assert plunge_gap(entry.model, rng) <= self.PLUNGE_BUDGET, entry.name
+
+    def test_wrong_flow_exceeds_the_plunge_budget(self, roster, monkeypatch):
+        def rhs(self, t, y):
+            m = self.m
+            M = y.reshape(2 * m, 2 * m)
+            fa = self.model.profile.value(t) * np.eye(m) + (1.0 + 1e-6) * self.model.A
+            return np.vstack([M[m:], fa @ M[:m]]).ravel()
+
+        monkeypatch.setattr(CauchyFlow, "_rhs", rhs)
+        rng = np.random.default_rng(193)
+        for entry in roster:
+            if entry.kind == "homogeneous":
+                model = HomogeneousModel.standard(entry.hm.m, entry.hm.c).model
+                assert max(plunge_gap(model, rng) for _ in range(5)) > self.PLUNGE_BUDGET, \
+                    entry.name
+
+
+def plunge_gap(model, rng) -> float:
+    """Largest relative gap, per sample, between a plunge into t = 0 and
+    `geodesic_closed_form` at t0 + a tau with velocity / a."""
+    pt = random_chart_point(model, rng)
+    vel = random_velocity(model, rng)
+    a = vel[0] = -abs(vel[0])
+    res = geodesic(model, pt, vel, (0.0, 1e4), samples=33)
+    assert res.hit_boundary
+    # the last time is the barrier up to rounding; the flow refuses times past it
+    ts = np.maximum(pt.t + a * res.taus, ENDPOINT_BARRIER)
+    n = model.dim
+    expected = geodesic_closed_form(model, pt, vel[1] / a, vel[2:] / a, ts)[:, :n]
+    gaps = np.max(np.abs(res.states[:, :n] - expected), axis=1)
+    return float(np.max(gaps / np.maximum(1.0, np.max(np.abs(expected), axis=1))))
 
 
 def bounded_model():

@@ -152,6 +152,20 @@ class TestKernelSplit:
             split = spectral_split(hm)
             assert split.kernel_dim == expected_kernel_dim(c)
 
+    @pytest.mark.parametrize("m,c", [(2, 100.0), (3, 300.0), (5, 1e3),
+                                     (2, 1e20), (3, 1e20), (5, 1e20)])
+    def test_large_c_has_no_kernel(self, m, c):
+        # the largest singular value of B grows like c^2, its eigenvalues
+        # like c: the kernel is counted against the eigenvalues
+        assert spectral_split(model_for(m, c)).kernel_dim == 0
+
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    def test_kernel_cases_keep_their_dimension(self, m):
+        for j in range(1, m + 1):
+            c = m + 0.5 - 2 * j
+            if abs(c) != 0.5:     # c = +-1/2 makes the profile vanish
+                assert spectral_split(model_for(m, c)).kernel_dim == 1, c
+
     def test_kernel_annihilated(self):
         hm = model_for(2, 1.5)
         B = generator_matrix(hm)
