@@ -14,9 +14,11 @@ progression), which the checksum test uses across the grid.
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from ecs_lab.homogeneous import (
     HomogeneousModel,
+    _expm,
     class_map,
     class_map_inverse,
     commute_test,
@@ -135,6 +137,31 @@ class TestGeneratorB:
             hm = model_for(m, c)
             for q in (0.5, 2.0, 4.0):
                 assert exponential_consistency_residual(hm, q) < 1e-6
+
+    # scipy.linalg.expm is the reference. Both are Pade approximants with
+    # scaling and squaring but choose degree and scaling differently, and
+    # squaring amplifies roundoff, so they agree to a relative 1e-11
+    # (about 5e4 eps), far below the 1e-6 budget of the check.
+    EXPM_RTOL = 1e-11
+
+    @pytest.mark.parametrize("m,c", GRID)
+    def test_expm_matches_scipy_on_generators(self, m, c):
+        B = generator_matrix(model_for(m, c))
+        for q in (0.25, 0.5, 2.0, 4.0):
+            ref = expm(np.log(q) * B)
+            got = _expm(np.log(q) * B)
+            assert np.max(np.abs(got - ref)) <= self.EXPM_RTOL * np.max(np.abs(ref))
+
+    def test_expm_matches_scipy_across_norms(self):
+        # 1-norms from 1e-3 to 50: below and above the Pade-13 threshold
+        # 5.37, so up to four squarings run.
+        rng = np.random.default_rng(41)
+        for norm in np.geomspace(1e-3, 50.0, 15):
+            for n in (2, 6, 10):
+                A = rng.standard_normal((n, n))
+                A *= norm / np.linalg.norm(A, 1)
+                ref = expm(A)
+                assert np.max(np.abs(_expm(A) - ref)) <= self.EXPM_RTOL * np.max(np.abs(ref))
 
 
 class TestKernelSplit:

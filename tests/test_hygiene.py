@@ -1,7 +1,8 @@
 """Source hygiene: every Python file of the package (except its export list
 in __init__.py), of the test suite, of its oracle generators and of the
-benchmark references each name it imports; and the package loads SciPy's
-heavy subpackages only when a task needs them.
+benchmark references each name it imports; the package imports nothing
+from scipy.linalg, and loads SciPy's heavy subpackages only when a task
+needs them.
 
 The scan uses only the standard library's ast, so it needs no linter.
 """
@@ -59,9 +60,44 @@ def test_scan_resolves_aliases_and_dotted_imports():
     assert unused_imports(source) == ["Spare (line 4)", "os (line 3)"]
 
 
+def scipy_linalg_imports(source: str) -> list[int]:
+    """Lines that import scipy.linalg or a name from it."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(name == "scipy.linalg" or name.startswith("scipy.linalg.")
+               for name in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_scan_finds_scipy_linalg_imports():
+    source = (
+        "import scipy.linalg\n"
+        "from scipy import linalg\n"
+        "from scipy.linalg import expm\n"
+        "from scipy.integrate import solve_ivp\n"
+        "import scipy\n"
+    )
+    assert scipy_linalg_imports(source) == [1, 2, 3]
+
+
+def test_package_does_not_import_scipy_linalg():
+    # The package's linear algebra is NumPy's. SciPy serves the flow
+    # integrator, its DOP853 tables and linear_sum_assignment only.
+    found = {p.name: scipy_linalg_imports(p.read_text())
+             for p in (ROOT / "src" / "ecs_lab").glob("*.py")}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
 # SciPy subpackages that cost most of a cold start. Importing the CLI and a
-# verify-model run load none of them; only integrations, eigenvalue matching
-# and matrix exponentials do, on first use.
+# verify-model run load none of them; only integrations and eigenvalue
+# matching do, on first use.
 HEAVY_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.special")
 
 _PROBE = """

@@ -9,8 +9,13 @@ The closed-form oracles are hand-checked solutions of u'' = f u + A u:
   * f = -0.16/t^2, A = shift with u2 = 0:  u = t^0.8 e1
 """
 
+from bisect import bisect_left
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from scipy.integrate import OdeSolution
+from scipy.integrate._ivp.rk import Dop853DenseOutput
 from scipy.linalg import expm
 
 import ecs_lab.solution_space as solution_space
@@ -31,6 +36,7 @@ from ecs_lab.model_geometry import (
 )
 from ecs_lab.pseudo_linear import PseudoEuclideanSpace
 from ecs_lab.solution_space import (
+    ENDPOINT_BARRIER,
     CauchyFlow,
     IntegrationError,
     flow,
@@ -39,6 +45,7 @@ from ecs_lab.solution_space import (
     omega_matrix,
     random_solution,
     solution_at,
+    _StepTable,
 )
 
 
@@ -110,20 +117,21 @@ class TestFlow:
 
     def test_one_flow_serves_every_lookup(self, monkeypatch):
         # solution_at, sigma_matrix and iso_apply all look up the one flow
-        # that a model builds, at its base time, on first use.
+        # that a model builds, at its base time, on first use. Every lookup,
+        # a scalar matrix(t) included, is a matrices call.
         built, used = [], []
-        init, matrix = CauchyFlow.__init__, CauchyFlow.matrix
+        init, matrices = CauchyFlow.__init__, CauchyFlow.matrices
 
         def counting_init(self, model):
             built.append(self)
             init(self, model)
 
-        def recording_matrix(self, t):
+        def recording_matrices(self, ts):
             used.append(self)
-            return matrix(self, t)
+            return matrices(self, ts)
 
         monkeypatch.setattr(CauchyFlow, "__init__", counting_init)
-        monkeypatch.setattr(CauchyFlow, "matrix", recording_matrix)
+        monkeypatch.setattr(CauchyFlow, "matrices", recording_matrices)
         hm = HomogeneousModel.standard(2, 0.3)     # a fresh model, no flow yet
         model = hm.model
         rng = np.random.default_rng(13)
@@ -166,18 +174,26 @@ class TestFlow:
             assert np.array_equal(flow(fresh).matrix(b), flow(used).matrix(b))
 
     def test_segments_chain_from_base(self):
-        # only the first segment of each direction starts at the base time
+        # Only the first segment of each direction starts at the base time:
+        # each step starts where the step before it ends, across segment
+        # ends too, and each later segment starts from the state at the end
+        # of the segment before it.
         model = HomogeneousModel.standard(3, 1.5).model
         fl = flow(model)
-        fl.matrix(0.3)
-        fl.matrix(4.0)
-        for sign in (1.0, -1.0):
-            sols = fl._sols[sign]
-            assert len(sols) >= 2
-            assert sols[0].t[0] == 1.0
-            for prev, seg in zip(sols, sols[1:]):
-                assert seg.t[0] == prev.t[-1]
-                assert np.array_equal(seg.y[:, 0], prev.y[:, -1])
+        for sign, far in ((1.0, 4.0), (-1.0, 0.3)):
+            steps, ends = fl._steps[sign], fl._ends[sign]
+            tips = []
+            while not ends or sign * far > ends[-1]:
+                fl.matrix(fl._edge(sign, len(ends)))     # one more segment
+                tips.append(steps.tip.copy())
+            assert len(ends) >= 2
+            assert steps.t_old[0] == 1.0
+            assert np.array_equal(steps.t_old[1:], sign * steps.keys[:-1])
+            assert steps.keys[-1] == ends[-1]
+            for end, tip in zip(ends, tips):
+                first = np.searchsorted(steps.keys, end) + 1
+                if first < len(steps.keys):
+                    assert np.array_equal(steps.y_old[first], tip)
 
     @pytest.mark.parametrize("m,c", [(2, 0.3), (3, 1.5), (5, 0.25), (3, 0.7j)])
     def test_matches_dilation_closed_form(self, m, c):
@@ -203,7 +219,8 @@ class TestFlow:
         monkeypatch.setattr(solution_space, "_MAX_EVALS", 20)
         with pytest.raises(IntegrationError, match="evaluations in one segment"):
             flow(model).matrix(1.7)
-        assert flow(model)._sols[1.0] == []
+        assert flow(model)._ends[1.0] == []
+        assert len(flow(model)._steps[1.0].keys) == 0
         monkeypatch.undo()
         calls = []
         real = solution_space.solve_ivp
@@ -225,6 +242,109 @@ class TestFlow:
             solution_at(model, u, 1e-12)
         with pytest.raises(ValueError):
             solution_at(model, u, -1.0)
+
+
+class TestFlowLookupMatchesScipy:
+    """Lookups against SciPy's own dense output: every segment the flow
+    integrated, integrated again by solve_ivp with dense_output=True and
+    chained from the end states of its OdeResults, and their OdeSolutions
+    read with the segment rule of the lookup (a time on a segment end reads the segment that ends
+    there, a time past the last end the last segment). Every entry must be
+    equal, not close."""
+
+    @staticmethod
+    def reference(fl: CauchyFlow, sign: float):
+        ref = CauchyFlow(fl.model)
+        y0, start, sols = np.eye(2 * fl.m).ravel(), fl.base_t, []
+        for k in range(len(fl._ends[sign])):
+            stop = fl._edge(sign, k)
+            ref._evals = 0
+            sol = solution_space.solve_ivp(
+                ref._rhs, (start, stop), y0, method="DOP853",
+                rtol=solution_space._RTOL, atol=solution_space._ATOL,
+                dense_output=True)
+            sols.append(sol.sol)
+            y0, start = sol.y[:, -1], stop
+        return sols
+
+    @staticmethod
+    def read(sols, ends, sign, t):
+        return sols[min(bisect_left(ends, sign * t), len(ends) - 1)](t)
+
+    @pytest.mark.parametrize("index", range(6), ids=lambda i: f"roster{i}")
+    def test_every_lookup_is_bit_identical(self, roster, index):
+        model = roster[index].model
+        fl = CauchyFlow(model)              # not the model's shared flow
+        n = 2 * fl.m
+        lo, hi = model.interval
+        # Times in both directions over three or more segments, and the time
+        # at the barrier of a finite end (the last segment there ends on it).
+        rng = np.random.default_rng(40 + index)
+        a, b = (0.1, 10.0) if lo == 0.0 else (-6.0, 6.0)
+        ts = list(rng.uniform(a, b, size=40)) + [fl.base_t]
+        if np.isfinite(lo):
+            ts.append(lo + ENDPOINT_BARRIER)
+        fl.matrices(ts)
+        for sign in (1.0, -1.0):
+            ends, steps = fl._ends[sign], fl._steps[sign]
+            assert len(ends) >= 3
+            ts += list(sign * steps.keys) + [sign * e for e in ends]
+        ts = np.array(ts)
+        refs = {sign: (self.reference(fl, sign), fl._ends[sign]) for sign in (1.0, -1.0)}
+        expected = [np.eye(n) if t == fl.base_t else
+                    self.read(*refs[np.sign(t - fl.base_t)], np.sign(t - fl.base_t), t).reshape(n, n)
+                    for t in ts]
+        got = fl.matrices(ts)
+        for t, want, batched in zip(ts, expected, got):
+            assert np.array_equal(fl.matrix(t), want)
+            assert np.array_equal(batched, want)
+        # Past the last end a time reads the last step, as SciPy reads it.
+        for sign in (1.0, -1.0):
+            sols, ends = refs[sign]
+            t = sign * (ends[-1] + 1e-3)
+            assert np.array_equal(fl._steps[sign](np.array([t]))[0],
+                                  self.read(sols, ends, sign, t))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["forward", "backward"])
+    def test_step_choice_matches_ode_solution(self, sign):
+        # On a real flow a step's interpolant at its end equals the next
+        # step's at its start, so the step a time on an end reads does not
+        # show. Here random interpolants disagree at their shared ends, in
+        # two segments of three steps, read by OdeSolution with the segment
+        # rule.
+        rng = np.random.default_rng(44)
+        ts = 1.0 + sign * np.cumsum(np.r_[0.0, rng.uniform(0.1, 0.5, 6)])
+        steps = [Dop853DenseOutput(a, b, rng.standard_normal(4),
+                                   rng.standard_normal((7, 4)))
+                 for a, b in zip(ts, ts[1:])]
+        table = _StepTable(sign, 2)
+        for part in (steps[:3], steps[3:]):
+            table.append(SimpleNamespace(sol=SimpleNamespace(interpolants=part),
+                                         y=rng.standard_normal((4, 1))))
+        sols = [OdeSolution(ts[:4], steps[:3]), OdeSolution(ts[3:], steps[3:])]
+        ends = [sign * ts[3], sign * ts[6]]
+        times = np.concatenate([ts[1:], ts[0] + sign * rng.uniform(0.0, abs(ts[-1] - ts[0]), 10),
+                                [ts[-1] + sign * 0.3]])
+        expected = [self.read(sols, ends, sign, t) for t in times]
+        assert np.array_equal(table(times), expected)
+
+    def test_batch_fails_as_its_first_failing_time(self, monkeypatch):
+        # 0.7 is looked up before the budget shrinks; the forward segment to
+        # 1.7 then overruns it, and 1e-12 lies within the barrier at 0. A
+        # batch raises what its first failing time raises alone, whatever
+        # comes after it.
+        model = scalar_model()
+        u = [1.0, 0.0, 0.0, 0.0]
+        solution_at(model, u, 0.7)
+        monkeypatch.setattr(solution_space, "_MAX_EVALS", 20)
+        for ts in ([1.7, 1e-12], [0.7, 1.7, 1e-12]):
+            with pytest.raises(IntegrationError, match="evaluations in one segment"):
+                solution_at(model, u, ts)
+        for ts in ([1e-12, 1.7], [0.7, 1e-12, 1.7]):
+            with pytest.raises(ValueError, match="barrier"):
+                solution_at(model, u, ts)
+        with pytest.raises(ValueError, match="outside"):
+            flow(model).matrices([0.7, -1.0, 1.7])
 
 
 class TestOmega:
@@ -351,17 +471,20 @@ class TestSolutionArithmetic:
                 iso_compose(model, a, b)
 
     def test_at_stacks_single_lookups(self, roster):
-        # An array of times gives, bit for bit, what each time gives alone.
+        # An array of times gives, bit for bit, what each time gives alone:
+        # a (3, 4) grid in the compact window, and 20-point sets that span
+        # several segments in both directions.
         rng = np.random.default_rng(33)
         for entry in (roster[0], roster[3]):
             model = entry.model
             u = random_solution(model, rng)
             lo, hi = model.compact_window()
-            ts = rng.uniform(lo, hi, size=(3, 4))
-            vals, ders = solution_at(model, u, ts)
-            assert vals.shape == ders.shape == (3, 4, model.m)
-            for idx in np.ndindex(ts.shape):
-                val, der = solution_at(model, u, ts[idx])
-                assert val.shape == (model.m,)
-                assert np.array_equal(vals[idx], val)
-                assert np.array_equal(ders[idx], der)
+            a, b = (0.1, 10.0) if model.interval[0] == 0.0 else (-6.0, 6.0)
+            for ts in (rng.uniform(lo, hi, size=(3, 4)), rng.uniform(a, b, size=(4, 20))):
+                vals, ders = solution_at(model, u, ts)
+                assert vals.shape == ders.shape == ts.shape + (model.m,)
+                for idx in np.ndindex(ts.shape):
+                    val, der = solution_at(model, u, ts[idx])
+                    assert val.shape == (model.m,)
+                    assert np.array_equal(vals[idx], val)
+                    assert np.array_equal(ders[idx], der)
