@@ -240,6 +240,7 @@ class CauchyFlow:
         except (ValueError, IntegrationError):
             if flat.size == 1:
                 raise
+            # One time at a time, in order, until the first failing one.
             for t in flat:
                 self.matrices(t)
             raise

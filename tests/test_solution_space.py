@@ -235,6 +235,24 @@ class TestFlow:
         assert calls == []
         assert np.array_equal(flow(model).matrix(0.7), fresh.matrix(0.7))
 
+    def test_batch_fails_as_its_first_failing_time(self, monkeypatch):
+        # 0.7 is looked up before the budget shrinks; the forward segment to
+        # 1.7 then overruns it, and 1e-12 lies within the barrier at 0. A
+        # batch raises what its first failing time raises alone, whatever
+        # comes after it.
+        model = scalar_model()
+        u = [1.0, 0.0, 0.0, 0.0]
+        solution_at(model, u, 0.7)
+        monkeypatch.setattr(solution_space, "_MAX_EVALS", 20)
+        for ts in ([1.7, 1e-12], [0.7, 1.7, 1e-12]):
+            with pytest.raises(IntegrationError, match="evaluations in one segment"):
+                solution_at(model, u, ts)
+        for ts in ([1e-12, 1.7], [0.7, 1e-12, 1.7]):
+            with pytest.raises(ValueError, match="barrier"):
+                solution_at(model, u, ts)
+        with pytest.raises(ValueError, match="outside"):
+            flow(model).matrices([0.7, -1.0, 1.7])
+
     def test_barrier_refuses_endpoint(self, roster):
         model = roster[1].model           # interval (0, inf)
         u = [1.0, 0.0, 0.0, 0.0]
@@ -248,9 +266,9 @@ class TestFlowLookupMatchesScipy:
     """Lookups against SciPy's own dense output: every segment the flow
     integrated, integrated again by solve_ivp with dense_output=True and
     chained from the end states of its OdeResults, and their OdeSolutions
-    read with the segment rule of the lookup (a time on a segment end reads the segment that ends
-    there, a time past the last end the last segment). Every entry must be
-    equal, not close."""
+    read with the segment rule of the lookup (a time on a segment end reads
+    the segment that ends there, a time past the last end the last
+    segment). Every entry must be equal, not close."""
 
     @staticmethod
     def reference(fl: CauchyFlow, sign: float):
@@ -290,10 +308,12 @@ class TestFlowLookupMatchesScipy:
             assert len(ends) >= 3
             ts += list(sign * steps.keys) + [sign * e for e in ends]
         ts = np.array(ts)
-        refs = {sign: (self.reference(fl, sign), fl._ends[sign]) for sign in (1.0, -1.0)}
-        expected = [np.eye(n) if t == fl.base_t else
-                    self.read(*refs[np.sign(t - fl.base_t)], np.sign(t - fl.base_t), t).reshape(n, n)
-                    for t in ts]
+        refs = {sign: (self.reference(fl, sign), fl._ends[sign])
+                for sign in (1.0, -1.0)}
+        signs = np.sign(ts - fl.base_t)
+        expected = [np.eye(n) if sign == 0.0 else
+                    self.read(*refs[sign], sign, t).reshape(n, n)
+                    for t, sign in zip(ts, signs)]
         got = fl.matrices(ts)
         for t, want, batched in zip(ts, expected, got):
             assert np.array_equal(fl.matrix(t), want)
@@ -307,9 +327,9 @@ class TestFlowLookupMatchesScipy:
 
     @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["forward", "backward"])
     def test_step_choice_matches_ode_solution(self, sign):
-        # On a real flow a step's interpolant at its end equals the next
-        # step's at its start, so the step a time on an end reads does not
-        # show. Here random interpolants disagree at their shared ends, in
+        # On the roster's flows a step's interpolant at its end equals the
+        # next step's at its start, so the step a time on an end reads does
+        # not show. Here random interpolants disagree at their shared ends, in
         # two segments of three steps, read by OdeSolution with the segment
         # rule.
         rng = np.random.default_rng(44)
@@ -323,28 +343,10 @@ class TestFlowLookupMatchesScipy:
                                          y=rng.standard_normal((4, 1))))
         sols = [OdeSolution(ts[:4], steps[:3]), OdeSolution(ts[3:], steps[3:])]
         ends = [sign * ts[3], sign * ts[6]]
-        times = np.concatenate([ts[1:], ts[0] + sign * rng.uniform(0.0, abs(ts[-1] - ts[0]), 10),
-                                [ts[-1] + sign * 0.3]])
+        inside = ts[0] + sign * rng.uniform(0.0, abs(ts[-1] - ts[0]), 10)
+        times = np.concatenate([ts[1:], inside, [ts[-1] + sign * 0.3]])
         expected = [self.read(sols, ends, sign, t) for t in times]
         assert np.array_equal(table(times), expected)
-
-    def test_batch_fails_as_its_first_failing_time(self, monkeypatch):
-        # 0.7 is looked up before the budget shrinks; the forward segment to
-        # 1.7 then overruns it, and 1e-12 lies within the barrier at 0. A
-        # batch raises what its first failing time raises alone, whatever
-        # comes after it.
-        model = scalar_model()
-        u = [1.0, 0.0, 0.0, 0.0]
-        solution_at(model, u, 0.7)
-        monkeypatch.setattr(solution_space, "_MAX_EVALS", 20)
-        for ts in ([1.7, 1e-12], [0.7, 1.7, 1e-12]):
-            with pytest.raises(IntegrationError, match="evaluations in one segment"):
-                solution_at(model, u, ts)
-        for ts in ([1e-12, 1.7], [0.7, 1e-12, 1.7]):
-            with pytest.raises(ValueError, match="barrier"):
-                solution_at(model, u, ts)
-        with pytest.raises(ValueError, match="outside"):
-            flow(model).matrices([0.7, -1.0, 1.7])
 
 
 class TestOmega:
