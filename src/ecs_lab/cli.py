@@ -420,6 +420,10 @@ def task_verify_model(model: ModelManifold, params: dict, tol: Tolerances,
     return rows
 
 
+def _spectrum_detail(chk) -> dict:
+    return {"predicted": chk.predicted, "computed": np.sort_complex(chk.computed)}
+
+
 def task_spectra(model: ModelManifold, params: dict, tol: Tolerances,
                  rng: np.random.Generator) -> list[dict]:
     hm = _require_homogeneous(model, "spectra")
@@ -428,8 +432,7 @@ def task_spectra(model: ModelManifold, params: dict, tol: Tolerances,
     gchk = generator_spectrum_check(hm)
     rows.append(tol.check("generator eigenvalues match m + 1/2 - 2j -+ c",
                           "spectra.generator-eigenvalues", gchk.max_rel_error,
-                          detail={"predicted": gchk.predicted,
-                                  "computed": np.sort_complex(gchk.computed)}))
+                          detail=_spectrum_detail(gchk)))
     split = spectral_split(hm)
     rows.append(tol.check("kernel dimension matches the odd-integer rule for 2c",
                           "spectra.kernel-dimension",
@@ -437,9 +440,14 @@ def task_spectra(model: ModelManifold, params: dict, tol: Tolerances,
                           detail={"kernel_dim": split.kernel_dim,
                                   "expected": expected_kernel_dim(hm.c)}))
     for q in q_values:
+        dchk = _or_nan(dilation_spectrum_check, hm, q, failed=None)
+        value = float("nan") if dchk is None else dchk.max_rel_error
+        # The matched pair (predicted, computed) with the largest error.
+        detail = None if dchk is None else {
+            **_spectrum_detail(dchk), "worst_pair": dchk.worst_pair,
+            "worst_error": value}
         rows.append(tol.check(f"dilation eigenvalues at q = {q:g}",
-                              "spectra.dilation-eigenvalues",
-                              _or_nan(lambda: dilation_spectrum_check(hm, q).max_rel_error)))
+                              "spectra.dilation-eigenvalues", value, detail=detail))
         rows.append(tol.check(f"exp(log(q) B) reproduces the dilation at q = {q:g}",
                               "spectra.exponential-consistency",
                               _or_nan(exponential_consistency_residual, hm, q)))

@@ -123,18 +123,24 @@ def spectral_exponents(m: int, c: complex) -> np.ndarray:
 
 @dataclass
 class SpectrumCheck:
+    """Predicted and computed eigenvalues, the largest error of their
+    matching and the matched pair (predicted, computed) that has it."""
+
     predicted: np.ndarray
     computed: np.ndarray
     max_rel_error: float
+    worst_pair: tuple[complex, complex]
 
 
-def _match_multisets(predicted: np.ndarray, computed: np.ndarray) -> float:
-    """The largest error of a matching between two eigenvalue lists, each
-    error measured relative to |predicted| above unit scale and absolutely
-    below it (a predicted eigenvalue of exactly 0 is matched by absolute
-    error). The matching minimizes the sum of the errors, not their max, so
-    the value is an upper bound on the best achievable max: it can
-    overstate it, never understate it."""
+def _match_multisets(predicted: np.ndarray,
+                     computed: np.ndarray) -> tuple[float, tuple[complex, complex]]:
+    """The largest error of a matching between two eigenvalue lists, and the
+    matched pair (predicted, computed) that has it. Each error is measured
+    relative to |predicted| above unit scale and absolutely below it (a
+    predicted eigenvalue of exactly 0 is matched by absolute error). The
+    matching minimizes the sum of the errors, not their max, so the value
+    is an upper bound on the best achievable max: it can overstate it,
+    never understate it."""
     from scipy.optimize import linear_sum_assignment
 
     pr = np.asarray(predicted, dtype=complex)
@@ -142,7 +148,9 @@ def _match_multisets(predicted: np.ndarray, computed: np.ndarray) -> float:
     scale = np.maximum(np.abs(pr)[:, None], 1.0)
     cost = np.abs(pr[:, None] - co[None, :]) / scale
     rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].max())
+    k = int(np.argmax(cost[rows, cols]))
+    return (float(cost[rows[k], cols[k]]),
+            (complex(pr[rows[k]]), complex(co[cols[k]])))
 
 
 def dilation_spectrum_check(hm: HomogeneousModel, q: float) -> SpectrumCheck:
@@ -152,7 +160,7 @@ def dilation_spectrum_check(hm: HomogeneousModel, q: float) -> SpectrumCheck:
     kappa = spectral_exponents(hm.m, hm.c)
     predicted = np.exp(np.log(q) * kappa)
     return SpectrumCheck(predicted, computed,
-                         _match_multisets(predicted, computed))
+                         *_match_multisets(predicted, computed))
 
 
 def generator_matrix(hm: HomogeneousModel) -> np.ndarray:
@@ -173,7 +181,7 @@ def generator_spectrum_check(hm: HomogeneousModel) -> SpectrumCheck:
     computed = np.linalg.eigvals(generator_matrix(hm))
     predicted = spectral_exponents(hm.m, hm.c)
     return SpectrumCheck(predicted, computed,
-                         _match_multisets(predicted, computed))
+                         *_match_multisets(predicted, computed))
 
 
 # Pade-13 numerator coefficients and the 1-norm up to which the Pade-13
@@ -385,7 +393,7 @@ def conjugation_spectrum_check(hm: HomogeneousModel, g: IsoElement) -> SpectrumC
         np.exp(np.log(q) * kappa),
     ])
     return SpectrumCheck(predicted, computed,
-                         _match_multisets(predicted, computed))
+                         *_match_multisets(predicted, computed))
 
 
 def class_map(hm: HomogeneousModel, a: float, z_data, q: float, w_data) -> IsoElement:

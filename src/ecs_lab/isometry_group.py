@@ -21,9 +21,11 @@ sigma . u = C u((. - p)/q) on solutions:
 The solution part u is a plain (2m,) array of Cauchy data at the model's
 base time, as in solution_space, so u + sigma . u' is array addition. In
 those coordinates sigma . is one matrix, `sigma_matrix`, and `sigma_act`
-applies it. Omega rescales under sigma by q^{-1} and the action of sigma on
-E has determinant q^{2 - n}; both show up as checks on that matrix here and
-in tests.
+applies it. The matrix costs a flow lookup, and one sigma acts many times
+(in its checks, its inverse and every product it enters), so an SElement
+keeps its matrix, read-only, for the model it was last asked about. Omega
+rescales under sigma by q^{-1} and the action of sigma on E has determinant
+q^{2 - n}; both show up as checks on that matrix here and in tests.
 
 The Jacobian of the action is computed analytically (the map is affine in
 (s, v) and its t-derivative only needs u'' = (f + A) u), which keeps
@@ -40,7 +42,7 @@ not look u up again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,11 +53,17 @@ from .solution_space import flow, omega, omega_matrix, solution_at
 
 @dataclass
 class SElement:
-    """Structural part (q, p, C) of an isometry."""
+    """Structural part (q, p, C) of an isometry.
+
+    The element keeps its action matrix on E (`sigma_matrix`) for the last
+    model it was asked about, as (model, matrix).
+    """
 
     q: float
     p: float
     C: np.ndarray
+    _matrix: tuple | None = field(default=None, init=False, repr=False,
+                                  compare=False)
 
     def __post_init__(self):
         self.q = float(self.q)
@@ -133,14 +141,26 @@ def sigma_matrix(model: ModelManifold, elem: SElement) -> np.ndarray:
     """Matrix of the induced action (sigma . u)(t) = C u((t - p)/q) on E in
     Cauchy coordinates: the model's flow to (t0 - p)/q from its base time
     t0, then C on values and C/q on derivatives (the chain rule divides by
-    q)."""
+    q).
+
+    The element keeps the matrix, read-only, and returns it on later calls
+    with the same model: its omega-scaling and determinant checks, its
+    inverse and every composition it takes part in act by one matrix, and
+    each would otherwise look the flow up again. A lookup that raises
+    stores nothing.
+    """
+    if elem._matrix is not None and elem._matrix[0] is model:
+        return elem._matrix[1]
     m = model.m
     fl = flow(model)
     phi = fl.matrix((fl.base_t - elem.p) / elem.q)
     block = np.zeros((2 * m, 2 * m))
     block[:m, :m] = elem.C
     block[m:, m:] = elem.C / elem.q
-    return block @ phi
+    matrix = block @ phi
+    matrix.flags.writeable = False
+    elem._matrix = (model, matrix)
+    return matrix
 
 
 def sigma_act(model: ModelManifold, elem: SElement, u: np.ndarray) -> np.ndarray:

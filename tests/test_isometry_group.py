@@ -4,7 +4,7 @@ the chart action with its analytic Jacobian, and the group operations."""
 import numpy as np
 import pytest
 
-from ecs_lab.homogeneous import sample_isometries
+from ecs_lab.homogeneous import HomogeneousModel, sample_isometries
 from ecs_lab.isometry_group import (
     IsoElement,
     SElement,
@@ -19,6 +19,7 @@ from ecs_lab.isometry_group import (
     pullback_residual,
     s_membership,
     sigma_act,
+    sigma_det_residual,
     sigma_matrix,
 )
 from ecs_lab.model_geometry import (
@@ -28,7 +29,7 @@ from ecs_lab.model_geometry import (
     random_chart_point,
 )
 from ecs_lab.pseudo_linear import PseudoEuclideanSpace
-from ecs_lab.solution_space import random_solution, solution_at
+from ecs_lab.solution_space import CauchyFlow, random_solution, solution_at
 
 
 class TestSMembership:
@@ -131,11 +132,76 @@ class TestSigmaAction:
                 assert omega_scaling_residual(model, elem, pairs) < 1e-9
 
     def test_determinant_character(self, roster):
-        from ecs_lab.isometry_group import sigma_det_residual
         for entry in (roster[1], roster[3], roster[5]):
             for q in (0.25, 0.5, 2.0, 4.0):
                 elem = entry.hm.dilation(q)
                 assert sigma_det_residual(entry.model, elem) < 1e-9
+
+
+class TestElementMatrix:
+    """An SElement keeps its sigma matrix for the model it was last asked
+    about; nothing else holds it."""
+
+    def test_one_lookup_per_sigma(self, roster, iso_sampler, monkeypatch):
+        # Omega scaling, the determinant, the inverse and both compositions
+        # with it act by sigma or sigma^-1: one flow lookup each.
+        entry = roster[3]
+        model = entry.model
+        rng = np.random.default_rng(54)
+        g = next(g for g in iso_sampler(entry, rng, 10) if g.sigma.q != 1.0)
+        pairs = [(random_solution(model, rng), random_solution(model, rng))]
+        used = []
+        matrices = CauchyFlow.matrices
+
+        def recording_matrices(self, ts):
+            used.append(np.asarray(ts, dtype=float).copy())
+            return matrices(self, ts)
+
+        monkeypatch.setattr(CauchyFlow, "matrices", recording_matrices)
+        omega_scaling_residual(model, g.sigma, pairs)
+        sigma_det_residual(model, g.sigma)
+        g_inv = iso_inverse(model, g)
+        iso_compose(model, g, g_inv)
+        iso_compose(model, g_inv, g)
+        t0 = model.default_base_t()
+        assert [float(t) for t in used] == [(t0 - g.sigma.p) / g.sigma.q,
+                                            (t0 - g_inv.sigma.p) / g_inv.sigma.q]
+
+    def test_matrix_is_kept_read_only(self, roster):
+        hm = roster[1].hm
+        elem = hm.dilation(1.7)
+        M = sigma_matrix(hm.model, elem)
+        assert sigma_matrix(hm.model, elem) is M
+        fresh = SElement(elem.q, elem.p, elem.C.copy())
+        assert np.array_equal(M, sigma_matrix(hm.model, fresh))
+        assert not M.flags.writeable
+        with pytest.raises(ValueError):
+            M[0, 0] = 0.0
+        # The kept matrix is no part of the element's value.
+        assert "_matrix" not in repr(elem)
+        assert SElement(elem.q, elem.p, elem.C)._matrix is None
+
+    def test_each_model_gets_its_own_matrix(self, roster):
+        # Both models share A, so sigma_2 of one is sigma_2 of the other.
+        hm = roster[1].hm
+        other = HomogeneousModel.standard(hm.m, 0.7).model
+        elem = hm.dilation(2.0)
+        expected = {id(model): sigma_matrix(model, SElement(elem.q, elem.p, elem.C))
+                    for model in (hm.model, other)}
+        assert not np.array_equal(*expected.values())
+        for model in (hm.model, other, hm.model, other):
+            assert np.array_equal(sigma_matrix(model, elem), expected[id(model)])
+
+    def test_failed_lookup_is_not_kept(self, roster):
+        # Source time (t0 - p)/q = (1 - 2)/1 = -1 lies outside I = (0, inf).
+        hm = roster[1].hm
+        elem = SElement(1.0, 2.0, np.eye(hm.m))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="outside the model interval"):
+                sigma_matrix(hm.model, elem)
+            with pytest.raises(ValueError, match="outside the model interval"):
+                sigma_act(hm.model, elem, np.zeros(2 * hm.m))
+        assert elem._matrix is None
 
 
 class TestChartAction:

@@ -391,6 +391,30 @@ class TestOmega:
             ts = np.linspace(lo, hi, 9)
             assert omega_drift(model, u, w, ts) < 1e-9
 
+    def test_drift_matches_pointwise_pairing(self, roster):
+        # The batched drift against the pairing taken one time at a time;
+        # the sums may round in another order, so the two agree to a few
+        # ulps of the largest term.
+        rng = np.random.default_rng(14)
+        for entry in roster:
+            model = entry.model
+            gram = model.space.gram
+            u = random_solution(model, rng)
+            w = random_solution(model, rng)
+            lo, hi = model.compact_window()
+            ts = np.linspace(lo, hi, 9)
+            base = omega(model, u, w)
+            worst, scale = 0.0, 0.0
+            for t in ts:
+                uv, ud = solution_at(model, u, t)
+                wv, wd = solution_at(model, w, t)
+                terms = (ud @ gram @ wv, uv @ gram @ wd)
+                worst = max(worst, abs(terms[0] - terms[1] - base))
+                scale = max(scale, *map(abs, terms))
+            drift = omega_drift(model, u, w, iter(ts))
+            assert abs(drift - worst) <= 8 * np.finfo(float).eps * scale
+            assert omega_drift(model, u, w, []) == 0.0
+
 
 class TestHeisenberg:
     """The factor R x E as the isometries with sigma = id, under the full
