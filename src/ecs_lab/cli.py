@@ -21,14 +21,13 @@ Scenario format (JSON):
         {"task": "verify-model", "points": 25},
         {"task": "spectra", "q_values": [0.25, 4.0]},
         ...
-      ],
-      "tolerances": {"curvature.parallel-weyl": 1e-9}   # optional overrides
+      ]
     }
 
 Every check row carries a stable `anchor` id, the measured value, the
 tolerance, and the comparison direction ("below" for residuals, "above" for
-quantities that must stay away from zero). Budgets change only through the
-scenario's `tolerances` object; no environment variable rescales them.
+quantities that must stay away from zero). Budgets are fixed in TOLERANCES;
+no scenario key or environment variable changes them.
 """
 
 from __future__ import annotations
@@ -115,7 +114,7 @@ class ScenarioError(Exception):
     """Raised for malformed scenarios or models that fail validation."""
 
 
-DEFAULT_TOLERANCES = {
+TOLERANCES = {
     "validate.structure": 1e-10,
     "curvature.ricci-profile": 1e-9,
     "curvature.scalar-zero": 1e-9,
@@ -126,7 +125,6 @@ DEFAULT_TOLERANCES = {
     "curvature.tidal-endomorphism": 1e-8,
     "curvature.olszak-line": 1e-10,
     "curvature.bianchi": 1e-9,
-    "solution.omega-constant": 1e-9,
     "isometry.membership": 1e-9,
     "isometry.pullback": 1e-8,
     "isometry.action-compatibility": 1e-8,
@@ -183,33 +181,22 @@ def _jsonable(x: Any) -> Any:
     return x
 
 
-class Tolerances:
-    def __init__(self, overrides: Optional[dict] = None):
-        self.table = dict(DEFAULT_TOLERANCES)
-        for key, val in (overrides or {}).items():
-            if key not in self.table:
-                raise ScenarioError(f"unknown tolerance anchor: {key!r}")
-            if not (_is_finite(val) and val > 0):
-                raise ScenarioError(f"tolerance {key!r} must be a finite positive "
-                                    f"number, got {val!r}")
-            self.table[key] = float(val)
-
-    def check(self, name: str, anchor: str, value: float,
-              detail: Optional[dict] = None) -> dict:
-        """The report row of one check; the runner adds its task."""
-        tol = self.table[anchor]
-        if anchor in _ABOVE:
-            passed = bool(value > tol)
-            direction = "above"
-        else:
-            passed = bool(value <= tol)
-            direction = "below"
-        row = {"name": name, "anchor": anchor,
-               "value": _jsonable(float(value)), "tolerance": tol,
-               "direction": direction, "pass": passed}
-        if detail:
-            row["detail"] = _jsonable(detail)
-        return row
+def check(name: str, anchor: str, value: float,
+          detail: Optional[dict] = None) -> dict:
+    """The report row of one check at its TOLERANCES budget; the runner adds its task."""
+    tol = TOLERANCES[anchor]
+    if anchor in _ABOVE:
+        passed = bool(value > tol)
+        direction = "above"
+    else:
+        passed = bool(value <= tol)
+        direction = "below"
+    row = {"name": name, "anchor": anchor,
+           "value": _jsonable(float(value)), "tolerance": tol,
+           "direction": direction, "pass": passed}
+    if detail:
+        row["detail"] = _jsonable(detail)
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +214,7 @@ def _decode_interval(raw) -> tuple[float, float]:
 
 
 # The keys a scenario and its model object may carry; any other is rejected.
-SCENARIO_KEYS = {"schema_version", "seed", "model", "tasks", "tolerances"}
+SCENARIO_KEYS = {"schema_version", "seed", "model", "tasks"}
 MODEL_KEYS = {"gram", "A", "profile", "interval"}
 
 
@@ -266,7 +253,6 @@ class Scenario:
     seed: int
     model_spec: dict
     tasks: list[dict]
-    tolerances: dict
 
     @staticmethod
     def load(path: str, seed_override: Optional[int] = None) -> "Scenario":
@@ -292,11 +278,7 @@ class Scenario:
         seed = raw.get("seed", 0) if seed_override is None else seed_override
         if not _is_int(seed) or seed < 0:
             raise ScenarioError(f"seed must be a nonnegative integer, got {seed!r}")
-        tolerances = raw.get("tolerances", {})
-        if not isinstance(tolerances, dict):
-            raise ScenarioError("'tolerances' must be a JSON object")
-        return Scenario(seed=seed, model_spec=raw["model"], tasks=tasks,
-                        tolerances=tolerances)
+        return Scenario(seed=seed, model_spec=raw["model"], tasks=tasks)
 
 
 # ---------------------------------------------------------------------------
@@ -370,14 +352,14 @@ def _task_params(entry) -> dict:
     return params
 
 
-def task_verify_model(model: ModelManifold, params: dict, tol: Tolerances,
+def task_verify_model(model: ModelManifold, params: dict,
                       rng: np.random.Generator) -> list[dict]:
     points = params["points"]
     res = model.validation_residuals()
-    rows = [tol.check("structural residuals of (A, f)",
-                      "validate.structure",
-                      max(res["self_adjoint_residual"], res["trace_residual"]),
-                      detail=res)]
+    rows = [check("structural residuals of (A, f)",
+                  "validate.structure",
+                  max(res["self_adjoint_residual"], res["trace_residual"]),
+                  detail=res)]
     norms, residuals, olszak, identities = [], [], [], []
     for _ in range(points):
         pt = random_chart_point(model, rng)
@@ -398,24 +380,24 @@ def task_verify_model(model: ModelManifold, params: dict, tol: Tolerances,
     ricci, scalar, weyl_par, leaf, tidal = np.max(residuals, axis=0)
     olszak, bianchi = np.max(olszak), np.max(identities)
     rows.extend([
-        tol.check(f"Ricci = (2-n) f dt^2 over {points} points",
-                  "curvature.ricci-profile", ricci),
-        tol.check("scalar curvature vanishes",
-                  "curvature.scalar-zero", scalar),
-        tol.check("Weyl tensor is parallel",
-                  "curvature.parallel-weyl", weyl_par),
-        tol.check("Riemann tensor is not parallel",
-                  "curvature.nonparallel-riemann", riemann_par),
-        tol.check("Weyl tensor does not vanish",
-                  "curvature.weyl-nonzero", weyl),
-        tol.check("leafwise Christoffel symbols vanish",
-                  "curvature.leaf-christoffel", leaf),
-        tol.check("tidal operator recovers A",
-                  "curvature.tidal-endomorphism", tidal),
-        tol.check("null parallel line spanned by d/ds",
-                  "curvature.olszak-line", olszak),
-        tol.check("curvature symmetries and Bianchi identities",
-                  "curvature.bianchi", bianchi),
+        check(f"Ricci = (2-n) f dt^2 over {points} points",
+              "curvature.ricci-profile", ricci),
+        check("scalar curvature vanishes",
+              "curvature.scalar-zero", scalar),
+        check("Weyl tensor is parallel",
+              "curvature.parallel-weyl", weyl_par),
+        check("Riemann tensor is not parallel",
+              "curvature.nonparallel-riemann", riemann_par),
+        check("Weyl tensor does not vanish",
+              "curvature.weyl-nonzero", weyl),
+        check("leafwise Christoffel symbols vanish",
+              "curvature.leaf-christoffel", leaf),
+        check("tidal operator recovers A",
+              "curvature.tidal-endomorphism", tidal),
+        check("null parallel line spanned by d/ds",
+              "curvature.olszak-line", olszak),
+        check("curvature symmetries and Bianchi identities",
+              "curvature.bianchi", bianchi),
     ])
     return rows
 
@@ -424,21 +406,21 @@ def _spectrum_detail(chk) -> dict:
     return {"predicted": chk.predicted, "computed": np.sort_complex(chk.computed)}
 
 
-def task_spectra(model: ModelManifold, params: dict, tol: Tolerances,
+def task_spectra(model: ModelManifold, params: dict,
                  rng: np.random.Generator) -> list[dict]:
     hm = _require_homogeneous(model, "spectra")
     q_values = params["q_values"]
     rows = []
     gchk = generator_spectrum_check(hm)
-    rows.append(tol.check("generator eigenvalues match m + 1/2 - 2j -+ c",
-                          "spectra.generator-eigenvalues", gchk.max_rel_error,
-                          detail=_spectrum_detail(gchk)))
+    rows.append(check("generator eigenvalues match m + 1/2 - 2j -+ c",
+                      "spectra.generator-eigenvalues", gchk.max_rel_error,
+                      detail=_spectrum_detail(gchk)))
     split = spectral_split(hm)
-    rows.append(tol.check("kernel dimension matches the odd-integer rule for 2c",
-                          "spectra.kernel-dimension",
-                          abs(split.kernel_dim - expected_kernel_dim(hm.c)),
-                          detail={"kernel_dim": split.kernel_dim,
-                                  "expected": expected_kernel_dim(hm.c)}))
+    rows.append(check("kernel dimension matches the odd-integer rule for 2c",
+                      "spectra.kernel-dimension",
+                      abs(split.kernel_dim - expected_kernel_dim(hm.c)),
+                      detail={"kernel_dim": split.kernel_dim,
+                              "expected": expected_kernel_dim(hm.c)}))
     for q in q_values:
         dchk = _or_nan(dilation_spectrum_check, hm, q, failed=None)
         value = float("nan") if dchk is None else dchk.max_rel_error
@@ -446,21 +428,21 @@ def task_spectra(model: ModelManifold, params: dict, tol: Tolerances,
         detail = None if dchk is None else {
             **_spectrum_detail(dchk), "worst_pair": dchk.worst_pair,
             "worst_error": value}
-        rows.append(tol.check(f"dilation eigenvalues at q = {q:g}",
-                              "spectra.dilation-eigenvalues", value, detail=detail))
-        rows.append(tol.check(f"exp(log(q) B) reproduces the dilation at q = {q:g}",
-                              "spectra.exponential-consistency",
-                              _or_nan(exponential_consistency_residual, hm, q)))
+        rows.append(check(f"dilation eigenvalues at q = {q:g}",
+                          "spectra.dilation-eigenvalues", value, detail=detail))
+        rows.append(check(f"exp(log(q) B) reproduces the dilation at q = {q:g}",
+                          "spectra.exponential-consistency",
+                          _or_nan(exponential_consistency_residual, hm, q)))
         if abs(q - 1.0) > 1e-10:
             inv = _or_nan(shifted_invertibility, hm, q, split,
                           failed={"min_singular_value": float("nan")})
-            rows.append(tol.check(f"(sigma_q - 1) invertible on the range at q = {q:g}",
-                                  "spectra.shifted-invertibility",
-                                  inv["min_singular_value"], detail=inv))
+            rows.append(check(f"(sigma_q - 1) invertible on the range at q = {q:g}",
+                              "spectra.shifted-invertibility",
+                              inv["min_singular_value"], detail=inv))
     return rows
 
 
-def task_isometry_check(model: ModelManifold, params: dict, tol: Tolerances,
+def task_isometry_check(model: ModelManifold, params: dict,
                         rng: np.random.Generator) -> list[dict]:
     n_elements, n_points = params["elements"], params["points"]
     elems = sample_isometries(model, rng, n_elements)
@@ -515,23 +497,23 @@ def task_isometry_check(model: ModelManifold, params: dict, tol: Tolerances,
         return float(values[idx]), detail
 
     return [
-        tol.check("structural membership residuals",
-                  "isometry.membership", *worst(member)),
-        tol.check(f"metric pullback over {n_points} points",
-                  "isometry.pullback", *worst(pull)),
-        tol.check("composition law matches composed action",
-                  "isometry.action-compatibility",
-                  *worst(compat, composed, stride=2)),
-        tol.check("g g^-1 = g^-1 g = id",
-                  "isometry.inverse", *worst(inverse)),
-        tol.check("pairing rescales by 1/q",
-                  "isometry.omega-scaling", *worst(omega_res)),
-        tol.check("determinant on solutions is q^(2-n)",
-                  "isometry.determinant-power", *worst(det)),
+        check("structural membership residuals",
+              "isometry.membership", *worst(member)),
+        check(f"metric pullback over {n_points} points",
+              "isometry.pullback", *worst(pull)),
+        check("composition law matches composed action",
+              "isometry.action-compatibility",
+              *worst(compat, composed, stride=2)),
+        check("g g^-1 = g^-1 g = id",
+              "isometry.inverse", *worst(inverse)),
+        check("pairing rescales by 1/q",
+              "isometry.omega-scaling", *worst(omega_res)),
+        check("determinant on solutions is q^(2-n)",
+              "isometry.determinant-power", *worst(det)),
     ]
 
 
-def task_tcp_check(model: ModelManifold, params: dict, tol: Tolerances,
+def task_tcp_check(model: ModelManifold, params: dict,
                    rng: np.random.Generator) -> list[dict]:
     hm = _require_homogeneous(model, "tcp-check")
     n_classes, per_class = params["classes"], params["per_class"]
@@ -606,35 +588,35 @@ def task_tcp_check(model: ModelManifold, params: dict, tol: Tolerances,
         central.extend([abs(comm.r - expected), np.max(np.abs(comm.u))])
 
     rows = [
-        tol.check(f"class parametrization round trip x{round_trips}",
-                  "group.class-roundtrip", np.max(round_errors)),
-        tol.check("elements of one class commute",
-                  "group.commuting-within-class", np.max(within)),
+        check(f"class parametrization round trip x{round_trips}",
+              "group.class-roundtrip", np.max(round_errors)),
+        check("elements of one class commute",
+              "group.commuting-within-class", np.max(within)),
     ]
     if n_classes >= 2:
-        rows.append(tol.check("elements of distinct classes do not commute",
-                              "group.separating-across-classes", np.min(across)))
+        rows.append(check("elements of distinct classes do not commute",
+                          "group.separating-across-classes", np.min(across)))
     rows.extend([
-        tol.check(f"direct and criterion commutation tests agree x{agreement_pairs}",
-                  "group.commute-agreement", disagreements,
-                  detail={"pairs": agreement_pairs}),
-        tol.check(f"commutation is transitive on {n_triples} constructed triples",
-                  "group.transitive-commutation",
-                  float(transitivity.counterexamples),
-                  detail={
-                      "premise_failures": transitivity.premise_failures,
-                      "worst_conclusion_residual":
-                          transitivity.worst_conclusion_residual,
-                  }),
-        tol.check("conjugation spectrum is {1/q} + dilation spectrum",
-                  "group.conjugation-spectrum", worst_conj),
-        tol.check("commutators are central with charge -2 Omega",
-                  "heisenberg.commutator-central", np.max(central)),
+        check(f"direct and criterion commutation tests agree x{agreement_pairs}",
+              "group.commute-agreement", disagreements,
+              detail={"pairs": agreement_pairs}),
+        check(f"commutation is transitive on {n_triples} constructed triples",
+              "group.transitive-commutation",
+              float(transitivity.counterexamples),
+              detail={
+                  "premise_failures": transitivity.premise_failures,
+                  "worst_conclusion_residual":
+                      transitivity.worst_conclusion_residual,
+              }),
+        check("conjugation spectrum is {1/q} + dilation spectrum",
+              "group.conjugation-spectrum", worst_conj),
+        check("commutators are central with charge -2 Omega",
+              "heisenberg.commutator-central", np.max(central)),
     ])
     return rows
 
 
-def task_geodesic(model: ModelManifold, params: dict, tol: Tolerances,
+def task_geodesic(model: ModelManifold, params: dict,
                   rng: np.random.Generator) -> list[dict]:
     count, tau = params["count"], params["tau"]
     energies, affines, starts, exits = [], [], [], []
@@ -663,19 +645,19 @@ def task_geodesic(model: ModelManifold, params: dict, tol: Tolerances,
         return values[i], {"worst_index": i, "t0": starts[i][0], "dt0": starts[i][1]}
 
     rows = [
-        tol.check(f"energy conservation over {count} geodesics",
-                  "geodesic.energy", *worst_run(energies)),
-        tol.check("t is affine in the parameter",
-                  "geodesic.t-affine", *worst_run(affines)),
+        check(f"energy conservation over {count} geodesics",
+              "geodesic.energy", *worst_run(energies)),
+        check("t is affine in the parameter",
+              "geodesic.t-affine", *worst_run(affines)),
     ]
     if np.isfinite(model.interval[0]) or np.isfinite(model.interval[1]):
-        rows.append(tol.check(f"boundary exits stop at the endpoint ({len(exits)} hits)",
-                              "geodesic.boundary-exit", np.max(exits, initial=0.0),
-                              detail={"hits": len(exits)}))
+        rows.append(check(f"boundary exits stop at the endpoint ({len(exits)} hits)",
+                          "geodesic.boundary-exit", np.max(exits, initial=0.0),
+                          detail={"hits": len(exits)}))
     return rows
 
 
-def task_classify_group(model: ModelManifold, params: dict, tol: Tolerances,
+def task_classify_group(model: ModelManifold, params: dict,
                         rng: np.random.Generator) -> list[dict]:
     q_values = params["q_values"]
     dilational = any(abs(q - 1.0) > 1e-12 for q in q_values)
@@ -687,13 +669,13 @@ def task_classify_group(model: ModelManifold, params: dict, tol: Tolerances,
                                 random_solution(model, rng)))
     got = classify_holonomy(elems)
     expected = "dilational" if dilational else "translational"
-    return [tol.check(f"group sample classified as {got}",
-                      "classify.holonomy-type", 0.0 if got == expected else 1.0,
-                      detail={"classified": got, "expected": expected,
-                              "q_values": q_values})]
+    return [check(f"group sample classified as {got}",
+                  "classify.holonomy-type", 0.0 if got == expected else 1.0,
+                  detail={"classified": got, "expected": expected,
+                          "q_values": q_values})]
 
 
-def task_appendix_a(model: ModelManifold, params: dict, tol: Tolerances,
+def task_appendix_a(model: ModelManifold, params: dict,
                     rng: np.random.Generator) -> list[dict]:
     count = params["count"]
     lo, hi = model.compact_window()
@@ -713,14 +695,14 @@ def task_appendix_a(model: ModelManifold, params: dict, tol: Tolerances,
     # NumPy's max propagates NaN, so a failed integration fails its rows.
     terminal, affine = np.max(residuals, axis=0)
     return [
-        tol.check(f"endpoint curve of {count} variations is geodesic",
-                  "variation.terminal-geodesic", terminal),
-        tol.check("transverse defect decays affinely in s",
-                  "variation.affine-field", affine),
+        check(f"endpoint curve of {count} variations is geodesic",
+              "variation.terminal-geodesic", terminal),
+        check("transverse defect decays affinely in s",
+              "variation.affine-field", affine),
     ]
 
 
-def task_appendix_b(model: ModelManifold, params: dict, tol: Tolerances,
+def task_appendix_b(model: ModelManifold, params: dict,
                     rng: np.random.Generator) -> list[dict]:
     count = params["count"]
     lo, hi = model.compact_window()
@@ -745,10 +727,10 @@ def task_appendix_b(model: ModelManifold, params: dict, tol: Tolerances,
     # g is an isometry whatever its data; the axis part checks that it
     # carries the t-axis onto the null geodesic that geodesic() integrates.
     pull, axis = np.max(residuals, axis=0)
-    return [tol.check(f"straightening of {count} null geodesics pulls g back to g "
-                      "and maps the t-axis onto the null geodesic",
-                      "reconstruction.pullback-identity", np.max([pull, axis]),
-                      detail={"pullback": pull, "axis": axis})]
+    return [check(f"straightening of {count} null geodesics pulls g back to g "
+                  "and maps the t-axis onto the null geodesic",
+                  "reconstruction.pullback-identity", np.max([pull, axis]),
+                  detail={"pullback": pull, "axis": axis})]
 
 
 TASK_RUNNERS = {
@@ -786,11 +768,10 @@ _PAIR_COUNTS = {("isometry-check", "elements"), ("tcp-check", "per_class")}
 
 def run_scenario(scenario: Scenario) -> dict:
     model = build_model(scenario.model_spec)
-    tol = Tolerances(scenario.tolerances)
     rows = []
     for index, entry in enumerate(scenario.tasks):
         rng = np.random.default_rng([scenario.seed, index])
-        for row in TASK_RUNNERS[entry["task"]](model, entry, tol, rng):
+        for row in TASK_RUNNERS[entry["task"]](model, entry, rng):
             row["task"] = entry["task"]
             rows.append(row)
     passed = sum(1 for r in rows if r["pass"])
@@ -837,8 +818,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     if args.command == "run":
         if "ECS_LAB_TOL_SCALE" in os.environ:
-            print("ECS_LAB_TOL_SCALE is not supported; set budgets in the "
-                  "scenario's 'tolerances' object", file=sys.stderr)
+            print("ECS_LAB_TOL_SCALE is not supported; budgets are fixed", file=sys.stderr)
             return 2
         try:
             scenario = Scenario.load(args.scenario, seed_override=args.seed)

@@ -373,7 +373,7 @@ def conjugation_matrix(hm: HomogeneousModel, g: IsoElement) -> np.ndarray:
     the E-block is sigma_q, so the spectrum is {1/q} union spec(sigma_q)."""
     m2 = 2 * hm.m
     q = g.sigma.q
-    M = hm.sigma_q_matrix(q)
+    M = sigma_matrix(hm.model, g.sigma)
     J = omega_matrix(hm.model)
     out = np.zeros((1 + m2, 1 + m2))
     out[0, 0] = 1.0 / q
@@ -418,7 +418,7 @@ def class_map_inverse(hm: HomogeneousModel, g: IsoElement,
     if abs(q - 1.0) < 1e-10:
         raise ValueError("class parametrization needs q != 1")
     model = hm.model
-    M = hm.sigma_q_matrix(q)
+    M = sigma_matrix(model, g.sigma)
     u_plus_coeff, u_zero_coeff = split.decompose(g.u)
     u_plus = split.eplus @ u_plus_coeff
     w_data = split.e0 @ u_zero_coeff
@@ -428,7 +428,7 @@ def class_map_inverse(hm: HomogeneousModel, g: IsoElement,
     coeff, *_ = np.linalg.lstsq(shifted, u_plus, rcond=None)
     z_data = split.eplus @ coeff
 
-    sz = sigma_act(model, g.sigma, z_data)
+    sz = M @ z_data
     off = omega(model, z_data, sz + (1.0 + 1.0 / q) * w_data)
     a = (g.r - off) / (1.0 - 1.0 / q)
     return a, z_data, q, w_data

@@ -144,12 +144,6 @@ class TestExitCodes:
         code, _ = run_cli(tmp_path, payload)
         assert code == 2
 
-    def test_unknown_tolerance_anchor_is_two(self, tmp_path):
-        payload = copy.deepcopy(HOMOGENEOUS)
-        payload["tolerances"] = {"no.such.anchor": 1.0}
-        code, _ = run_cli(tmp_path, payload)
-        assert code == 2
-
     def test_bad_schema_version_is_two(self, tmp_path):
         # Only the string "1" is a schema version; the number 1 is not.
         payload = copy.deepcopy(HOMOGENEOUS)
@@ -232,12 +226,21 @@ class TestExitCodes:
         {"geodesic.energy": True}, {"geodesic.energy": float("nan")},
         {"geodesic.energy": float("inf")}, {"geodesic.energy": 0.0},
         {"geodesic.energy": -1e-8},
+        # a well-formed override that would turn a known failure into a pass
+        {"isometry.action-compatibility": 1.0, "isometry.inverse": 1.0},
+        {"no.such.anchor": 1.0},
     ])
-    def test_bad_tolerances_is_two(self, tmp_path, tolerances):
+    def test_bad_tolerances_is_two(self, tmp_path, monkeypatch, tolerances):
+        # Budgets are fixed, so a scenario that carries a "tolerances" object
+        # is refused, whatever it holds, before any task runs.
+        ran = []
+        monkeypatch.setitem(cli.TASK_RUNNERS, "verify-model",
+                            lambda *args: ran.append(1) or [])
         payload = copy.deepcopy(HOMOGENEOUS)
+        payload["tasks"] = [{"task": "verify-model", "points": 1}]
         payload["tolerances"] = tolerances
-        code, _ = run_cli(tmp_path, payload)
-        assert code == 2
+        code, report = run_cli(tmp_path, payload)
+        assert code == 2 and report is None and not ran
 
     @pytest.mark.parametrize("interval", [
         ["a", None], [0, "1"], [True, None], [0, [1]], [0, float("nan")],
@@ -404,9 +407,11 @@ class TestExitCodes:
         ("model", "c", 0.3),
         ("profile", "coefficients", [0.0, 1.0]),
         ("profile", "C", 0.3),
+        ("scenario", "tolerances", {"geodesic.energy": 1e-3}),
     ])
     def test_unknown_key_is_two(self, tmp_path, where, key, value):
-        # a misspelled "tolerance" used to run with the default budgets
+        # a misspelled "tolerance" used to run with the default budgets, and
+        # "tolerances" is unknown too now that budgets are fixed
         payload = copy.deepcopy(HOMOGENEOUS)
         target = {"scenario": payload, "model": payload["model"],
                   "profile": payload["model"]["profile"]}[where]
@@ -460,24 +465,24 @@ class TestExitCodes:
         assert report["summary"]["failed"] == 0
 
     def test_task_crash_is_three(self, tmp_path, monkeypatch):
-        def crash(model, params, tol, rng):
+        def crash(model, params, rng):
             raise RuntimeError("integration failed")
 
         monkeypatch.setitem(cli.TASK_RUNNERS, "geodesic", crash)
         code, _ = run_cli(tmp_path, HOMOGENEOUS)
         assert code == 3
 
-    def test_failing_checks_are_one(self, tmp_path):
-        # An "above" budget no Weyl norm reaches.
-        payload = copy.deepcopy(HOMOGENEOUS)
-        payload["tolerances"] = {"curvature.weyl-nonzero": 1e300}
-        code, report = run_cli(tmp_path, payload)
+    def test_failing_checks_are_one(self, tmp_path, monkeypatch):
+        # A planted fault: a vanishing Weyl norm fails its "above" row.
+        monkeypatch.setattr(cli, "weyl_nonzero_norm", lambda pack: 0.0)
+        code, report = run_cli(tmp_path, HOMOGENEOUS)
         assert code == 1
-        assert report["summary"]["failed"] > 0
+        failed = [row["anchor"] for row in report["checks"] if not row["pass"]]
+        assert failed == ["curvature.weyl-nonzero"]
 
     @pytest.mark.parametrize("raw", ["1.0", "1e-12", "banana", "-2", "inf", "nan"])
     def test_tol_scale_env_is_two(self, tmp_path, monkeypatch, raw):
-        # Budgets change only through the scenario's tolerances.
+        # Every budget is fixed in the tolerance table.
         monkeypatch.setenv("ECS_LAB_TOL_SCALE", raw)
         code, _ = run_cli(tmp_path, HOMOGENEOUS)
         assert code == 2
@@ -504,13 +509,10 @@ class TestReportSchema:
             "verify-model", "spectra", "geodesic", "classify-group"]
         assert {"python", "numpy", "scipy", "platform"} <= set(report["environment"])
 
-    def test_tolerance_override_applies(self, tmp_path):
-        payload = copy.deepcopy(HOMOGENEOUS)
-        payload["tolerances"] = {"curvature.parallel-weyl": 1e-3}
-        _, report = run_cli(tmp_path, payload)
-        rows = [r for r in report["checks"]
-                if r["anchor"] == "curvature.parallel-weyl"]
-        assert rows and all(r["tolerance"] == 1e-3 for r in rows)
+    def test_rows_carry_the_table_budgets(self, tmp_path):
+        _, report = run_cli(tmp_path, HOMOGENEOUS)
+        for row in report["checks"]:
+            assert row["tolerance"] == cli.TOLERANCES[row["anchor"]]
 
 
 class TestWorstRunDetail:
@@ -754,3 +756,15 @@ class TestShippedScenarios:
         assert code == 0
         data = json.loads(report.read_text())
         assert data["summary"]["failed"] == 0
+
+    def test_every_anchor_is_emitted(self, tmp_path):
+        # homogeneous_m2 runs all eight tasks; a table entry that no row
+        # emits is a budget that judges nothing.
+        assert set(TASK_PARAMS) == {
+            entry["task"] for entry in
+            json.loads((SCENARIOS / "homogeneous_m2.json").read_text())["tasks"]}
+        report = tmp_path / "report.json"
+        main(["run", "--scenario", str(SCENARIOS / "homogeneous_m2.json"),
+              "--report", str(report)])
+        anchors = {row["anchor"] for row in json.loads(report.read_text())["checks"]}
+        assert anchors == set(cli.TOLERANCES)

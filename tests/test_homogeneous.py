@@ -45,7 +45,7 @@ from ecs_lab.isometry_group import (
     pullback_residual,
 )
 from ecs_lab.model_geometry import random_chart_point
-from ecs_lab.solution_space import flow
+from ecs_lab.solution_space import CauchyFlow, flow
 
 GRID = [(2, 0.3), (2, 1.5), (3, 0.25), (3, 0.7j)]
 
@@ -394,6 +394,20 @@ class TestClassMap:
         g = g0_element(hm, 1.0, 0.5, np.ones(4))
         with pytest.raises(ValueError):
             class_map_inverse(hm, g, spectral_split(hm))
+
+    def test_inverse_acts_through_the_element(self, monkeypatch):
+        # class_map already looked up the dilation's matrix on g.sigma, so
+        # the inverse reads that matrix instead of the flow.
+        hm = model_for(2, 0.3)
+        split = spectral_split(hm)
+        g = class_map(hm, 0.4, split.eplus @ np.ones(split.eplus.shape[1]), 2.0,
+                      np.zeros(4))
+        calls = []
+        lookup = CauchyFlow.matrix
+        monkeypatch.setattr(CauchyFlow, "matrix",
+                            lambda self, t: calls.append(t) or lookup(self, t))
+        class_map_inverse(hm, g, split)
+        assert calls == []
 
 
 class TestConjugation:
