@@ -569,6 +569,9 @@ def task_tcp_check(model: ModelManifold, params: dict,
     nan = float("nan")
     transitivity = _or_nan(transitive_commutation_check, hm, split, n_triples, rng,
                            failed=TransitivityReport(n_triples, nan, nan, nan))
+    # With every premise failing, no conclusion was tested: the row fails.
+    counterexamples = (nan if transitivity.premise_failures == n_triples
+                       else float(transitivity.counterexamples))
 
     worst_conj = np.max([
         _or_nan(lambda g: conjugation_spectrum_check(hm, g).max_rel_error, members[0])
@@ -601,8 +604,7 @@ def task_tcp_check(model: ModelManifold, params: dict,
               "group.commute-agreement", disagreements,
               detail={"pairs": agreement_pairs}),
         check(f"commutation is transitive on {n_triples} constructed triples",
-              "group.transitive-commutation",
-              float(transitivity.counterexamples),
+              "group.transitive-commutation", counterexamples,
               detail={
                   "premise_failures": transitivity.premise_failures,
                   "worst_conclusion_residual":

@@ -19,13 +19,12 @@ such a geodesic minus its curve, and the Appendix B straightening map is
 the Heisenberg isometry of `isometry_group.straightening_element`; both
 are checked against `geodesic`, which integrates the equations above.
 
-Every integration goes through this module's `solve_ivp`, with one of two
-right-hand sides: the geodesic equations and second-order transport. It is
-DOP853 (Hairer, Norsett and Wanner, Solving ODEs I, II.10) at rtol = atol
-= 1e-12, written out for one run: it reproduces SciPy's DOP853 with dense
-output to the bit at the samples it is given up front, and interpolates
-only on steps that hold a sample. The solution flow stays on SciPy's
-solver (`solution_space.solve_ivp`). Since t is affine, a run that heads
+Every integration goes through `solve_ivp`, the package's one DOP853
+(`solution_space.solve_ivp`, bound here by name), at rtol = atol = 1e-12
+with one of two right-hand sides: the geodesic equations and second-order
+transport. A run is sampled at times given up front, each sample
+bit-identical to SciPy's DOP853 dense output there, and interpolates only
+on steps that hold a sample. Since t is affine, a run that heads
 for a finite interval endpoint is known to do so in advance: it stops at a
 small barrier before the endpoint, at a parameter given in closed form, and
 is integrated in x = log|t - endpoint| so that its steps need not shrink
@@ -37,9 +36,6 @@ than forming f + A.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
-from math import inf, nextafter
-from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -47,15 +43,15 @@ from numpy.polynomial import polynomial as _P
 
 from .isometry_group import IsoElement, iso_apply, straightening_element
 from .model_geometry import ChartPoint, ModelManifold
-from .solution_space import ENDPOINT_BARRIER, IntegrationError, solution_at
+from .solution_space import (
+    ENDPOINT_BARRIER,
+    IntegrationError,
+    solution_at,
+    solve_ivp,
+)
 
 _RTOL = 1e-12
 _ATOL = 1e-12
-_DONE = "The solver successfully reached the end of the integration interval."
-
-
-def _rms(x):
-    return np.linalg.norm(x) / x.size ** 0.5
 
 
 def christoffel_closed_form(model: ModelManifold, t: float, v: np.ndarray) -> np.ndarray:
@@ -78,127 +74,6 @@ def christoffel_closed_form(model: ModelManifold, t: float, v: np.ndarray) -> np
     G[1, 2:, 0] = kappa_v
     G[2:, 0, 0] = -(fa @ v)
     return G
-
-
-@cache
-def _tableau():
-    """DOP853's coefficient tables, read from SciPy's public class once."""
-    from scipy.integrate import DOP853 as M
-
-    return M.A, M.B, M.C, M.E3, M.E5, M.D, M.A_EXTRA, M.C_EXTRA
-
-
-def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval):
-    """DOP853 for one run, sampled at t_eval.
-
-    Every sample is bit-identical to SciPy's `solve_ivp(fun, t_span, y0,
-    method="DOP853", rtol=rtol, atol=atol, dense_output=True).sol(t_eval)`:
-    this repeats SciPy's initial step choice, steps, error norm and
-    interpolant operation for operation. It keeps no solver or dense-output
-    objects, and computes the three extra interpolation stages only on steps
-    that hold a sample. As in SciPy's OdeSolution, a sample on a step end is
-    read from the step that ends there and a sample past the span end from
-    the last step. Returns SciPy's t, y (one column per sample), nfev,
-    status (0, or -1 when the step size underflows), success and message.
-    """
-    A, B, C, E3, E5, D, A_EXTRA, C_EXTRA = _tableau()
-    t, t_bound = map(float, t_span)
-    y = np.asarray(y0, dtype=float)
-    t_eval = np.asarray(t_eval, dtype=float)
-    out = np.full((t_eval.size, y.size), np.nan)    # y.T, as SciPy lays it out
-    nfev = 0
-
-    def f(t, y):
-        nonlocal nfev
-        nfev += 1
-        return np.asarray(fun(t, y), dtype=float)
-
-    def result(status, message):
-        return SimpleNamespace(t=t_eval, y=out.T, nfev=nfev, status=status,
-                               success=status >= 0, message=message)
-
-    fy = f(t, y)
-    if t == t_bound:    # no step: SciPy's constant interpolant
-        out[:] = y
-        return result(0, _DONE)
-    direction = np.sign(t_bound - t)
-    # common.select_initial_step, with max_step = inf
-    scale = atol + np.abs(y) * rtol
-    d0, d1 = _rms(y / scale), _rms(fy / scale)
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, abs(t_bound - t))
-    d2 = _rms((f(t + h0 * direction, y + h0 * direction * fy) - fy) / scale) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
-    h_abs = min(100 * h0, h1, abs(t_bound - t))
-
-    K = np.empty((16, y.size))      # 13 step stages, then 3 interpolation stages
-    # (c, a, the earlier stages) for each later stage, as views of K
-    stages = [(C[s], A[s, :s], K[:s].T) for s in range(1, 12)]
-    extra = [(c, a[:s], K[:s].T) for s, (a, c) in enumerate(zip(A_EXTRA, C_EXTRA), 13)]
-    K12, K13 = K[:12].T, K[:13].T
-    keys = direction * t_eval
-    order = np.argsort(keys)
-    keys, done = keys[order], 0
-    while True:
-        # rk.RungeKutta._step_impl
-        min_step = 10 * abs(nextafter(t, direction * inf) - t)
-        h_abs = max(h_abs, min_step)
-        rejected = False
-        while True:
-            if h_abs < min_step:
-                return result(-1, "Required step size is less than spacing "
-                                  "between numbers.")
-            t_new = t + h_abs * direction
-            if direction * (t_new - t_bound) > 0:
-                t_new = t_bound
-            h = t_new - t
-            h_abs = abs(h)
-            K[0] = fy
-            for s, (c, a, earlier) in enumerate(stages, 1):
-                K[s] = f(t + c * h, y + earlier.dot(a) * h)
-            y_new = y + h * K12.dot(B)
-            K[12] = f_new = f(t + h, y_new)
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            # DOP853._estimate_error_norm
-            err5 = np.linalg.norm(K13.dot(E5) / scale) ** 2
-            err3 = np.linalg.norm(K13.dot(E3) / scale) ** 2
-            if err5 == 0 and err3 == 0:
-                error_norm = 0.0
-            else:
-                error_norm = abs(h) * err5 / np.sqrt((err5 + 0.01 * err3) * y.size)
-            if error_norm < 1:
-                factor = 10 if error_norm == 0 else min(10, 0.9 * error_norm ** -0.125)
-                h_abs *= min(1, factor) if rejected else factor
-                break
-            h_abs *= max(0.2, 0.9 * error_norm ** -0.125)
-            rejected = True
-        t_old, y_old, t, y, fy = t, y, t_new, y_new, f_new
-        finished = direction * (t - t_bound) >= 0
-        end = order.size if finished else \
-            np.searchsorted(keys, direction * t, side="right")
-        if end > done:
-            # DOP853._dense_output_impl and Dop853DenseOutput._call_impl
-            for s, (c, a, earlier) in enumerate(extra, 13):
-                K[s] = f(t_old + c * h, y_old + earlier.dot(a) * h)
-            F = np.empty((7, y.size))
-            delta_y = y - y_old
-            F[0] = delta_y
-            F[1] = h * K[0] - delta_y
-            F[2] = 2 * delta_y - h * (fy + K[0])
-            F[3:] = h * D.dot(K)
-            idx = order[done:end]
-            x = ((t_eval[idx] - t_old) / h)[:, None]
-            ys = np.zeros((idx.size, y.size))
-            for i, row in enumerate(F[::-1]):
-                ys += row
-                ys *= x if i % 2 == 0 else 1 - x
-            out[idx] = ys + y_old
-            done = end
-        if finished:
-            return result(0, _DONE)
 
 
 def _geodesic_rhs(model: ModelManifold, edge: Optional[float] = None,

@@ -22,12 +22,12 @@ isometry group; elements and the group law (IsoElement, iso_compose) live
 in isometry_group.
 
 Propagation uses the fundamental matrix of the first-order system,
-integrated with a high-order adaptive scheme (SciPy's DOP853) over fixed
-segments on either side of the base time. The segment edges depend only on
-the model, so a query's answer never depends on the queries before it. Each
-integrated segment's steps are copied into a per-direction table of
-dense-output interpolants, and SciPy's result is dropped. Each model has
-one flow, built on first use and shared by everything that uses the model.
+integrated by this module's `solve_ivp` over fixed segments on either side
+of the base time. The segment edges depend only on the model, so a query's
+answer never depends on the queries before it. Each integrated segment's
+steps go straight into a per-direction table of DOP853 interpolant terms.
+Each model has one flow, built on first use and shared by everything that
+uses the model.
 
 An element of E is a plain (2m,) array of its Cauchy data, the value block
 followed by the derivative block, so the vector-space operations are array
@@ -37,14 +37,18 @@ search of the step tables and one vectorized dense-output evaluation, each
 entry bit-identical to SciPy's dense output at its time. Callers that need
 u at many times pass them in one array.
 
-The flow integrates through this module's `solve_ivp`, which imports
-SciPy's integrator on its first call, so importing the package and checks
-that integrate nothing (curvature) never load it. Geodesic and transport
-runs use the geodesics module's own DOP853 instead.
+`solve_ivp` is the package's one DOP853 (Hairer, Norsett and Wanner,
+Solving ODEs I, II.10). It repeats SciPy's DOP853 to the bit, and the
+geodesics module integrates through it too. It loads scipy.integrate on
+its first call, for DOP853's coefficient table only, so importing the
+package and checks that integrate nothing (curvature) never load it.
 """
 
 from __future__ import annotations
 
+from functools import cache
+from math import inf, nextafter
+from types import SimpleNamespace
 from typing import Iterable
 
 import numpy as np
@@ -63,21 +67,168 @@ _ATOL = 1e-13
 # can shrink without end while the solver never reports a failure.
 _MAX_EVALS = 100_000
 
+_DONE = "The solver successfully reached the end of the integration interval."
+
 
 class IntegrationError(RuntimeError):
     """An integration that could not be completed."""
 
 
-def solve_ivp(*args, **kwargs):
-    """scipy.integrate.solve_ivp, imported on the first integration.
+def _rms(x):
+    return np.linalg.norm(x) / x.size ** 0.5
 
-    CauchyFlow calls this module-level name at call time, so replacing it
-    swaps the integrator of every flow segment. Geodesic and transport runs
-    call `geodesics.solve_ivp`, which replacing this name does not touch.
+
+@cache
+def _tableau():
+    """DOP853's coefficient tables, read from SciPy's public class once."""
+    from scipy.integrate import DOP853 as M
+
+    return M.A, M.B, M.C, M.E3, M.E5, M.D, M.A_EXTRA, M.C_EXTRA
+
+
+def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval=None):
+    """DOP853 for one run, repeating SciPy's `solve_ivp(fun, t_span, y0,
+    method="DOP853", rtol=rtol, atol=atol)` with dense output operation for
+    operation: its initial step choice, steps, error norm and interpolant.
+    It keeps no solver or dense-output objects. Returns SciPy's nfev,
+    status (0, or -1 when the step size underflows), success and message,
+    and:
+
+    - given t_eval, its t and y (one column per sample), each sample
+      bit-identical to SciPy's dense output at it. The three extra
+      interpolation stages are computed only on steps that hold a sample.
+      As in SciPy's OdeSolution, a sample on a step end is read from the
+      step that ends there and a sample past the span end from the last
+      step.
+    - with t_eval None, one row per step, in the order the steps were
+      taken: its end t, t_old, h, y_old and the seven interpolant terms
+      (steps, 7, n) in SciPy's order, each bit-identical to what SciPy's
+      Dop853DenseOutput of the step holds, and the end state y_end. nfev
+      then counts the extra stages of every step, as SciPy's does.
     """
-    from scipy.integrate import solve_ivp
+    A, B, C, E3, E5, D, A_EXTRA, C_EXTRA = _tableau()
+    t, t_bound = map(float, t_span)
+    y = np.asarray(y0, dtype=float)
+    table = t_eval is None
+    if table:
+        # Each row field and the shape of one step's entry.
+        shapes = {"t": (), "t_old": (), "h": (), "y_old": (y.size,),
+                  "terms": (7, y.size)}
+        rows = {key: [] for key in shapes}
+    else:
+        t_eval = np.asarray(t_eval, dtype=float)
+        out = np.full((t_eval.size, y.size), np.nan)    # y.T, as SciPy lays it out
+    nfev = 0
 
-    return solve_ivp(*args, **kwargs)
+    def f(t, y):
+        nonlocal nfev
+        nfev += 1
+        return np.asarray(fun(t, y), dtype=float)
+
+    def result(status, message):
+        if table:
+            fields = {key: np.reshape(rows[key], (-1, *shape))
+                      for key, shape in shapes.items()}
+            fields["y_end"] = y
+        else:
+            fields = {"t": t_eval, "y": out.T}
+        return SimpleNamespace(**fields, nfev=nfev, status=status,
+                               success=status >= 0, message=message)
+
+    fy = f(t, y)
+    if t == t_bound:    # no step: SciPy's constant interpolant
+        if not table:
+            out[:] = y
+        return result(0, _DONE)
+    direction = np.sign(t_bound - t)
+    # common.select_initial_step, with max_step = inf
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = _rms(y / scale), _rms(fy / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, abs(t_bound - t))
+    d2 = _rms((f(t + h0 * direction, y + h0 * direction * fy) - fy) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
+    h_abs = min(100 * h0, h1, abs(t_bound - t))
+
+    K = np.empty((16, y.size))      # 13 step stages, then 3 interpolation stages
+    # (c, a, the earlier stages) for each later stage, as views of K
+    stages = [(C[s], A[s, :s], K[:s].T) for s in range(1, 12)]
+    extra = [(c, a[:s], K[:s].T) for s, (a, c) in enumerate(zip(A_EXTRA, C_EXTRA), 13)]
+    K12, K13 = K[:12].T, K[:13].T
+    if not table:
+        keys = direction * t_eval
+        order = np.argsort(keys)
+        keys, done = keys[order], 0
+
+    def terms():
+        """The step's interpolant terms, as SciPy's DOP853 forms them."""
+        for s, (c, a, earlier) in enumerate(extra, 13):
+            K[s] = f(t_old + c * h, y_old + earlier.dot(a) * h)
+        F = np.empty((7, y.size))
+        delta_y = y - y_old
+        F[0] = delta_y
+        F[1] = h * K[0] - delta_y
+        F[2] = 2 * delta_y - h * (fy + K[0])
+        F[3:] = h * D.dot(K)
+        return F
+
+    while True:
+        # rk.RungeKutta._step_impl
+        min_step = 10 * abs(nextafter(t, direction * inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                return result(-1, "Required step size is less than spacing "
+                                  "between numbers.")
+            t_new = t + h_abs * direction
+            if direction * (t_new - t_bound) > 0:
+                t_new = t_bound
+            h = t_new - t
+            h_abs = abs(h)
+            K[0] = fy
+            for s, (c, a, earlier) in enumerate(stages, 1):
+                K[s] = f(t + c * h, y + earlier.dot(a) * h)
+            y_new = y + h * K12.dot(B)
+            K[12] = f_new = f(t + h, y_new)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            # DOP853._estimate_error_norm
+            err5 = np.linalg.norm(K13.dot(E5) / scale) ** 2
+            err3 = np.linalg.norm(K13.dot(E3) / scale) ** 2
+            if err5 == 0 and err3 == 0:
+                error_norm = 0.0
+            else:
+                error_norm = abs(h) * err5 / np.sqrt((err5 + 0.01 * err3) * y.size)
+            if error_norm < 1:
+                factor = 10 if error_norm == 0 else min(10, 0.9 * error_norm ** -0.125)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * error_norm ** -0.125)
+            rejected = True
+        t_old, y_old, t, y, fy = t, y, t_new, y_new, f_new
+        finished = direction * (t - t_bound) >= 0
+        if table:
+            for key, value in zip(rows, (t, t_old, h, y_old, terms())):
+                rows[key].append(value)
+        else:
+            end = order.size if finished else \
+                np.searchsorted(keys, direction * t, side="right")
+            if end > done:
+                F = terms()
+                # Dop853DenseOutput._call_impl
+                idx = order[done:end]
+                x = ((t_eval[idx] - t_old) / h)[:, None]
+                ys = np.zeros((idx.size, y.size))
+                for i, row in enumerate(F[::-1]):
+                    ys += row
+                    ys *= x if i % 2 == 0 else 1 - x
+                out[idx] = ys + y_old
+                done = end
+        if finished:
+            return result(0, _DONE)
 
 
 def _check_t(model: ModelManifold, t: float) -> float:
@@ -99,11 +250,10 @@ class _StepTable:
 
     A row holds the step's end key sign * t, its start time t_old, its
     length h, the state y_old at its start and the seven terms of its
-    interpolant (SciPy's Dop853DenseOutput; Hairer, Norsett and Wanner,
-    Solving ODEs I, II.10), kept highest term first. Each term is its own
-    (steps, 4m^2) array, so adding a segment copies the table one term at a
-    time. `tip` is the state at the end of the last segment, where the next
-    segment starts.
+    interpolant (as SciPy's Dop853DenseOutput holds them), kept highest
+    term first. Each term is its own (steps, 4m^2) array, so adding a
+    segment copies the table one term at a time. `tip` is the state at the
+    end of the last segment, where the next segment starts.
     """
 
     def __init__(self, sign: float, n: int):
@@ -111,19 +261,17 @@ class _StepTable:
         self.tip = np.eye(n).ravel()
         self.keys = self.t_old = self.h = np.empty(0)
         self.y_old = np.empty((0, n * n))
-        self.F = [self.y_old] * 7
+        self.terms = [self.y_old] * 7
 
     def append(self, sol) -> None:
-        """Copy the steps of a segment's solve_ivp result."""
-        steps = sol.sol.interpolants
-        F = np.stack([step.F for step in steps])
+        """Copy the step rows of a segment's `solve_ivp` table."""
         for j in range(7):
-            self.F[j] = np.concatenate([self.F[j], F[:, 6 - j]])
-        self.y_old = np.concatenate([self.y_old, [step.y_old for step in steps]])
-        self.keys = np.append(self.keys, [self.sign * step.t for step in steps])
-        self.t_old = np.append(self.t_old, [step.t_old for step in steps])
-        self.h = np.append(self.h, [step.h for step in steps])
-        self.tip = sol.y[:, -1].copy()
+            self.terms[j] = np.concatenate([self.terms[j], sol.terms[:, 6 - j]])
+        self.y_old = np.concatenate([self.y_old, sol.y_old])
+        self.keys = np.append(self.keys, self.sign * sol.t)
+        self.t_old = np.append(self.t_old, sol.t_old)
+        self.h = np.append(self.h, sol.h)
+        self.tip = sol.y_end
 
     def __call__(self, t: np.ndarray) -> np.ndarray:
         """Flattened Phi at the times t, each on the step that holds it: a
@@ -137,8 +285,8 @@ class _StepTable:
         x = x[:, None].repeat(self.y_old.shape[1], 1)
         x1 = 1 - x
         y = np.zeros(x.shape)
-        for F, w in zip(self.F, (x, x1, x, x1, x, x1, x)):
-            y += F.take(step, axis=0)
+        for term, w in zip(self.terms, (x, x1, x, x1, x, x1, x)):
+            y += term.take(step, axis=0)
             y *= w
         y += self.y_old.take(step, axis=0)
         return y
@@ -170,20 +318,26 @@ class CauchyFlow:
         self._steps = {sign: _StepTable(sign, 2 * self.m) for sign in (1.0, -1.0)}
         # The message of the segment that failed, per direction.
         self._failed = {1.0: None, -1.0: None}
+        # f(t) Id + A for the right-hand side, rewritten in place: its
+        # diagonal is A's diagonal plus f(t).
+        self._fa = np.array(model.A, dtype=float)
+        self._fa_diag = self._fa.reshape(-1)[::self.m + 1]
+        self._A_diag = self._fa_diag.copy()
 
     def _rhs(self, t, y):
         self._evals += 1
         if self._evals > _MAX_EVALS:
             raise IntegrationError(f"flow integration failed: more than "
                                    f"{_MAX_EVALS} evaluations in one segment")
-        m = self.m
-        M = y.reshape(2 * m, 2 * m)
-        # A new array on every call: the solver keeps it as the first stage
-        # of the next step.
-        out = np.empty_like(M)
-        out[:m] = M[m:]
-        np.matmul(self.model.f_plus_A(t), M[:m], out=out[m:])
-        return out.ravel()
+        # Phi = [[U], [U']] flattened has derivative [[U'], [(f + A) U]].
+        m, half = self.m, y.size // 2
+        np.add(self._A_diag, self.model.profile.value_slope(t)[0], out=self._fa_diag)
+        # A new array on every call: the solver keeps it as a stage.
+        out = np.empty_like(y)
+        out[:half] = y[half:]
+        np.matmul(self._fa, y[:half].reshape(m, 2 * m),
+                  out=out[half:].reshape(m, 2 * m))
+        return out
 
     def _edge(self, sign: float, k: int) -> float:
         """End time of segment k = 0, 1, ... in the given direction."""
@@ -206,10 +360,8 @@ class CauchyFlow:
             start = sign * ends[-1] if ends else self.base_t
             self._evals = 0
             try:
-                sol = solve_ivp(
-                    self._rhs, (start, stop), steps.tip,
-                    method="DOP853", rtol=_RTOL, atol=_ATOL, dense_output=True,
-                )
+                sol = solve_ivp(self._rhs, (start, stop), steps.tip,
+                                rtol=_RTOL, atol=_ATOL)
                 if not sol.success:
                     raise IntegrationError(f"flow integration failed: {sol.message}")
             except IntegrationError as exc:

@@ -14,7 +14,7 @@ import pytest
 import ecs_lab.cli as cli
 from ecs_lab.cli import TASK_PARAMS, build_model, main
 from ecs_lab.geodesics import energy_report, geodesic, t_affinity_report
-from ecs_lab.homogeneous import sample_isometries
+from ecs_lab.homogeneous import HomogeneousModel, sample_isometries
 from ecs_lab.isometry_group import (
     IsoElement,
     iso_apply,
@@ -464,6 +464,29 @@ class TestExitCodes:
         assert code == 0
         assert report["summary"]["failed"] == 0
 
+    def test_sum_of_powers_model_passes_every_row(self, tmp_path):
+        # The third profile kind on a model the flow and geodesic tasks can
+        # reach: nilpotent A on (0, inf), no dilations.
+        payload = {
+            "schema_version": "1",
+            "seed": 3,
+            "model": {
+                "gram": [[0.0, 1.0], [1.0, 0.0]],
+                "A": [[0.0, 1.0], [0.0, 0.0]],
+                "profile": {"kind": "sum-of-powers",
+                            "terms": [[1.0, 0.5], [-0.3, 1.5]]},
+                "interval": [0.0, None],
+            },
+            "tasks": [{"task": "verify-model", "points": 3},
+                      {"task": "isometry-check", "elements": 4, "points": 3},
+                      {"task": "geodesic", "count": 3, "tau": 1.0},
+                      {"task": "appendix-a", "count": 2},
+                      {"task": "appendix-b", "count": 2}],
+        }
+        code, report = run_cli(tmp_path, payload)
+        assert code == 0
+        assert report["summary"] == {"total": 22, "passed": 22, "failed": 0}
+
     def test_task_crash_is_three(self, tmp_path, monkeypatch):
         def crash(model, params, rng):
             raise RuntimeError("integration failed")
@@ -683,6 +706,28 @@ class TestLargeC:
         rows = [row for row in report["checks"]
                 if row["anchor"] == "spectra.kernel-dimension"]
         assert len(rows) == 1 and rows[0]["pass"] and rows[0]["value"] == 0.0
+
+
+class TestNoVacuousPass:
+    def test_transitivity_with_every_premise_failing_fails(self, tmp_path):
+        # At m = 12 both sampled triples fail their premise, so no conclusion
+        # is tested: the row reads NaN and fails, and says why.
+        hm = HomogeneousModel.standard(12, 0.3)
+        payload = {
+            "schema_version": "1",
+            "seed": 7,
+            "model": {"gram": hm.model.space.gram.tolist(), "A": hm.model.A.tolist(),
+                      "profile": {"kind": "homogeneous", "c": 0.3},
+                      "interval": [0.0, None]},
+            "tasks": [{"task": "tcp-check", "classes": 2, "per_class": 2,
+                       "round_trips": 3, "agreement_pairs": 3, "triples": 2}],
+        }
+        code, report = run_cli(tmp_path, payload)
+        assert code == 1
+        [row] = [row for row in report["checks"]
+                 if row["anchor"] == "group.transitive-commutation"]
+        assert row["value"] == "nan" and not row["pass"]
+        assert row["detail"]["premise_failures"] == 2
 
 
 class TestDeterminism:

@@ -1,6 +1,6 @@
 """Geodesics and transport: the closed-form Christoffel symbols against the
-metric-jet pipeline, the integrator policy, the module's DOP853 against
-SciPy's bit for bit, conservation laws, leaf flatness, boundary behavior on
+metric-jet pipeline, the integrator policy, the package's DOP853 against
+SciPy's bit for bit (samples and step tables), conservation laws, leaf flatness, boundary behavior on
 (0, inf) and on a bounded interval, plunges against the exact dilation flow
 and the solution flow, deviation fields with geodesic endpoint curves, and
 the straightening of transverse null geodesics by a Heisenberg isometry."""
@@ -71,15 +71,17 @@ class TestChristoffelClosedForm:
 
 
 class TestIntegratorPolicy:
-    """Geodesic and transport runs go through `geodesics.solve_ivp`, the
-    module's own DOP853 at rtol = atol = 1e-12, sampled at t_eval. Flow
-    segments go through `solution_space.solve_ivp`, SciPy's DOP853 at
-    rtol = atol = 1e-13 with dense output. Each is handed the right-hand
-    side itself, whose qualified name the benchmark tracer classifies. A
-    variation field integrates no geodesic: it reads the flow."""
+    """Every integration goes through the package's one DOP853, bound by
+    name in both modules. Geodesic and transport runs call
+    `geodesics.solve_ivp` at rtol = atol = 1e-12, sampled at t_eval. Flow
+    segments call `solution_space.solve_ivp` at rtol = atol = 1e-13 with no
+    t_eval, for the step table. Each is handed the right-hand side itself,
+    whose qualified name the benchmark tracer classifies. A variation field
+    integrates no geodesic: it reads the flow."""
 
     def test_every_integration_uses_the_policy(self, monkeypatch):
-        assert geodesics.solve_ivp.__module__ == "ecs_lab.geodesics"
+        assert geodesics.solve_ivp is solution_space.solve_ivp
+        assert solution_space.solve_ivp.__module__ == "ecs_lab.solution_space"
         calls = {geodesics: [], solution_space: []}
         for mod, log in calls.items():
             def recorder(fun, t_span, y0, real=mod.solve_ivp, log=log, **kwargs):
@@ -115,8 +117,7 @@ class TestIntegratorPolicy:
         assert segments
         for name, kwargs in segments:
             assert name == "CauchyFlow._rhs"
-            assert kwargs == {"method": "DOP853", "rtol": 1e-13, "atol": 1e-13,
-                              "dense_output": True}
+            assert kwargs == {"rtol": 1e-13, "atol": 1e-13}
 
         path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
         spec = importlib.util.spec_from_file_location("ecs_lab_bench_tracer", path)
@@ -127,7 +128,7 @@ class TestIntegratorPolicy:
 
 
 def sampled_by_scipy(fun, t_span, y0, *, rtol, atol, t_eval):
-    """`geodesics.solve_ivp` through SciPy's own solver and dense output."""
+    """A sampled `solve_ivp` through SciPy's own solver and dense output."""
     sol = scipy_solve_ivp(fun, t_span, y0, method="DOP853", rtol=rtol, atol=atol,
                           dense_output=True)
     return SimpleNamespace(t=t_eval, y=sol.sol(t_eval), nfev=sol.nfev,
@@ -135,9 +136,73 @@ def sampled_by_scipy(fun, t_span, y0, *, rtol, atol, t_eval):
 
 
 class TestStepperMatchesScipy:
-    """`geodesics.solve_ivp` repeats SciPy's DOP853 operation for operation:
-    every sample has the same bits, and the sample array the same layout, as
-    SciPy's dense output at the same points."""
+    """The package's DOP853 (`solution_space.solve_ivp`) repeats SciPy's
+    operation for operation. Sampled, every sample has the same bits, and
+    the sample array the same layout, as SciPy's dense output at the same
+    points. In table mode every step's row holds the bits of SciPy's
+    Dop853DenseOutput of that step, and nfev is SciPy's."""
+
+    @staticmethod
+    def assert_rows_match_scipy(fun, t_span, y0, *, rtol, atol, reset=lambda: None):
+        """Table mode against SciPy's `sol.sol.interpolants`; returns the
+        number of step attempts that were rejected."""
+        ours = solution_space.solve_ivp(fun, t_span, y0, rtol=rtol, atol=atol)
+        reset()
+        sol = scipy_solve_ivp(fun, t_span, y0, method="DOP853", rtol=rtol, atol=atol,
+                              dense_output=True)
+        steps = sol.sol.interpolants
+        assert (ours.nfev, ours.status, ours.success, ours.message) == \
+            (sol.nfev, sol.status, sol.success, sol.message)
+        for name in ("t_old", "t", "h"):
+            assert np.array_equal(getattr(ours, name),
+                                  [getattr(step, name) for step in steps])
+        assert np.array_equal(ours.y_old, [step.y_old for step in steps])
+        assert np.array_equal(ours.terms, [step.F for step in steps])
+        assert np.array_equal(ours.y_end, sol.y[:, -1])
+        # Two evaluations choose the first step, each attempt takes 12 and
+        # each accepted step 3 more for its interpolant.
+        attempts, extra = divmod(sol.nfev - 2 - 3 * len(steps), 12)
+        assert extra == 0
+        return attempts - len(steps)
+
+    def test_table_rows_on_every_roster_flow(self, roster, monkeypatch):
+        # Every segment a flow integrates, in both directions, down to the
+        # barrier at t = 0 on the homogeneous models, where steps are
+        # rejected.
+        segments = []
+        real = solution_space.solve_ivp
+
+        def recorder(fun, t_span, y0, **kwargs):
+            segments.append((fun, t_span, y0.copy(), kwargs))
+            return real(fun, t_span, y0, **kwargs)
+
+        monkeypatch.setattr(solution_space, "solve_ivp", recorder)
+        for entry in roster:
+            fl = CauchyFlow(entry.model)
+            lo = entry.model.interval[0]
+            fl.matrices([lo + ENDPOINT_BARRIER, 10.0] if lo == 0.0 else [-6.0, 6.0])
+        monkeypatch.undo()
+        assert len(segments) > 6 * 6
+        rejected = 0
+        for fun, t_span, y0, kwargs in segments:
+            def reset(fl=fun.__self__):
+                fl._evals = 0
+
+            reset()
+            rejected += self.assert_rows_match_scipy(fun, t_span, y0, reset=reset,
+                                                     **kwargs)
+        assert rejected > 0
+
+    def test_table_rows_with_rejected_steps_until_underflow(self):
+        # y' = y^2 from y(0) = 1 blows up at t = 1: steps are rejected
+        # until the step size underflows, and the rows of the steps taken
+        # are still SciPy's.
+        def rhs(t, y):
+            return y * y
+
+        rejected = self.assert_rows_match_scipy(rhs, (0.0, 2.0), np.ones(1),
+                                                rtol=1e-12, atol=1e-12)
+        assert rejected > 0
 
     @staticmethod
     def samples_of(monkeypatch, integrator, run):

@@ -1,7 +1,8 @@
 """Source hygiene: every Python file of the package (except its export list
 in __init__.py), of the test suite, of its oracle generators and of the
 benchmark references each name it imports; the package imports nothing
-from scipy.linalg, and loads SciPy's heavy subpackages only when a task
+from scipy.linalg, neither calls SciPy's solve_ivp nor reads its private
+dense-output state, and loads SciPy's heavy subpackages only when a task
 needs them.
 
 The scan uses only the standard library's ast, so it needs no linter.
@@ -88,9 +89,59 @@ def test_scan_finds_scipy_linalg_imports():
 
 
 def test_package_does_not_import_scipy_linalg():
-    # The package's linear algebra is NumPy's. SciPy serves the flow
-    # integrator, its DOP853 tables and linear_sum_assignment only.
+    # The package's linear algebra is NumPy's. SciPy serves DOP853's
+    # coefficient tables and linear_sum_assignment only.
     found = {p.name: scipy_linalg_imports(p.read_text())
+             for p in (ROOT / "src" / "ecs_lab").glob("*.py")}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+# SciPy's private dense-output state: attributes of its results, and its
+# classes.
+DENSE_OUTPUT_ATTRS = {"interpolants", "F"}
+DENSE_OUTPUT_CLASSES = {"Dop853DenseOutput", "OdeSolution"}
+
+
+def scipy_solver_reads(source: str) -> list[int]:
+    """Lines that read a dense-output attribute, name a dense-output class,
+    or import or call SciPy's solve_ivp. A solve_ivp bound from the scanned
+    package itself is not SciPy's."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy"):
+            names = {alias.name for alias in node.names}
+            if names & (DENSE_OUTPUT_CLASSES | {"solve_ivp"}):
+                lines.add(node.lineno)
+        elif isinstance(node, ast.Attribute):
+            scipy_call = node.attr == "solve_ivp" and "integrate" in ast.unparse(node.value)
+            if scipy_call or node.attr in DENSE_OUTPUT_ATTRS | DENSE_OUTPUT_CLASSES:
+                lines.add(node.lineno)
+        elif isinstance(node, ast.Name) and node.id in DENSE_OUTPUT_CLASSES:
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_scan_finds_scipy_solver_reads():
+    source = (
+        "from scipy.integrate import solve_ivp\n"
+        "import scipy.integrate\n"
+        "sol = scipy.integrate.solve_ivp(f, (0, 1), y0, dense_output=True)\n"
+        "steps = sol.sol.interpolants\n"
+        "F = steps[0].F\n"
+        "from scipy.integrate._ivp.rk import Dop853DenseOutput\n"
+        "isinstance(sol.sol, OdeSolution)\n"
+        "from .solution_space import solve_ivp\n"
+        "solve_ivp(f, (0, 1), y0, rtol=1e-12, atol=1e-12)\n"
+        "from scipy.integrate import DOP853\n"
+        "F = np.empty((7, 4))\n"
+    )
+    assert scipy_solver_reads(source) == [1, 3, 4, 5, 6, 7]
+
+
+def test_package_integrates_without_scipy_solver_state():
+    # The flow and the geodesic runs use the package's own DOP853. SciPy's
+    # solver objects stay the tests' oracle.
+    found = {p.name: scipy_solver_reads(p.read_text())
              for p in (ROOT / "src" / "ecs_lab").glob("*.py")}
     assert {name: lines for name, lines in found.items() if lines} == {}
 

@@ -15,6 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from scipy.integrate import OdeSolution
+from scipy.integrate import solve_ivp as scipy_solve_ivp
 from scipy.integrate._ivp.rk import Dop853DenseOutput
 from scipy.linalg import expm
 
@@ -264,11 +265,11 @@ class TestFlow:
 
 class TestFlowLookupMatchesScipy:
     """Lookups against SciPy's own dense output: every segment the flow
-    integrated, integrated again by solve_ivp with dense_output=True and
-    chained from the end states of its OdeResults, and their OdeSolutions
-    read with the segment rule of the lookup (a time on a segment end reads
-    the segment that ends there, a time past the last end the last
-    segment). Every entry must be equal, not close."""
+    integrated, integrated again by SciPy's solve_ivp with
+    dense_output=True and chained from the end states of its OdeResults,
+    and their OdeSolutions read with the segment rule of the lookup (a time
+    on a segment end reads the segment that ends there, a time past the
+    last end the last segment). Every entry must be equal, not close."""
 
     @staticmethod
     def reference(fl: CauchyFlow, sign: float):
@@ -277,7 +278,7 @@ class TestFlowLookupMatchesScipy:
         for k in range(len(fl._ends[sign])):
             stop = fl._edge(sign, k)
             ref._evals = 0
-            sol = solution_space.solve_ivp(
+            sol = scipy_solve_ivp(
                 ref._rhs, (start, stop), y0, method="DOP853",
                 rtol=solution_space._RTOL, atol=solution_space._ATOL,
                 dense_output=True)
@@ -339,8 +340,13 @@ class TestFlowLookupMatchesScipy:
                  for a, b in zip(ts, ts[1:])]
         table = _StepTable(sign, 2)
         for part in (steps[:3], steps[3:]):
-            table.append(SimpleNamespace(sol=SimpleNamespace(interpolants=part),
-                                         y=rng.standard_normal((4, 1))))
+            table.append(SimpleNamespace(
+                t=np.array([step.t for step in part]),
+                t_old=np.array([step.t_old for step in part]),
+                h=np.array([step.h for step in part]),
+                y_old=np.array([step.y_old for step in part]),
+                terms=np.array([step.F for step in part]),
+                y_end=rng.standard_normal(4)))
         sols = [OdeSolution(ts[:4], steps[:3]), OdeSolution(ts[3:], steps[3:])]
         ends = [sign * ts[3], sign * ts[6]]
         inside = ts[0] + sign * rng.uniform(0.0, abs(ts[-1] - ts[0]), 10)
