@@ -422,7 +422,10 @@ def task_spectra(model: ModelManifold, params: dict,
                       detail={"kernel_dim": split.kernel_dim,
                               "expected": expected_kernel_dim(hm.c)}))
     for q in q_values:
-        dchk = _or_nan(dilation_spectrum_check, hm, q, failed=None)
+        # One element per q: it keeps its matrix, so the three checks share
+        # one flow lookup.
+        sigma = hm.dilation(q)
+        dchk = _or_nan(dilation_spectrum_check, hm, sigma, failed=None)
         value = float("nan") if dchk is None else dchk.max_rel_error
         # The matched pair (predicted, computed) with the largest error.
         detail = None if dchk is None else {
@@ -432,9 +435,9 @@ def task_spectra(model: ModelManifold, params: dict,
                           "spectra.dilation-eigenvalues", value, detail=detail))
         rows.append(check(f"exp(log(q) B) reproduces the dilation at q = {q:g}",
                           "spectra.exponential-consistency",
-                          _or_nan(exponential_consistency_residual, hm, q)))
+                          _or_nan(exponential_consistency_residual, hm, sigma)))
         if abs(q - 1.0) > 1e-10:
-            inv = _or_nan(shifted_invertibility, hm, q, split,
+            inv = _or_nan(shifted_invertibility, hm, sigma, split,
                           failed={"min_singular_value": float("nan")})
             rows.append(check(f"(sigma_q - 1) invertible on the range at q = {q:g}",
                               "spectra.shifted-invertibility",

@@ -22,15 +22,15 @@ are checked against `geodesic`, which integrates the equations above.
 Every integration goes through `solve_ivp`, the package's one DOP853
 (`solution_space.solve_ivp`, bound here by name), at rtol = atol = 1e-12
 with one of two right-hand sides: the geodesic equations and second-order
-transport. A run is sampled at times given up front, each sample
-bit-identical to SciPy's DOP853 dense output there, and interpolates only
-on steps that hold a sample. Since t is affine, a run that heads
-for a finite interval endpoint is known to do so in advance: it stops at a
-small barrier before the endpoint, at a parameter given in closed form, and
-is integrated in x = log|t - endpoint| so that its steps need not shrink
-near the singularity; its samples, uniform in the parameter, crowd into
-the last steps in x. The geodesic right-hand side applies f v + A v rather
-than forming f + A.
+transport. A run's steps fill one step table (`solution_space._StepTable`,
+the reader the flow uses too), and all of its samples are one vectorized
+lookup of it, each bit-identical to SciPy's DOP853 dense output there.
+Since t is affine, a run that heads for a finite interval endpoint is known
+to do so in advance: it stops at a small barrier before the endpoint, at a
+parameter given in closed form, and is integrated in x = log|t - endpoint|
+so that its steps need not shrink near the singularity; its samples,
+uniform in the parameter, crowd into the last steps in x. The geodesic
+right-hand side applies f v + A v rather than forming f + A.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from .model_geometry import ChartPoint, ModelManifold
 from .solution_space import (
     ENDPOINT_BARRIER,
     IntegrationError,
+    _StepTable,
     solution_at,
     solve_ivp,
 )
@@ -98,6 +99,17 @@ def _geodesic_rhs(model: ModelManifold, edge: Optional[float] = None,
         return out
 
     return rhs
+
+
+def _run(rhs, span, y0: np.ndarray, at: np.ndarray, what: str) -> np.ndarray:
+    """Integrate y' = rhs(tau, y) over span from y0 and read the run at
+    the times `at`, one row each, from its step table."""
+    sol = solve_ivp(rhs, span, y0, rtol=_RTOL, atol=_ATOL)
+    if not sol.success:
+        raise IntegrationError(f"{what} integration failed: {sol.message}")
+    steps = _StepTable(np.sign(span[1] - span[0]), y0)
+    steps.append(sol)
+    return steps(at)
 
 
 @dataclass
@@ -155,11 +167,8 @@ def geodesic(model: ModelManifold, point: ChartPoint, velocity,
         span = (np.log(abs(t0 - edge)), np.log(ENDPOINT_BARRIER))
     taus = np.linspace(tau0, end, samples)
     xs = taus if edge is None else np.log(np.abs(t0 - edge + dt0 * (taus - tau0)))
-    sol = solve_ivp(_geodesic_rhs(model, edge, dt0), span, y0,
-                    rtol=_RTOL, atol=_ATOL, t_eval=xs)
-    if not sol.success:
-        raise IntegrationError(f"geodesic integration failed: {sol.message}")
-    return GeodesicResult(taus=taus, states=sol.y.T, hit_boundary=edge is not None,
+    states = _run(_geodesic_rhs(model, edge, dt0), span, y0, xs, "geodesic")
+    return GeodesicResult(taus=taus, states=states, hit_boundary=edge is not None,
                           boundary_tau=None if edge is None else float(end))
 
 
@@ -230,11 +239,9 @@ def affine_transport_residual(model: ModelManifold,
 
     state0 = np.concatenate([Z0, Z0, -Z0])
     s = np.linspace(0.0, 1.5, 31)
-    sol = solve_ivp(rhs, (0.0, 1.5), state0, rtol=_RTOL, atol=_ATOL, t_eval=s)
-    if not sol.success:
-        raise IntegrationError(f"transport integration failed: {sol.message}")
-    Z, X = sol.y[:n], sol.y[n:2 * n]
-    worst = float(np.max(np.abs(X - (1.0 - s) * Z)))
+    states = _run(rhs, (0.0, 1.5), state0, s, "transport")
+    Z, X = states[:, :n], states[:, n:2 * n]
+    worst = float(np.max(np.abs(X - (1.0 - s)[:, None] * Z)))
     return worst / max(1.0, float(np.max(np.abs(Z0))))
 
 

@@ -153,12 +153,12 @@ def _match_multisets(predicted: np.ndarray,
             (complex(pr[rows[k]]), complex(co[cols[k]])))
 
 
-def dilation_spectrum_check(hm: HomogeneousModel, q: float) -> SpectrumCheck:
-    """Eigenvalues of sigma_q on E against the predicted q^kappa multiset."""
-    M = hm.sigma_q_matrix(q)
-    computed = np.linalg.eigvals(M)
+def dilation_spectrum_check(hm: HomogeneousModel, sigma: SElement) -> SpectrumCheck:
+    """Eigenvalues of the dilation sigma = sigma_q (`hm.dilation(q)`) on E
+    against the predicted q^kappa multiset."""
+    computed = np.linalg.eigvals(sigma_matrix(hm.model, sigma))
     kappa = spectral_exponents(hm.m, hm.c)
-    predicted = np.exp(np.log(q) * kappa)
+    predicted = np.exp(np.log(sigma.q) * kappa)
     return SpectrumCheck(predicted, computed,
                          *_match_multisets(predicted, computed))
 
@@ -216,11 +216,11 @@ def _expm(A: np.ndarray) -> np.ndarray:
     return E
 
 
-def exponential_consistency_residual(hm: HomogeneousModel, q: float) -> float:
-    """Residual of expm(log(q) B) = sigma_q: the closed-form generator
-    against the integrated dilation."""
-    M = hm.sigma_q_matrix(q)
-    E = _expm(np.log(q) * generator_matrix(hm))
+def exponential_consistency_residual(hm: HomogeneousModel, sigma: SElement) -> float:
+    """Residual of expm(log(q) B) = sigma_q for the dilation sigma = sigma_q:
+    the closed-form generator against the integrated dilation."""
+    M = sigma_matrix(hm.model, sigma)
+    E = _expm(np.log(sigma.q) * generator_matrix(hm))
     return float(np.max(np.abs(E - M))) / max(1.0, float(np.max(np.abs(M))))
 
 
@@ -434,14 +434,12 @@ def class_map_inverse(hm: HomogeneousModel, g: IsoElement,
     return a, z_data, q, w_data
 
 
-def shifted_invertibility(hm: HomogeneousModel, q: float,
+def shifted_invertibility(hm: HomogeneousModel, sigma: SElement,
                           split: SpectralSplit) -> dict:
     """Smallest singular value of (sigma_q - 1)|E_plus (in the split basis)
-    and the norm of (sigma_q - 1) on E_0; the first must stay away from 0
-    for q != 1, the second near 0 always."""
-    m2 = 2 * hm.m
-    M = hm.sigma_q_matrix(q)
-    shifted = M - np.eye(m2)
+    and the norm of (sigma_q - 1) on E_0, for the dilation sigma = sigma_q;
+    the first must stay away from 0 for q != 1, the second near 0 always."""
+    shifted = sigma_matrix(hm.model, sigma) - np.eye(2 * hm.m)
     img = shifted @ split.eplus
     coeff = np.linalg.solve(split.combined(), img)
     k = split.eplus.shape[1]

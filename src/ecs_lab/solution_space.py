@@ -38,10 +38,12 @@ entry bit-identical to SciPy's dense output at its time. Callers that need
 u at many times pass them in one array.
 
 `solve_ivp` is the package's one DOP853 (Hairer, Norsett and Wanner,
-Solving ODEs I, II.10). It repeats SciPy's DOP853 to the bit, and the
-geodesics module integrates through it too. It loads scipy.integrate on
-its first call, for DOP853's coefficient table only, so importing the
-package and checks that integrate nothing (curvature) never load it.
+Solving ODEs I, II.10). It repeats SciPy's DOP853 to the bit and always
+returns its steps as table rows; `_StepTable` is the one dense-output
+reader of those rows, for the flow's segments and for the geodesics
+module's runs alike. It loads scipy.integrate on its first call, for
+DOP853's coefficient table only, so importing the package and checks that
+integrate nothing (curvature) never load it.
 """
 
 from __future__ import annotations
@@ -86,38 +88,25 @@ def _tableau():
     return M.A, M.B, M.C, M.E3, M.E5, M.D, M.A_EXTRA, M.C_EXTRA
 
 
-def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval=None):
+def solve_ivp(fun, t_span, y0, *, rtol, atol):
     """DOP853 for one run, repeating SciPy's `solve_ivp(fun, t_span, y0,
-    method="DOP853", rtol=rtol, atol=atol)` with dense output operation for
-    operation: its initial step choice, steps, error norm and interpolant.
-    It keeps no solver or dense-output objects. Returns SciPy's nfev,
-    status (0, or -1 when the step size underflows), success and message,
-    and:
-
-    - given t_eval, its t and y (one column per sample), each sample
-      bit-identical to SciPy's dense output at it. The three extra
-      interpolation stages are computed only on steps that hold a sample.
-      As in SciPy's OdeSolution, a sample on a step end is read from the
-      step that ends there and a sample past the span end from the last
-      step.
-    - with t_eval None, one row per step, in the order the steps were
-      taken: its end t, t_old, h, y_old and the seven interpolant terms
-      (steps, 7, n) in SciPy's order, each bit-identical to what SciPy's
-      Dop853DenseOutput of the step holds, and the end state y_end. nfev
-      then counts the extra stages of every step, as SciPy's does.
+    method="DOP853", rtol=rtol, atol=atol, dense_output=True)` operation
+    for operation: its initial step choice, steps, error norm and
+    interpolant terms. It keeps no solver or dense-output objects. Returns
+    SciPy's nfev (the three extra interpolation stages of every step
+    included), status (0, or -1 when the step size underflows), success
+    and message, the end state y_end and one row per step, in the order
+    the steps were taken: its end t, t_old, h, y_old and the seven
+    interpolant terms (steps, 7, n) in SciPy's order, each bit-identical
+    to what SciPy's Dop853DenseOutput of the step holds. `_StepTable`
+    reads the rows at any time.
     """
     A, B, C, E3, E5, D, A_EXTRA, C_EXTRA = _tableau()
     t, t_bound = map(float, t_span)
     y = np.asarray(y0, dtype=float)
-    table = t_eval is None
-    if table:
-        # Each row field and the shape of one step's entry.
-        shapes = {"t": (), "t_old": (), "h": (), "y_old": (y.size,),
-                  "terms": (7, y.size)}
-        rows = {key: [] for key in shapes}
-    else:
-        t_eval = np.asarray(t_eval, dtype=float)
-        out = np.full((t_eval.size, y.size), np.nan)    # y.T, as SciPy lays it out
+    # Each row field and the shape of one step's entry.
+    shapes = {"t": (), "t_old": (), "h": (), "y_old": (y.size,), "terms": (7, y.size)}
+    rows = {key: [] for key in shapes}
     nfev = 0
 
     def f(t, y):
@@ -126,19 +115,13 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval=None):
         return np.asarray(fun(t, y), dtype=float)
 
     def result(status, message):
-        if table:
-            fields = {key: np.reshape(rows[key], (-1, *shape))
-                      for key, shape in shapes.items()}
-            fields["y_end"] = y
-        else:
-            fields = {"t": t_eval, "y": out.T}
-        return SimpleNamespace(**fields, nfev=nfev, status=status,
+        fields = {key: np.reshape(rows[key], (-1, *shape))
+                  for key, shape in shapes.items()}
+        return SimpleNamespace(**fields, y_end=y, nfev=nfev, status=status,
                                success=status >= 0, message=message)
 
     fy = f(t, y)
-    if t == t_bound:    # no step: SciPy's constant interpolant
-        if not table:
-            out[:] = y
+    if t == t_bound:    # no step
         return result(0, _DONE)
     direction = np.sign(t_bound - t)
     # common.select_initial_step, with max_step = inf
@@ -158,22 +141,6 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval=None):
     stages = [(C[s], A[s, :s], K[:s].T) for s in range(1, 12)]
     extra = [(c, a[:s], K[:s].T) for s, (a, c) in enumerate(zip(A_EXTRA, C_EXTRA), 13)]
     K12, K13 = K[:12].T, K[:13].T
-    if not table:
-        keys = direction * t_eval
-        order = np.argsort(keys)
-        keys, done = keys[order], 0
-
-    def terms():
-        """The step's interpolant terms, as SciPy's DOP853 forms them."""
-        for s, (c, a, earlier) in enumerate(extra, 13):
-            K[s] = f(t_old + c * h, y_old + earlier.dot(a) * h)
-        F = np.empty((7, y.size))
-        delta_y = y - y_old
-        F[0] = delta_y
-        F[1] = h * K[0] - delta_y
-        F[2] = 2 * delta_y - h * (fy + K[0])
-        F[3:] = h * D.dot(K)
-        return F
 
     while True:
         # rk.RungeKutta._step_impl
@@ -209,25 +176,18 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval=None):
             h_abs *= max(0.2, 0.9 * error_norm ** -0.125)
             rejected = True
         t_old, y_old, t, y, fy = t, y, t_new, y_new, f_new
-        finished = direction * (t - t_bound) >= 0
-        if table:
-            for key, value in zip(rows, (t, t_old, h, y_old, terms())):
-                rows[key].append(value)
-        else:
-            end = order.size if finished else \
-                np.searchsorted(keys, direction * t, side="right")
-            if end > done:
-                F = terms()
-                # Dop853DenseOutput._call_impl
-                idx = order[done:end]
-                x = ((t_eval[idx] - t_old) / h)[:, None]
-                ys = np.zeros((idx.size, y.size))
-                for i, row in enumerate(F[::-1]):
-                    ys += row
-                    ys *= x if i % 2 == 0 else 1 - x
-                out[idx] = ys + y_old
-                done = end
-        if finished:
+        # DOP853._dense_output_impl: the interpolant terms
+        for s, (c, a, earlier) in enumerate(extra, 13):
+            K[s] = f(t_old + c * h, y_old + earlier.dot(a) * h)
+        F = np.empty((7, y.size))
+        delta_y = y - y_old
+        F[0] = delta_y
+        F[1] = h * K[0] - delta_y
+        F[2] = 2 * delta_y - h * (fy + K[0])
+        F[3:] = h * D.dot(K)
+        for key, value in zip(rows, (t, t_old, h, y_old, F)):
+            rows[key].append(value)
+        if direction * (t - t_bound) >= 0:
             return result(0, _DONE)
 
 
@@ -245,26 +205,28 @@ def _check_t(model: ModelManifold, t: float) -> float:
 
 
 class _StepTable:
-    """The DOP853 dense output of one direction of a flow, one row per solver
-    step, in the order the steps were taken.
+    """The DOP853 dense output of a run in one direction, one row per solver
+    step, in the order the steps were taken: a geodesic or transport run,
+    or the segments of one direction of a flow.
 
     A row holds the step's end key sign * t, its start time t_old, its
     length h, the state y_old at its start and the seven terms of its
     interpolant (as SciPy's Dop853DenseOutput holds them), kept highest
-    term first. Each term is its own (steps, 4m^2) array, so adding a
-    segment copies the table one term at a time. `tip` is the state at the
-    end of the last segment, where the next segment starts.
+    term first. Each term is its own (steps, n) array, so adding a segment
+    copies the table one term at a time. `tip` is the state at the end of
+    the last segment, where the next segment starts: the start state while
+    the table has no step.
     """
 
-    def __init__(self, sign: float, n: int):
+    def __init__(self, sign: float, start: np.ndarray):
         self.sign = sign
-        self.tip = np.eye(n).ravel()
+        self.tip = start
         self.keys = self.t_old = self.h = np.empty(0)
-        self.y_old = np.empty((0, n * n))
+        self.y_old = np.empty((0, start.size))
         self.terms = [self.y_old] * 7
 
     def append(self, sol) -> None:
-        """Copy the step rows of a segment's `solve_ivp` table."""
+        """Copy the step rows of a `solve_ivp` run."""
         for j in range(7):
             self.terms[j] = np.concatenate([self.terms[j], sol.terms[:, 6 - j]])
         self.y_old = np.concatenate([self.y_old, sol.y_old])
@@ -274,11 +236,15 @@ class _StepTable:
         self.tip = sol.y_end
 
     def __call__(self, t: np.ndarray) -> np.ndarray:
-        """Flattened Phi at the times t, each on the step that holds it: a
-        time on a step end reads the step that ends there, and a time past
-        the last end reads the last step, so the search leaves the last end
-        out. The arithmetic is SciPy's, term by term, so every entry is
-        bit-identical to SciPy's OdeSolution at its time."""
+        """The state at each of the times t, one row each, on the step that
+        holds it: a time on a step end reads the step that ends there, and
+        a time past the last end reads the last step, so the search leaves
+        the last end out. A table with no step reads its start state, as
+        SciPy reads an empty span. The arithmetic is SciPy's, term by term,
+        so every entry is bit-identical to SciPy's OdeSolution at its
+        time."""
+        if not self.h.size:
+            return np.tile(self.tip, (t.size, 1))
         step = self.keys[:-1].searchsorted(self.sign * t)
         x = (t - self.t_old.take(step)) / self.h.take(step)
         # x spread over the row, so that no product broadcasts.
@@ -315,7 +281,8 @@ class CauchyFlow:
         # Per direction (+1 forward, -1 backward): sign * t at the end of each
         # integrated segment, and the steps of those segments.
         self._ends = {1.0: [], -1.0: []}
-        self._steps = {sign: _StepTable(sign, 2 * self.m) for sign in (1.0, -1.0)}
+        self._steps = {sign: _StepTable(sign, np.eye(2 * self.m).ravel())
+                       for sign in (1.0, -1.0)}
         # The message of the segment that failed, per direction.
         self._failed = {1.0: None, -1.0: None}
         # f(t) Id + A for the right-hand side, rewritten in place: its
@@ -404,8 +371,7 @@ class CauchyFlow:
             out = np.empty((flat.size, n * n))
             for sign, steps in self._steps.items():
                 pick = sign * flat > sign * self.base_t
-                if pick.any():
-                    out[pick] = steps(flat[pick])
+                out[pick] = steps(flat[pick])
             out[flat == self.base_t] = np.eye(n).ravel()
         return out.reshape(ts.shape + (n, n))
 

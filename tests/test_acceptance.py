@@ -274,10 +274,11 @@ def test_ac07_scaling_spectra_and_generator(spectral_grid, capsys):
     for m, c, hm, split in spectral_grid:
         worst_gen = max(worst_gen, generator_spectrum_check(hm).max_rel_error)
         for q in Q_SAMPLES:
+            sigma = hm.dilation(q)
             worst_sigma = max(
-                worst_sigma, dilation_spectrum_check(hm, q).max_rel_error)
+                worst_sigma, dilation_spectrum_check(hm, sigma).max_rel_error)
             worst_exp = max(
-                worst_exp, exponential_consistency_residual(hm, q))
+                worst_exp, exponential_consistency_residual(hm, sigma))
         cases += 1
         if split.kernel_dim == expected_kernel_dim(c):
             kernel_hits += 1
@@ -298,7 +299,7 @@ def test_ac08_shifted_scaling_invertibility(spectral_grid, capsys):
     worst_kernel = 0.0
     for m, c, hm, split in spectral_grid:
         for q in Q_SAMPLES:
-            rep = shifted_invertibility(hm, q, split)
+            rep = shifted_invertibility(hm, hm.dilation(q), split)
             min_sv = min(min_sv, rep["min_singular_value"])
             worst_kernel = max(worst_kernel, rep["kernel_fixed_residual"])
     ok = min_sv > 1e-8 and worst_kernel < 1e-9

@@ -708,6 +708,23 @@ class TestLargeC:
         assert len(rows) == 1 and rows[0]["pass"] and rows[0]["value"] == 0.0
 
 
+class TestFlowLookups:
+    def test_spectra_looks_each_dilation_up_once(self, monkeypatch):
+        # The three dilation rows at one q act through one element, which
+        # keeps its matrix: one flow lookup per q (three at the parent).
+        hm = HomogeneousModel.standard(2, 0.3)
+        calls = []
+        lookup = CauchyFlow.matrix
+        monkeypatch.setattr(CauchyFlow, "matrix",
+                            lambda self, t: calls.append(t) or lookup(self, t))
+        q_values = [0.25, 0.5, 2.0, 4.0]
+        rows = cli.task_spectra(hm.model, {"q_values": q_values},
+                                np.random.default_rng(0))
+        assert len(rows) == 2 + 3 * len(q_values)
+        assert all(row["pass"] for row in rows)
+        assert calls == [1.0 / q for q in q_values]
+
+
 class TestNoVacuousPass:
     def test_transitivity_with_every_premise_failing_fails(self, tmp_path):
         # At m = 12 both sampled triples fail their premise, so no conclusion

@@ -1,13 +1,13 @@
 """Geodesics and transport: the closed-form Christoffel symbols against the
 metric-jet pipeline, the integrator policy, the package's DOP853 against
-SciPy's bit for bit (samples and step tables), conservation laws, leaf flatness, boundary behavior on
-(0, inf) and on a bounded interval, plunges against the exact dilation flow
-and the solution flow, deviation fields with geodesic endpoint curves, and
-the straightening of transverse null geodesics by a Heisenberg isometry."""
+SciPy's bit for bit (step tables and their lookups), conservation laws,
+leaf flatness, boundary behavior on (0, inf) and on a bounded interval,
+plunges against the exact dilation flow and the solution flow, deviation
+fields with geodesic endpoint curves, and the straightening of transverse
+null geodesics by a Heisenberg isometry."""
 
 import importlib.util
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -46,7 +46,7 @@ from ecs_lab.model_geometry import (
     random_chart_point,
 )
 from ecs_lab.pseudo_linear import PseudoEuclideanSpace
-from ecs_lab.solution_space import ENDPOINT_BARRIER, CauchyFlow
+from ecs_lab.solution_space import ENDPOINT_BARRIER, CauchyFlow, _StepTable
 
 
 def random_velocity(model, rng, transverse=True):
@@ -72,12 +72,12 @@ class TestChristoffelClosedForm:
 
 class TestIntegratorPolicy:
     """Every integration goes through the package's one DOP853, bound by
-    name in both modules. Geodesic and transport runs call
-    `geodesics.solve_ivp` at rtol = atol = 1e-12, sampled at t_eval. Flow
-    segments call `solution_space.solve_ivp` at rtol = atol = 1e-13 with no
-    t_eval, for the step table. Each is handed the right-hand side itself,
-    whose qualified name the benchmark tracer classifies. A variation field
-    integrates no geodesic: it reads the flow."""
+    name in both modules, and returns its step table. Geodesic and
+    transport runs call `geodesics.solve_ivp` at rtol = atol = 1e-12; flow
+    segments call `solution_space.solve_ivp` at rtol = atol = 1e-13. Each
+    is handed the right-hand side itself, whose qualified name the
+    benchmark tracer classifies. A variation field integrates no geodesic:
+    it reads the flow."""
 
     def test_every_integration_uses_the_policy(self, monkeypatch):
         assert geodesics.solve_ivp is solution_space.solve_ivp
@@ -85,7 +85,7 @@ class TestIntegratorPolicy:
         calls = {geodesics: [], solution_space: []}
         for mod, log in calls.items():
             def recorder(fun, t_span, y0, real=mod.solve_ivp, log=log, **kwargs):
-                log.append((fun.__qualname__, kwargs))
+                log.append((fun.__qualname__, t_span, kwargs))
                 return real(fun, t_span, y0, **kwargs)
 
             monkeypatch.setattr(mod, "solve_ivp", recorder)
@@ -105,17 +105,15 @@ class TestIntegratorPolicy:
 
         runs = calls[geodesics]
         assert len(runs) == 5
-        for _, kwargs in runs:
-            assert sorted(kwargs) == ["atol", "rtol", "t_eval"]
-            assert kwargs["rtol"] == kwargs["atol"] == 1e-12
-        # the samples: tau on a regular run, x = log t on a plunge into t = 0
-        assert np.array_equal(runs[0][1]["t_eval"], regular.taus)
-        assert np.array_equal(runs[1][1]["t_eval"],
-                              np.log(np.abs(pt.t - plunge.taus)))
-        assert np.array_equal(runs[4][1]["t_eval"], np.linspace(0.0, 1.5, 31))
+        for _, _, kwargs in runs:
+            assert kwargs == {"rtol": 1e-12, "atol": 1e-12}
+        # the spans: tau on a regular run, x = log t on a plunge into t = 0
+        assert runs[0][1] == (0.0, 1.0)
+        assert runs[1][1] == (np.log(pt.t), np.log(ENDPOINT_BARRIER))
+        assert runs[4][1] == (0.0, 1.5)
         segments = calls[solution_space]
         assert segments
-        for name, kwargs in segments:
+        for name, _, kwargs in segments:
             assert name == "CauchyFlow._rhs"
             assert kwargs == {"rtol": 1e-13, "atol": 1e-13}
 
@@ -123,47 +121,49 @@ class TestIntegratorPolicy:
         spec = importlib.util.spec_from_file_location("ecs_lab_bench_tracer", path)
         tracer = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(tracer)
-        kinds = [tracer.RHS_KINDS.get(name) for name, _ in runs[:4]]
+        kinds = [tracer.RHS_KINDS.get(name) for name, _, _ in runs[:4]]
         assert kinds == ["geodesic"] * 4
-
-
-def sampled_by_scipy(fun, t_span, y0, *, rtol, atol, t_eval):
-    """A sampled `solve_ivp` through SciPy's own solver and dense output."""
-    sol = scipy_solve_ivp(fun, t_span, y0, method="DOP853", rtol=rtol, atol=atol,
-                          dense_output=True)
-    return SimpleNamespace(t=t_eval, y=sol.sol(t_eval), nfev=sol.nfev,
-                           status=sol.status, success=sol.success, message=sol.message)
 
 
 class TestStepperMatchesScipy:
     """The package's DOP853 (`solution_space.solve_ivp`) repeats SciPy's
-    operation for operation. Sampled, every sample has the same bits, and
-    the sample array the same layout, as SciPy's dense output at the same
-    points. In table mode every step's row holds the bits of SciPy's
-    Dop853DenseOutput of that step, and nfev is SciPy's."""
+    operation for operation: every step's row holds the bits of SciPy's
+    Dop853DenseOutput of that step, and nfev, status, message and end state
+    are SciPy's. A `_StepTable` lookup of a run has the bits of SciPy's
+    dense output at the same times."""
 
     @staticmethod
     def assert_rows_match_scipy(fun, t_span, y0, *, rtol, atol, reset=lambda: None):
-        """Table mode against SciPy's `sol.sol.interpolants`; returns the
-        number of step attempts that were rejected."""
+        """The rows of one run against SciPy's `sol.sol.interpolants`;
+        returns SciPy's result. On an empty span SciPy holds one constant
+        interpolant, which is no step, and the run has no row."""
         ours = solution_space.solve_ivp(fun, t_span, y0, rtol=rtol, atol=atol)
         reset()
         sol = scipy_solve_ivp(fun, t_span, y0, method="DOP853", rtol=rtol, atol=atol,
                               dense_output=True)
-        steps = sol.sol.interpolants
+        steps = [step for step in sol.sol.interpolants if hasattr(step, "F")]
+        n = len(y0)
         assert (ours.nfev, ours.status, ours.success, ours.message) == \
             (sol.nfev, sol.status, sol.success, sol.message)
         for name in ("t_old", "t", "h"):
             assert np.array_equal(getattr(ours, name),
-                                  [getattr(step, name) for step in steps])
-        assert np.array_equal(ours.y_old, [step.y_old for step in steps])
-        assert np.array_equal(ours.terms, [step.F for step in steps])
+                                  np.array([getattr(step, name) for step in steps]))
+        assert np.array_equal(ours.y_old,
+                              np.reshape([step.y_old for step in steps], (-1, n)))
+        assert np.array_equal(ours.terms,
+                              np.reshape([step.F for step in steps], (-1, 7, n)))
         assert np.array_equal(ours.y_end, sol.y[:, -1])
-        # Two evaluations choose the first step, each attempt takes 12 and
-        # each accepted step 3 more for its interpolant.
-        attempts, extra = divmod(sol.nfev - 2 - 3 * len(steps), 12)
+        return sol
+
+    @staticmethod
+    def rejected_attempts(sol) -> int:
+        """Step attempts SciPy rejected in a run. Two evaluations choose the
+        first step, each attempt takes 12 and each accepted step 3 more for
+        its interpolant."""
+        steps = len(sol.sol.interpolants)
+        attempts, extra = divmod(sol.nfev - 2 - 3 * steps, 12)
         assert extra == 0
-        return attempts - len(steps)
+        return attempts - steps
 
     def test_table_rows_on_every_roster_flow(self, roster, monkeypatch):
         # Every segment a flow integrates, in both directions, down to the
@@ -189,8 +189,8 @@ class TestStepperMatchesScipy:
                 fl._evals = 0
 
             reset()
-            rejected += self.assert_rows_match_scipy(fun, t_span, y0, reset=reset,
-                                                     **kwargs)
+            sol = self.assert_rows_match_scipy(fun, t_span, y0, reset=reset, **kwargs)
+            rejected += self.rejected_attempts(sol)
         assert rejected > 0
 
     def test_table_rows_with_rejected_steps_until_underflow(self):
@@ -200,32 +200,35 @@ class TestStepperMatchesScipy:
         def rhs(t, y):
             return y * y
 
-        rejected = self.assert_rows_match_scipy(rhs, (0.0, 2.0), np.ones(1),
-                                                rtol=1e-12, atol=1e-12)
-        assert rejected > 0
+        sol = self.assert_rows_match_scipy(rhs, (0.0, 2.0), np.ones(1),
+                                           rtol=1e-12, atol=1e-12)
+        assert self.rejected_attempts(sol) > 0
 
-    @staticmethod
-    def samples_of(monkeypatch, integrator, run):
-        """The sample arrays of every integration that run() makes."""
-        out = []
+    def assert_runs_match_scipy(self, monkeypatch, run):
+        """Every integration that run() makes through `geodesics.solve_ivp`:
+        its rows are SciPy's, and its one lookup has the bits of SciPy's
+        dense output at the same times."""
+        runs, lookups = [], []
+        real = geodesics.solve_ivp
 
-        def recorder(*args, **kwargs):
-            sol = integrator(*args, **kwargs)
-            out.append(sol.y)
-            return sol
+        def recorder(fun, t_span, y0, **kwargs):
+            runs.append((fun, t_span, y0, kwargs))
+            return real(fun, t_span, y0, **kwargs)
+
+        class RecordedTable(_StepTable):
+            def __call__(self, t):
+                out = super().__call__(t)
+                lookups.append((t, out))
+                return out
 
         with monkeypatch.context() as mp:
             mp.setattr(geodesics, "solve_ivp", recorder)
+            mp.setattr(geodesics, "_StepTable", RecordedTable)
             run()
-        return out
-
-    def assert_same_bits(self, monkeypatch, run):
-        ours = self.samples_of(monkeypatch, geodesics.solve_ivp, run)
-        scipy = self.samples_of(monkeypatch, sampled_by_scipy, run)
-        assert len(ours) == len(scipy) > 0
-        for a, b in zip(ours, scipy):
-            assert np.array_equal(a, b)
-            assert a.strides == b.strides
+        assert len(runs) == len(lookups) > 0
+        for (fun, t_span, y0, kwargs), (t, out) in zip(runs, lookups):
+            sol = self.assert_rows_match_scipy(fun, t_span, y0, **kwargs)
+            assert np.array_equal(out, sol.sol(t).T)
 
     def test_regular_runs(self, roster, monkeypatch):
         rng = np.random.default_rng(197)
@@ -236,7 +239,7 @@ class TestStepperMatchesScipy:
                 vel = random_velocity(model, rng)
                 if entry.kind == "homogeneous":
                     vel[0] = np.sign(tau) * abs(vel[0])     # away from t = 0
-                self.assert_same_bits(monkeypatch, lambda: geodesic(
+                self.assert_runs_match_scipy(monkeypatch, lambda: geodesic(
                     model, pt, vel, (0.0, tau), samples=17))
 
     def test_plunges(self, roster, monkeypatch):
@@ -248,7 +251,7 @@ class TestStepperMatchesScipy:
                 pt = random_chart_point(entry.model, rng)
                 vel = random_velocity(entry.model, rng)
                 vel[0] = -np.sign(tau) * abs(vel[0])
-                self.assert_same_bits(monkeypatch, lambda: geodesic(
+                self.assert_runs_match_scipy(monkeypatch, lambda: geodesic(
                     entry.model, pt, vel, (0.0, tau), samples=65))
 
     @pytest.mark.parametrize("dt0,tau_end", [(0.8, 5.0), (0.7, -5.0)])
@@ -256,43 +259,39 @@ class TestStepperMatchesScipy:
         model = bounded_model()
         pt = ChartPoint(0.5, 0.3, np.array([0.4, -0.6]))
         vel = np.array([dt0, -0.2, 0.5, 0.3])
-        self.assert_same_bits(monkeypatch, lambda: geodesic(
+        self.assert_runs_match_scipy(monkeypatch, lambda: geodesic(
             model, pt, vel, (0.0, tau_end), samples=65))
 
     def test_transport(self, roster, monkeypatch):
         model = roster[2].model
         curve = leaf_circle(model, t0=0.5 * sum(model.compact_window()))
-        self.assert_same_bits(monkeypatch, lambda: affine_transport_residual(
+        self.assert_runs_match_scipy(monkeypatch, lambda: affine_transport_residual(
             model, curve, np.array([1.0, 0.5, -0.3, 0.8, 0.2])))
 
     def test_empty_span(self, roster, monkeypatch):
-        # no step: every sample is the initial state
+        # no step: the run has no row, and every sample is the initial state
         model = roster[0].model
         pt = ChartPoint(0.5, 0.3, np.array([0.4, -0.6]))
         vel = np.array([0.8, -0.2, 0.5, 0.3])
-        self.assert_same_bits(monkeypatch, lambda: geodesic(
+        self.assert_runs_match_scipy(monkeypatch, lambda: geodesic(
             model, pt, vel, (0.0, 0.0), samples=5))
 
     @pytest.mark.parametrize("tau", [1.5, -1.5])
     def test_step_end_and_past_the_end(self, roster, tau):
-        # A sample on a step end reads the step that ends there (the two
-        # steps meet there to the bit on these runs), and one a ulp past the
-        # span end reads the last step; the samples come unsorted. Steps that
-        # hold no sample skip the interpolation stages, so fewer evaluations.
+        # Unsorted lookups of one run: a sample on a step end reads the step
+        # that ends there (the two steps meet there to the bit on these
+        # runs), and one a ulp past the span end reads the last step.
         model = roster[3].model
         rhs = geodesics._geodesic_rhs(model)
         y0 = np.array([1.0, 0.2, 0.1, -0.3, 0.4, 0.5, 0.1, 0.2, -0.3, 0.1])
         span = (0.0, tau)
-        sol = scipy_solve_ivp(rhs, span, y0, method="DOP853", rtol=1e-12,
-                              atol=1e-12, dense_output=True)
+        sol = self.assert_rows_match_scipy(rhs, span, y0, rtol=1e-12, atol=1e-12)
         assert sol.success and sol.t.size > 6
         past = np.nextafter(tau, np.sign(tau) * np.inf)
         samples = np.array([sol.t[3], 0.0, 0.3 * tau, past, sol.t[-2], tau])
-        ours = geodesics.solve_ivp(rhs, span, y0, rtol=1e-12, atol=1e-12,
-                                   t_eval=samples)
-        assert ours.success and ours.status == 0 and ours.message == sol.message
-        assert np.array_equal(ours.y, sol.sol(samples))
-        assert 0 < ours.nfev < sol.nfev
+        table = _StepTable(np.sign(tau), y0)
+        table.append(geodesics.solve_ivp(rhs, span, y0, rtol=1e-12, atol=1e-12))
+        assert np.array_equal(table(samples), sol.sol(samples).T)
 
     def test_step_size_underflow_fails_as_scipy_does(self):
         # y' = y^2 from y(0) = 1 blows up at t = 1
@@ -300,7 +299,7 @@ class TestStepperMatchesScipy:
             return y * y
 
         ours = geodesics.solve_ivp(rhs, (0.0, 2.0), np.ones(1), rtol=1e-12,
-                                   atol=1e-12, t_eval=[0.5, 2.0])
+                                   atol=1e-12)
         sol = scipy_solve_ivp(rhs, (0.0, 2.0), np.ones(1), method="DOP853",
                               rtol=1e-12, atol=1e-12)
         assert (ours.status, ours.success, ours.message) == \

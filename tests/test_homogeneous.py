@@ -81,7 +81,7 @@ class TestSpectralExponents:
 class TestDilationSpectrum:
     def test_frozen_eigenvalues(self):
         hm = model_for(2, 0.25)
-        chk = dilation_spectrum_check(hm, 4.0)
+        chk = dilation_spectrum_check(hm, hm.dilation(4.0))
         expected = [np.sqrt(2.0), 2.0 * np.sqrt(2.0),
                     4.0 ** -1.75, 4.0 ** -1.25]
         assert multiset_close(chk.computed, expected)
@@ -91,14 +91,14 @@ class TestDilationSpectrum:
         for m, c in GRID:
             hm = model_for(m, c)
             for q in (0.5, 2.0):
-                assert dilation_spectrum_check(hm, q).max_rel_error < 1e-6
+                assert dilation_spectrum_check(hm, hm.dilation(q)).max_rel_error < 1e-6
 
     def test_imaginary_c_moduli(self):
         # kappa = base -+ i 0.7, so |q^kappa| = q^base regardless of the
         # imaginary part
         hm = model_for(2, 0.7j)
         q = 3.0
-        chk = dilation_spectrum_check(hm, q)
+        chk = dilation_spectrum_check(hm, hm.dilation(q))
         moduli = np.sort(np.abs(chk.computed))
         expected = np.sort([q ** 0.5, q ** 0.5, q ** -1.5, q ** -1.5])
         assert np.max(np.abs(moduli - expected)) < 1e-6
@@ -106,7 +106,7 @@ class TestDilationSpectrum:
     def test_determinant_checksum(self):
         # product of eigenvalues is q^{sum kappa} = q^{-m} = q^{2-n}
         hm = model_for(3, 0.25)
-        chk = dilation_spectrum_check(hm, 2.0)
+        chk = dilation_spectrum_check(hm, hm.dilation(2.0))
         assert abs(np.prod(chk.computed) - 2.0 ** -3) < 1e-9
 
 
@@ -136,7 +136,7 @@ class TestGeneratorB:
         for m, c in [(2, 0.3), (3, 1.5)]:
             hm = model_for(m, c)
             for q in (0.5, 2.0, 4.0):
-                assert exponential_consistency_residual(hm, q) < 1e-6
+                assert exponential_consistency_residual(hm, hm.dilation(q)) < 1e-6
 
     # scipy.linalg.expm is the reference. Both are Pade approximants with
     # scaling and squaring but choose degree and scaling differently, and
@@ -219,7 +219,7 @@ class TestShiftedInvertibility:
             hm = model_for(m, c)
             split = spectral_split(hm)
             for q in (0.25, 0.5, 2.0, 4.0):
-                res = shifted_invertibility(hm, q, split)
+                res = shifted_invertibility(hm, hm.dilation(q), split)
                 assert res["min_singular_value"] > 1e-2
                 assert res["kernel_fixed_residual"] < 1e-9
                 assert res["range_leak_into_kernel"] < 1e-7

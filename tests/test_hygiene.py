@@ -2,8 +2,8 @@
 in __init__.py), of the test suite, of its oracle generators and of the
 benchmark references each name it imports; the package imports nothing
 from scipy.linalg, neither calls SciPy's solve_ivp nor reads its private
-dense-output state, and loads SciPy's heavy subpackages only when a task
-needs them.
+dense-output state, takes no sample times (`t_eval`) in any integration,
+and loads SciPy's heavy subpackages only when a task needs them.
 
 The scan uses only the standard library's ast, so it needs no linter.
 """
@@ -142,6 +142,31 @@ def test_package_integrates_without_scipy_solver_state():
     # The flow and the geodesic runs use the package's own DOP853. SciPy's
     # solver objects stay the tests' oracle.
     found = {p.name: scipy_solver_reads(p.read_text())
+             for p in (ROOT / "src" / "ecs_lab").glob("*.py")}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def t_eval_uses(source: str) -> list[int]:
+    """Lines that declare a `t_eval` parameter or pass a `t_eval` keyword."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, (ast.arg, ast.keyword)) and node.arg == "t_eval")
+
+
+def test_scan_finds_t_eval():
+    source = (
+        "def solve(fun, span, y0, *, t_eval=None):\n"
+        "    return fun\n"
+        "solve(f, (0, 1), y0, t_eval=ts)\n"
+        "t_eval = ts\n"
+        "solve(f, (0, 1), y0, **{'t_eval': ts})\n"
+    )
+    assert t_eval_uses(source) == [1, 3]
+
+
+def test_package_samples_only_from_step_tables():
+    # The package's DOP853 has one output, its step table, and every sample
+    # is a `_StepTable` lookup: no run takes sample times.
+    found = {p.name: t_eval_uses(p.read_text())
              for p in (ROOT / "src" / "ecs_lab").glob("*.py")}
     assert {name: lines for name, lines in found.items() if lines} == {}
 

@@ -338,7 +338,7 @@ class TestFlowLookupMatchesScipy:
         steps = [Dop853DenseOutput(a, b, rng.standard_normal(4),
                                    rng.standard_normal((7, 4)))
                  for a, b in zip(ts, ts[1:])]
-        table = _StepTable(sign, 2)
+        table = _StepTable(sign, np.zeros(4))
         for part in (steps[:3], steps[3:]):
             table.append(SimpleNamespace(
                 t=np.array([step.t for step in part]),
