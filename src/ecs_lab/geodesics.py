@@ -13,11 +13,13 @@ so t is always affine in the parameter, the leaves {t} x R x V are flat and
 totally geodesic (every Christoffel symbol with both lower indices along a
 leaf vanishes), and the transverse dynamics is the same linear operator
 f + A that drives the solution space. A geodesic with t' = 1 is therefore
-known in closed form (`geodesic_closed_form`): its v-part lies in E, and
-energy conservation fixes its s-part. The Appendix A variation field is
-such a geodesic minus its curve, and the Appendix B straightening map is
-the Heisenberg isometry of `isometry_group.straightening_element`; both
-are checked against `geodesic`, which integrates the equations above.
+known in closed form (`geodesic_closed_form`): it is the image of the chart
+line (t, E (t - t0), 0), E its conserved energy, under the Heisenberg
+isometry of `isometry_group.straightening_element`, read from the group
+action and its Jacobian, so this module looks nothing up in the solution
+space itself. Appendix A's variation keeps that geodesic as its endpoint
+curve, and Appendix B's straightening map is the same isometry; one helper
+checks both against `geodesic`, which integrates the equations above.
 
 Every integration goes through `solve_ivp`, the package's one DOP853
 (`solution_space.solve_ivp`, bound here by name), at rtol = atol = 1e-12
@@ -41,15 +43,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from numpy.polynomial import polynomial as _P
 
-from .isometry_group import IsoElement, iso_apply, straightening_element
+from .isometry_group import IsoElement, iso_apply, iso_jacobian, straightening_element
 from .model_geometry import ChartPoint, ModelManifold
-from .solution_space import (
-    ENDPOINT_BARRIER,
-    IntegrationError,
-    _StepTable,
-    solution_at,
-    solve_ivp,
-)
+from .solution_space import ENDPOINT_BARRIER, IntegrationError, _StepTable, solve_ivp
 
 _RTOL = 1e-12
 _ATOL = 1e-12
@@ -270,19 +266,15 @@ class PolyCurve:
 
 @dataclass
 class VariationField:
-    """The leafwise deviation field z(t) = (z_s, z_v) along a transverse
-    curve y, sampled with its t-derivative on t_grid. The variation is
-    x(t, s) = y(t) + s z(t): the leaves are flat, so the leafwise
-    exponential is coordinate addition. z is chosen so that the endpoint
-    curve x(., 1) = y + z is a geodesic.
+    """The leafwise deviation field z = x - y along a transverse curve y,
+    kept as its endpoint curve x = y + z: a geodesic sampled on t_grid as
+    rows (t, s, v, t', s', v'). The variation is x(t, s) = y(t) + s z(t):
+    the leaves are flat, so the leafwise exponential is coordinate addition.
     """
 
     curve: PolyCurve
     t_grid: np.ndarray
-    z_s: np.ndarray
-    z_v: np.ndarray
-    zdot_s: np.ndarray
-    zdot_v: np.ndarray
+    x: np.ndarray
 
 
 def geodesic_closed_form(model: ModelManifold, point: ChartPoint, sdot0: float,
@@ -291,61 +283,60 @@ def geodesic_closed_form(model: ModelManifold, point: ChartPoint, sdot0: float,
     vdot0) at the times ts, as rows (t, s, v, t', s', v') like
     `GeodesicResult.states`, with no geodesic equation integrated.
 
-    Its v-part is the solution u of E with Cauchy data (v0, vdot0) at t0.
-    The energy E = kappa(t, u) + s' + <u', u'> is conserved and
-    kappa(t, u) = <u'', u>, so s = s0 + E (t - t0) - <u, u'> + <v0, vdot0>:
-    the image of the line (t, E (t - t0), 0) under the straightening
-    element of the null geodesic through `point` with velocity vdot0.
+    Its energy E = kappa(t0, v0) + sdot0 + <vdot0, vdot0> is conserved, and
+    it is the image of the line l(t) = (t, E (t - t0), 0) under the
+    straightening element g of the null geodesic through `point` with
+    velocity vdot0: positions g(l(t)), velocities Dg(l(t)) (1, E, 0).
     """
     ts = np.asarray(ts, dtype=float)
-    space = model.space
     g = straightening_element(model, point, vdot0)
-    u, du = solution_at(model, g.u, ts)
-    energy = model.kappa(point.t, point.v) + sdot0 + space.norm_sq(vdot0)
-    s = g.r + energy * (ts - point.t) - space.inner(u, du)
-    ds = energy - model.kappa(ts, u) - space.norm_sq(du)
-    return np.column_stack([ts, s, u, np.ones_like(ts), ds, du])
+    energy = float(model.kappa(point.t, point.v) + sdot0 + model.space.norm_sq(vdot0))
+    line = np.zeros(ts.shape + (model.dim,))
+    line[..., 0] = ts
+    line[..., 1] = energy * (ts - point.t)
+    tangent = np.zeros(model.dim)
+    tangent[:2] = 1.0, energy
+    return np.concatenate([iso_apply(model, g, line),
+                           iso_jacobian(model, g, line) @ tangent], axis=-1)
 
 
 def variation_field(model: ModelManifold, curve: PolyCurve,
                     z0: tuple[float, np.ndarray], zdot0: tuple[float, np.ndarray],
                     t_span: tuple[float, float], samples: int = 129) -> VariationField:
-    """The deviation field z = x - y whose endpoint curve x = y + z is the
-    geodesic with t' = 1 through y(t_a) + z0 with velocity y'(t_a) + zdot0,
-    t_a = t_span[0]: x is `geodesic_closed_form` on the grid, and
-    zdot = x' - y'.
+    """The variation whose endpoint curve x = y + z is the geodesic with
+    t' = 1 through y(t_a) + z0 with velocity y'(t_a) + zdot0, t_a =
+    t_span[0]: x is `geodesic_closed_form` on the grid.
     """
-    m = model.m
-    t_a = t_span[0]
     ts = np.linspace(t_span[0], t_span[1], samples)
+    t_a = ts[0]
     start = ChartPoint(t_a, curve.s(t_a) + z0[0], curve.v(t_a) + z0[1])
     x = geodesic_closed_form(model, start, curve.s(t_a, 1) + zdot0[0],
                              curve.v(t_a, 1) + zdot0[1], ts)
-    return VariationField(curve=curve, t_grid=ts,
-                          z_s=x[:, 1] - curve.s(ts), z_v=x[:, 2:2 + m] - curve.v(ts).T,
-                          zdot_s=x[:, 3 + m] - curve.s(ts, 1),
-                          zdot_v=x[:, 4 + m:] - curve.v(ts, 1).T)
+    return VariationField(curve=curve, t_grid=ts, x=x)
+
+
+def _geodesic_gap(model: ModelManifold, start: np.ndarray,
+                  curve: np.ndarray) -> np.ndarray:
+    """Largest coordinate gap, sample by sample, between positions `curve`,
+    shape (k, n), at k uniform times from start's t to curve[-1, 0], and
+    the geodesic that `geodesic` integrates from the state `start` =
+    (t, s, v, t', s', v') with t' = 1, so that its parameter is t - t0."""
+    n = model.dim
+    run = geodesic(model, ChartPoint(start[0], start[1], start[2:n]), start[n:],
+                   (0.0, curve[-1, 0] - start[0]), samples=len(curve))
+    return np.max(np.abs(run.states[:, :n] - curve), axis=1)
 
 
 def terminal_curve_residual(model: ModelManifold, field: VariationField) -> float:
     """Independent check that x(., 1) = y + z is a geodesic.
 
-    Re-integrates a geodesic from the endpoint curve's initial data with the
+    Integrates a geodesic from the endpoint curve's first state with the
     geodesic integrator and compares positions along the grid, relative to
     the position scale.
     """
-    curve = field.curve
-    ts = field.t_grid
-    t_a = ts[0]
-    p0 = ChartPoint(t_a, curve.s(t_a) + field.z_s[0], curve.v(t_a) + field.z_v[0])
-    vel0 = np.concatenate([
-        [1.0, curve.s(t_a, 1) + field.zdot_s[0]],
-        curve.v(t_a, 1) + field.zdot_v[0],
-    ])
-    res = geodesic(model, p0, vel0, (0.0, ts[-1] - t_a), samples=ts.size)
-    expected = np.column_stack([ts, curve.s(ts) + field.z_s, curve.v(ts).T + field.z_v])
-    worst = float(np.max(np.abs(res.states[:, :model.dim] - expected)))
-    return worst / max(1.0, float(np.max(np.abs(expected))))
+    positions = field.x[:, :model.dim]
+    gap = _geodesic_gap(model, field.x[0], positions)
+    return float(np.max(gap)) / max(1.0, float(np.max(np.abs(positions))))
 
 
 def affine_defect_residual(model: ModelManifold, field: VariationField) -> float:
@@ -366,7 +357,7 @@ def affine_defect_residual(model: ModelManifold, field: VariationField) -> float
 
     v_y = field.curve.v(ts).T
     vdd_y = field.curve.v(ts, 2).T
-    z_v = field.z_v
+    z_v = field.x[:, 2:2 + model.m] - v_y
     base = vdd_y - apply(v_y)
     zdd_v = apply(z_v) + apply(v_y) - vdd_y
     s = np.linspace(-1.0, 2.0, 7)[:, None, None]
@@ -386,19 +377,15 @@ def straightened_axis_residual(model: ModelManifold, g: IsoElement,
     through `point` with transverse velocity vdot0 and g is meant to be its
     straightening element (`isometry_group.straightening_element`).
 
-    x is integrated by `geodesic` with t' = 1, so tau = t - t0, and
-    s'(t0) = -kappa(t0, v0) - <vdot0, vdot0> makes it null; it runs from
-    t0 forward to one end of the span and backward to the other, and is
-    compared with the image of the t-axis at 9 parameters per run.
+    The null geodesic starts from `point` with t' = 1 and
+    s'(t0) = -kappa(t0, v0) - <vdot0, vdot0>, and `geodesic` integrates it
+    from t0 forward to one end of the span and backward to the other; each
+    run is compared with g's image of the t-axis at 9 parameters.
     """
     vdot0 = np.asarray(vdot0, dtype=float).reshape(-1)
     sdot0 = -float(model.kappa(point.t, point.v)) - float(model.space.norm_sq(vdot0))
-    velocity = np.concatenate([[1.0, sdot0], vdot0])
-    gaps = []
-    for end in t_span:
-        x = geodesic(model, point, velocity, (0.0, end - point.t),
-                     samples=9).states[:, :model.dim]
-        axis = np.zeros_like(x)
-        axis[:, 0] = x[:, 0]
-        gaps.append(np.max(np.abs(iso_apply(model, g, axis) - x)))
-    return float(np.max(gaps))
+    start = np.concatenate([point.coords(), [1.0, sdot0], vdot0])
+    axis = np.zeros((len(t_span), 9, model.dim))
+    axis[..., 0] = [np.linspace(point.t, end, 9) for end in t_span]
+    images = iso_apply(model, g, axis)
+    return float(max(np.max(_geodesic_gap(model, start, image)) for image in images))

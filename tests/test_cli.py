@@ -707,6 +707,18 @@ class TestLargeC:
                 if row["anchor"] == "spectra.kernel-dimension"]
         assert len(rows) == 1 and rows[0]["pass"] and rows[0]["value"] == 0.0
 
+    @pytest.mark.parametrize("c,task", [(30.0, "appendix-b"), (300.0, "appendix-a")])
+    def test_singular_flow_matrix_fails_the_rows(self, tmp_path, c, task):
+        # At large c the flow matrix that straightening_element solves with
+        # is singular in double precision. The sample fails its rows, as in
+        # the group tasks, and the run exits 1 instead of 3.
+        payload = json.loads((SCENARIOS / "homogeneous_m2.json").read_text())
+        payload["model"]["profile"]["c"] = [c, 0.0]
+        payload["tasks"] = [{"task": task, "count": 1}]
+        code, report = run_cli(tmp_path, payload)
+        assert code == 1
+        assert report["checks"] and not any(row["pass"] for row in report["checks"])
+
 
 class TestFlowLookups:
     def test_spectra_looks_each_dilation_up_once(self, monkeypatch):

@@ -46,7 +46,7 @@ from ecs_lab.model_geometry import (
     random_chart_point,
 )
 from ecs_lab.pseudo_linear import PseudoEuclideanSpace
-from ecs_lab.solution_space import ENDPOINT_BARRIER, CauchyFlow, _StepTable
+from ecs_lab.solution_space import ENDPOINT_BARRIER, CauchyFlow, _StepTable, solution_at
 
 
 def random_velocity(model, rng, transverse=True):
@@ -421,6 +421,40 @@ class TestPlungeOracle:
             assert checked == res.taus.size - 1
 
 
+def reference_geodesic_closed_form(model, point, sdot0, vdot0, ts):
+    """The explicit form of geodesic_closed_form: v is the solution u of E
+    with Cauchy data (v0, vdot0) at t0, and energy conservation with
+    kappa(t, u) = <u'', u> gives s = r + E (t - t0) - <u, u'> and
+    s' = E - kappa(t, u) - <u', u'>, r = s0 + <v0, vdot0>."""
+    space = model.space
+    g = straightening_element(model, point, vdot0)
+    u, du = solution_at(model, g.u, ts)
+    energy = model.kappa(point.t, point.v) + sdot0 + space.norm_sq(vdot0)
+    s = g.r + energy * (ts - point.t) - space.inner(u, du)
+    ds = energy - model.kappa(ts, u) - space.norm_sq(du)
+    return np.column_stack([ts, s, u, np.ones_like(ts), ds, du])
+
+
+class TestClosedForm:
+    def test_group_action_matches_the_explicit_formulas(self, roster):
+        # The straightening element's image of a line and its Jacobian
+        # against the formulas they replaced, per row and relative to the
+        # row, down to t = 1e-7 on the homogeneous models.
+        rng = np.random.default_rng(197)
+        for entry in roster:
+            model = entry.model
+            lo, hi = model.compact_window()
+            ts = (np.geomspace(1e-7, hi, 33) if entry.kind == "homogeneous"
+                  else np.linspace(lo, hi, 33))
+            for _ in range(3):
+                pt = random_chart_point(model, rng)
+                vel = random_velocity(model, rng)
+                got = geodesic_closed_form(model, pt, vel[1], vel[2:], ts)
+                want = reference_geodesic_closed_form(model, pt, vel[1], vel[2:], ts)
+                gaps = np.max(np.abs(got - want), axis=1)
+                assert np.all(gaps <= 1e-13 * np.max(np.abs(want), axis=1)), entry.name
+
+
 class TestFlowOracle:
     """t is affine, so a run with t' = a != 0 is the t' = 1 geodesic with
     velocity / a at t = t0 + a tau. `geodesic_closed_form` reads that one
@@ -640,8 +674,8 @@ class TestVariationField:
         curve = PolyCurve([0.0], np.zeros((m, 1)))      # the t-axis
         field = variation_field(model, curve, (0.0, np.zeros(m)),
                                 (0.0, np.zeros(m)), (0.5, 2.0), samples=9)
-        assert np.max(np.abs(field.z_s)) < 1e-12
-        assert np.max(np.abs(field.z_v)) < 1e-12
+        z = field.x[:, 1:2 + m]     # the curve is the t-axis: z is x's (s, v)
+        assert np.max(np.abs(z)) < 1e-12
         assert terminal_curve_residual(model, field) < 1e-10
 
 
@@ -654,10 +688,11 @@ def reference_affine_defect_residual(model, field):
         v_y = field.curve.v(t)
         vdd_y = field.curve.v(t, 2)
         base = vdd_y - fa @ v_y
-        zdd_v = fa @ field.z_v[i] + fa @ v_y - vdd_y
+        z_v = field.x[i, 2:2 + model.m] - v_y
+        zdd_v = fa @ z_v + fa @ v_y - vdd_y
         scale = max(scale, float(np.max(np.abs(base))))
         for s in np.linspace(-1.0, 2.0, 7):
-            defect = vdd_y + s * zdd_v - fa @ (v_y + s * field.z_v[i])
+            defect = vdd_y + s * zdd_v - fa @ (v_y + s * z_v)
             worst = max(worst, float(np.max(np.abs(defect - (1.0 - s) * base))))
     return worst / scale
 

@@ -3,6 +3,7 @@ in __init__.py), of the test suite, of its oracle generators and of the
 benchmark references each name it imports; the package imports nothing
 from scipy.linalg, neither calls SciPy's solve_ivp nor reads its private
 dense-output state, takes no sample times (`t_eval`) in any integration,
+looks solutions up in the geodesics module only through the group action,
 and loads SciPy's heavy subpackages only when a task needs them.
 
 The scan uses only the standard library's ast, so it needs no linter.
@@ -169,6 +170,34 @@ def test_package_samples_only_from_step_tables():
     found = {p.name: t_eval_uses(p.read_text())
              for p in (ROOT / "src" / "ecs_lab").glob("*.py")}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def name_reads(source: str, name: str) -> list[int]:
+    """Lines that import `name` from a module, under any alias, or read it
+    as an attribute."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if (isinstance(node, ast.ImportFrom)
+                      and any(alias.name == name for alias in node.names))
+                  or (isinstance(node, ast.Attribute) and node.attr == name))
+
+
+def test_scan_finds_name_reads():
+    source = (
+        "from .solution_space import solution_at\n"
+        "from .solution_space import flow, solution_at as lookup\n"
+        "import ecs_lab.solution_space as ss\n"
+        "ss.solution_at(model, u, t)\n"
+        "from .isometry_group import iso_apply\n"
+        "solution_at = iso_apply\n"
+    )
+    assert name_reads(source, "solution_at") == [1, 2, 4]
+
+
+def test_geodesics_reads_solutions_through_the_group_action():
+    # The closed-form geodesic is a Heisenberg isometry's image of a line,
+    # so the ODE layer has no solution lookup of its own.
+    source = (ROOT / "src" / "ecs_lab" / "geodesics.py").read_text()
+    assert name_reads(source, "solution_at") == []
 
 
 # SciPy subpackages that cost most of a cold start. Importing the CLI and a
