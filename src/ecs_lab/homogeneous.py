@@ -23,10 +23,11 @@ On the subgroup G_0 (elements with sigma = sigma_q) the map
 
 parametrizes elements by their maximal commuting class: two elements with
 q, q' != 1 commute exactly when they share (a, z). Elements of G_0 are
-plain isometry_group.IsoElement values with sigma = sigma_q, and they
-compose by iso_compose. This module carries the dilations, the generator,
-the splitting, J and its inverse, the commutation test, the conjugation
-spectrum, and the samplers of group elements and commuting classes.
+plain isometry_group.IsoElement values IsoElement(hm.dilation(q), r, data),
+with u given as Cauchy data, and they compose by iso_compose. This module
+carries the dilations, the generator, the splitting, J and its inverse, the
+commutation test, the conjugation spectrum, and the samplers of group
+elements and commuting classes.
 """
 
 from __future__ import annotations
@@ -82,9 +83,7 @@ class HomogeneousModel:
     @classmethod
     def standard(cls, m: int, c) -> "HomogeneousModel":
         space, A = standard_homogeneous_space(m)
-        profile = HomogeneousProfile(c)
-        model = ModelManifold.ecs(space, A, profile)
-        return cls(model=model, fit=fit_basis(space, A), c=profile.c)
+        return cls.from_model(ModelManifold.ecs(space, A, HomogeneousProfile(c)))
 
     @classmethod
     def from_model(cls, model: ModelManifold) -> "HomogeneousModel":
@@ -95,12 +94,9 @@ class HomogeneousModel:
         return cls(model=model, fit=fit_basis(model.space, model.A),
                    c=model.profile.c)
 
-    def c_matrix(self, q: float, delta: float = 1.0) -> np.ndarray:
-        return scaling_isometry(self.model.space, self.fit, q, delta)
-
     def dilation(self, q: float, delta: float = 1.0) -> SElement:
         """The structural element sigma_q = (q, 0, C_q)."""
-        return SElement(q, 0.0, self.c_matrix(q, delta))
+        return SElement(q, 0.0, scaling_isometry(self.model.space, self.fit, q, delta))
 
     def sigma_q_matrix(self, q: float) -> np.ndarray:
         """Matrix of sigma_q on E in Cauchy coordinates at t = 1."""
@@ -132,35 +128,32 @@ class SpectrumCheck:
     worst_pair: tuple[complex, complex]
 
 
-def _match_multisets(predicted: np.ndarray,
-                     computed: np.ndarray) -> tuple[float, tuple[complex, complex]]:
-    """The largest error of a matching between two eigenvalue lists, and the
-    matched pair (predicted, computed) that has it. Each error is measured
-    relative to |predicted| above unit scale and absolutely below it (a
-    predicted eigenvalue of exactly 0 is matched by absolute error). The
-    matching minimizes the sum of the errors, not their max, so the value
-    is an upper bound on the best achievable max: it can overstate it,
-    never understate it."""
+def _spectrum_check(predicted: np.ndarray, matrix: np.ndarray) -> SpectrumCheck:
+    """The eigenvalues of `matrix` matched against the predicted multiset.
+
+    Each error is measured relative to |predicted| above unit scale and
+    absolutely below it (a predicted eigenvalue of exactly 0 is matched by
+    absolute error). The matching minimizes the sum of the errors, not their
+    max, so `max_rel_error` is an upper bound on the best achievable max: it
+    can overstate it, never understate it."""
     from scipy.optimize import linear_sum_assignment
 
+    computed = np.linalg.eigvals(matrix)
     pr = np.asarray(predicted, dtype=complex)
     co = np.asarray(computed, dtype=complex)
     scale = np.maximum(np.abs(pr)[:, None], 1.0)
     cost = np.abs(pr[:, None] - co[None, :]) / scale
     rows, cols = linear_sum_assignment(cost)
     k = int(np.argmax(cost[rows, cols]))
-    return (float(cost[rows[k], cols[k]]),
-            (complex(pr[rows[k]]), complex(co[cols[k]])))
+    return SpectrumCheck(predicted, computed, float(cost[rows[k], cols[k]]),
+                         (complex(pr[rows[k]]), complex(co[cols[k]])))
 
 
 def dilation_spectrum_check(hm: HomogeneousModel, sigma: SElement) -> SpectrumCheck:
     """Eigenvalues of the dilation sigma = sigma_q (`hm.dilation(q)`) on E
     against the predicted q^kappa multiset."""
-    computed = np.linalg.eigvals(sigma_matrix(hm.model, sigma))
-    kappa = spectral_exponents(hm.m, hm.c)
-    predicted = np.exp(np.log(sigma.q) * kappa)
-    return SpectrumCheck(predicted, computed,
-                         *_match_multisets(predicted, computed))
+    return _spectrum_check(np.exp(np.log(sigma.q) * spectral_exponents(hm.m, hm.c)),
+                           sigma_matrix(hm.model, sigma))
 
 
 def generator_matrix(hm: HomogeneousModel) -> np.ndarray:
@@ -178,10 +171,7 @@ def generator_matrix(hm: HomogeneousModel) -> np.ndarray:
 
 
 def generator_spectrum_check(hm: HomogeneousModel) -> SpectrumCheck:
-    computed = np.linalg.eigvals(generator_matrix(hm))
-    predicted = spectral_exponents(hm.m, hm.c)
-    return SpectrumCheck(predicted, computed,
-                         *_match_multisets(predicted, computed))
+    return _spectrum_check(spectral_exponents(hm.m, hm.c), generator_matrix(hm))
 
 
 # Pade-13 numerator coefficients and the 1-norm up to which the Pade-13
@@ -278,11 +268,6 @@ def spectral_split(hm: HomogeneousModel) -> SpectralSplit:
 # ---------------------------------------------------------------------------
 # the subgroup G_0 and its commuting classes
 # ---------------------------------------------------------------------------
-
-def g0_element(hm: HomogeneousModel, q: float, r: float, data) -> IsoElement:
-    """The element (sigma_q, r, u) of G_0, with u given as Cauchy data."""
-    return IsoElement(hm.dilation(q), r, data)
-
 
 @dataclass
 class CommuteTest:
@@ -384,16 +369,10 @@ def conjugation_matrix(hm: HomogeneousModel, g: IsoElement) -> np.ndarray:
 
 
 def conjugation_spectrum_check(hm: HomogeneousModel, g: IsoElement) -> SpectrumCheck:
-    M = conjugation_matrix(hm, g)
-    computed = np.linalg.eigvals(M)
-    kappa = spectral_exponents(hm.m, hm.c)
     q = g.sigma.q
-    predicted = np.concatenate([
-        [complex(1.0 / q)],
-        np.exp(np.log(q) * kappa),
-    ])
-    return SpectrumCheck(predicted, computed,
-                         *_match_multisets(predicted, computed))
+    predicted = np.concatenate([[complex(1.0 / q)],
+                                np.exp(np.log(q) * spectral_exponents(hm.m, hm.c))])
+    return _spectrum_check(predicted, conjugation_matrix(hm, g))
 
 
 def class_map(hm: HomogeneousModel, a: float, z_data, q: float, w_data) -> IsoElement:

@@ -325,9 +325,6 @@ class ModelManifold:
     def dim(self) -> int:
         return self.space.dim + 2
 
-    def contains_t(self, t):
-        return np.logical_and(self.interval[0] < t, t < self.interval[1])
-
     def compact_window(self) -> tuple[float, float]:
         """A canonical compact subinterval used for sampling and checks."""
         lo, hi = self.interval
@@ -360,15 +357,13 @@ class ModelManifold:
         fa.flat[::self.m + 1] += float(self.profile.value(t))
         return fa
 
-    def require_t(self, t):
-        if not self.contains_t(t).all():
-            raise ValueError(f"t = {t} lies outside the interval {self.interval}")
-
     def kappa(self, t, v):
         """kappa(t, v) = f(t) <v, v> + <A v, v>, stacked over the leading axes
         of t and v (shapes (...) and (..., m))."""
         v = np.asarray(v, dtype=float)
-        self.require_t(t)
+        lo, hi = self.interval
+        if not np.logical_and(lo < t, t < hi).all():
+            raise ValueError(f"t = {t} lies outside the interval {self.interval}")
         Av = (self.A @ v[..., None])[..., 0]
         return self.profile.value(t) * self.space.norm_sq(v) + self.space.inner(Av, v)
 

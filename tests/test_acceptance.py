@@ -32,7 +32,6 @@ from ecs_lab.homogeneous import (
     dilation_spectrum_check,
     expected_kernel_dim,
     exponential_consistency_residual,
-    g0_element,
     generator_spectrum_check,
     shifted_invertibility,
     spectral_split,
@@ -351,7 +350,7 @@ def test_ac09_commuting_class_suite(spectral_grid, capsys):
             )
             round_trips += 1
         for _ in range(50):
-            g = g0_element(hm, away_from_one(), float(rng.standard_normal()),
+            g = IsoElement(hm.dilation(away_from_one()), float(rng.standard_normal()),
                            rng.standard_normal(m2))
             labels = class_map_inverse(hm, g, split)
             back = class_map(hm, *labels)
@@ -360,9 +359,9 @@ def test_ac09_commuting_class_suite(spectral_grid, capsys):
             round_trips += 1
 
         for _ in range(125):
-            g1 = g0_element(hm, away_from_one(), float(rng.standard_normal()),
+            g1 = IsoElement(hm.dilation(away_from_one()), float(rng.standard_normal()),
                             rng.standard_normal(m2))
-            g2 = g0_element(hm, away_from_one(), float(rng.standard_normal()),
+            g2 = IsoElement(hm.dilation(away_from_one()), float(rng.standard_normal()),
                             rng.standard_normal(m2))
             if not commute_test(hm, g1, g2).agree:
                 disagreements += 1
@@ -403,7 +402,7 @@ def test_ac10_conjugation_spectrum(spectral_grid, capsys):
         m2 = 2 * hm.m
         for _ in range(n_elems):
             q = float(np.exp(rng.uniform(-np.log(4.0), np.log(4.0))))
-            g = g0_element(hm, q, float(rng.standard_normal()),
+            g = IsoElement(hm.dilation(q), float(rng.standard_normal()),
                            rng.standard_normal(m2))
             worst = max(worst, conjugation_spectrum_check(hm, g).max_rel_error)
             count += 1

@@ -758,6 +758,20 @@ class TestNoVacuousPass:
         assert row["value"] == "nan" and not row["pass"]
         assert row["detail"]["premise_failures"] == 2
 
+    @pytest.mark.parametrize("count,tau,hits", [(2, 0.1, 0), (15, 2.0, 2)])
+    def test_boundary_row_only_when_a_run_reaches_an_end(self, tmp_path, count, tau,
+                                                         hits):
+        # On homogeneous_m2's model two short runs stay inside (0, inf), so
+        # there is no exit to judge and the row is left out; fifteen runs
+        # over tau = 2 plunge twice and keep it.
+        payload = json.loads((SCENARIOS / "homogeneous_m2.json").read_text())
+        payload["tasks"] = [{"task": "geodesic", "count": count, "tau": tau}]
+        code, report = run_cli(tmp_path, payload)
+        assert code == 0
+        rows = [row for row in report["checks"]
+                if row["anchor"] == "geodesic.boundary-exit"]
+        assert [row["detail"]["hits"] for row in rows] == ([hits] if hits else [])
+
 
 class TestDeterminism:
     def test_identical_runs_identical_reports(self, tmp_path):

@@ -394,7 +394,7 @@ class TestPlungeOracle:
         zero = np.zeros((m, m))
 
         def phi(t):
-            C = hm.c_matrix(t)
+            C = hm.dilation(t).C
             return np.block([[C, zero], [zero, C / t]]) @ expm(-np.log(t) * B)
 
         rng = np.random.default_rng(171)

@@ -27,7 +27,6 @@ from ecs_lab.homogeneous import (
     dilation_spectrum_check,
     expected_kernel_dim,
     exponential_consistency_residual,
-    g0_element,
     generator_matrix,
     generator_spectrum_check,
     shifted_invertibility,
@@ -37,6 +36,7 @@ from ecs_lab.homogeneous import (
     transitive_commutation_check,
 )
 from ecs_lab.isometry_group import (
+    IsoElement,
     iso_apply,
     iso_compose,
     iso_distance,
@@ -229,7 +229,7 @@ class TestG0:
     def rand_element(self, hm, rng, q=None):
         if q is None:
             q = float(np.exp(rng.uniform(-np.log(3.0), np.log(3.0))))
-        return g0_element(hm, q, float(rng.standard_normal()),
+        return IsoElement(hm.dilation(q), float(rng.standard_normal()),
                           rng.standard_normal(2 * hm.m))
 
     def test_group_axioms(self):
@@ -251,7 +251,7 @@ class TestG0:
     def test_nonpositive_q_rejected(self):
         hm = model_for(2, 0.3)
         with pytest.raises(ValueError):
-            g0_element(hm, -1.0, 0.0, np.zeros(4))
+            IsoElement(hm.dilation(-1.0), 0.0, np.zeros(4))
 
 
 class TestCommuteTest:
@@ -260,7 +260,7 @@ class TestCommuteTest:
         hm = model_for(2, 0.3)
         e = iso_identity(hm.model)
         for _ in range(5):
-            g = g0_element(hm, float(np.exp(rng.normal())),
+            g = IsoElement(hm.dilation(float(np.exp(rng.normal()))),
                            float(rng.normal()), rng.standard_normal(4))
             chk = commute_test(hm, e, g)
             assert chk.direct and chk.criterion
@@ -270,8 +270,8 @@ class TestCommuteTest:
         # center by 1/q, and the criterion's central equation r (1 - 1/q) != 0
         # says the same thing.
         hm = model_for(2, 0.3)
-        central = g0_element(hm, 1.0, 2.0, np.zeros(4))
-        dil = g0_element(hm, 2.0, 0.0, np.zeros(4))
+        central = IsoElement(hm.dilation(1.0), 2.0, np.zeros(4))
+        dil = IsoElement(hm.dilation(2.0), 0.0, np.zeros(4))
         chk = commute_test(hm, central, dil)
         assert not chk.direct and not chk.criterion
         assert chk.direct_residual == pytest.approx(1.0, abs=1e-12)
@@ -280,12 +280,12 @@ class TestCommuteTest:
         hm = model_for(2, 0.3)
         e1 = np.eye(4)[0]
         e_conj = np.eye(4)[3]     # deriv slot paired to e1 by the flip Gram
-        a = g0_element(hm, 1.0, 0.0, e1)
-        b = g0_element(hm, 1.0, 0.0, e_conj)
+        a = IsoElement(hm.dilation(1.0), 0.0, e1)
+        b = IsoElement(hm.dilation(1.0), 0.0, e_conj)
         chk = commute_test(hm, a, b)
         assert not chk.direct and not chk.criterion
         # Omega-orthogonal data commutes
-        c = g0_element(hm, 1.0, 0.0, np.eye(4)[1])
+        c = IsoElement(hm.dilation(1.0), 0.0, np.eye(4)[1])
         chk2 = commute_test(hm, a, c)
         assert chk2.direct and chk2.criterion
 
@@ -335,9 +335,9 @@ class TestCommuteTest:
         hm = model_for(2, 1.5)
         disagreements = 0
         for _ in range(200):
-            a = g0_element(hm, float(np.exp(rng.uniform(-1.2, 1.2))),
+            a = IsoElement(hm.dilation(float(np.exp(rng.uniform(-1.2, 1.2)))),
                            float(rng.normal()), rng.standard_normal(4))
-            b = g0_element(hm, float(np.exp(rng.uniform(-1.2, 1.2))),
+            b = IsoElement(hm.dilation(float(np.exp(rng.uniform(-1.2, 1.2)))),
                            float(rng.normal()), rng.standard_normal(4))
             if not commute_test(hm, a, b).agree:
                 disagreements += 1
@@ -383,7 +383,7 @@ class TestClassMap:
         hm = model_for(2, 1.5)
         split = spectral_split(hm)
         for _ in range(10):
-            g = g0_element(hm, float(np.exp(rng.uniform(0.1, 1.0))),
+            g = IsoElement(hm.dilation(float(np.exp(rng.uniform(0.1, 1.0)))),
                            float(rng.normal()), rng.standard_normal(4))
             a, z, q, w = class_map_inverse(hm, g, split)
             back = class_map(hm, a, z, q, w)
@@ -391,7 +391,7 @@ class TestClassMap:
 
     def test_q_one_rejected(self):
         hm = model_for(2, 0.3)
-        g = g0_element(hm, 1.0, 0.5, np.ones(4))
+        g = IsoElement(hm.dilation(1.0), 0.5, np.ones(4))
         with pytest.raises(ValueError):
             class_map_inverse(hm, g, spectral_split(hm))
 
@@ -415,11 +415,11 @@ class TestConjugation:
         rng = np.random.default_rng(99)
         hm = model_for(2, 0.3)
         model = hm.model
-        g = g0_element(hm, 1.7, 0.4, rng.standard_normal(4))
+        g = IsoElement(hm.dilation(1.7), 0.4, rng.standard_normal(4))
         M = conjugation_matrix(hm, g)
         ginv = iso_inverse(model, g)
         for _ in range(5):
-            h = g0_element(hm, 1.0, float(rng.normal()),
+            h = IsoElement(hm.dilation(1.0), float(rng.normal()),
                            rng.standard_normal(4))
             conj = iso_compose(model, iso_compose(model, g, h), ginv)
             assert abs(conj.sigma.q - 1.0) < 1e-12
@@ -436,13 +436,13 @@ class TestConjugation:
                 q = float(np.exp(rng.uniform(-np.log(3.0), np.log(3.0))))
                 if abs(q - 1.0) < 0.05:
                     q *= 1.2
-                g = g0_element(hm, q, float(rng.normal()),
+                g = IsoElement(hm.dilation(q), float(rng.normal()),
                                rng.standard_normal(2 * hm.m))
                 assert conjugation_spectrum_check(hm, g).max_rel_error < 1e-6
 
     def test_frozen_example(self):
         hm = model_for(2, 0.25)
-        g = g0_element(hm, 2.0, 0.3, np.array([0.1, -0.2, 0.4, 0.0]))
+        g = IsoElement(hm.dilation(2.0), 0.3, np.array([0.1, -0.2, 0.4, 0.0]))
         chk = conjugation_spectrum_check(hm, g)
         expected = [0.5, 2.0 ** 0.25, 2.0 ** 0.75, 2.0 ** -1.75, 2.0 ** -1.25]
         assert multiset_close(chk.computed, expected)

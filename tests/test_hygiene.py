@@ -4,7 +4,8 @@ benchmark references each name it imports; the package imports nothing
 from scipy.linalg, neither calls SciPy's solve_ivp nor reads its private
 dense-output state, takes no sample times (`t_eval`) in any integration,
 looks solutions up in the geodesics module only through the group action,
-and loads SciPy's heavy subpackages only when a task needs them.
+defines no function, method or class that nothing reads, and loads SciPy's
+heavy subpackages only when a task needs them.
 
 The scan uses only the standard library's ast, so it needs no linter.
 """
@@ -198,6 +199,70 @@ def test_geodesics_reads_solutions_through_the_group_action():
     # so the ODE layer has no solution lookup of its own.
     source = (ROOT / "src" / "ecs_lab" / "geodesics.py").read_text()
     assert name_reads(source, "solution_at") == []
+
+
+
+def definitions(source: str) -> dict[str, int]:
+    """Name -> line of every function, method and class a module defines,
+    dunders excepted."""
+    return {node.name: node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))}
+
+
+def reads(source: str) -> set[str]:
+    """Names a module reads: loaded names and attributes, and the names it
+    imports from a module."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def unread_definitions(package: dict[str, str], readers: list[str]) -> list[str]:
+    """`file: name (line n)` for each definition in the package sources
+    (file -> source) that no reader source reads."""
+    read = set().union(*map(reads, readers))
+    return sorted(f"{file}: {name} (line {line})"
+                  for file, source in package.items()
+                  for name, line in definitions(source).items() if name not in read)
+
+
+def test_scan_finds_unread_definitions():
+    package = {"mod.py": (
+        "class Used:\n"
+        "    def method(self):\n"
+        "        return helper()\n"
+        "    def orphan_method(self):\n"
+        "        return None\n"
+        "    def __repr__(self):\n"
+        "        return ''\n"
+        "def helper():\n"
+        "    return 1\n"
+        "def orphan():\n"
+        "    return 2\n"
+        "def exported():\n"
+        "    return 3\n"
+    )}
+    readers = [*package.values(),
+               "from mod import Used as U, exported\n"
+               "U().method()\n"
+               "orphan = U.orphan_method = None\n"]
+    assert unread_definitions(package, readers) == [
+        "mod.py: orphan (line 10)", "mod.py: orphan_method (line 4)"]
+
+
+def test_every_package_definition_is_read():
+    # A definition that a change leaves without a caller, a test or a
+    # benchmark reader is dead code.
+    package = {p.name: p.read_text() for p in (ROOT / "src" / "ecs_lab").glob("*.py")}
+    readers = [p.read_text() for p in MODULES] + [package["__init__.py"]]
+    assert unread_definitions(package, readers) == []
 
 
 # SciPy subpackages that cost most of a cold start. Importing the CLI and a

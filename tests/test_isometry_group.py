@@ -26,6 +26,7 @@ from ecs_lab.model_geometry import (
     ChartPoint,
     HomogeneousProfile,
     ModelManifold,
+    PolynomialProfile,
     random_chart_point,
 )
 from ecs_lab.pseudo_linear import PseudoEuclideanSpace
@@ -71,6 +72,17 @@ class TestSMembership:
         elem = SElement(good.q, 1.0, good.C)
         res = s_membership(hm.model, elem)
         assert res["interval_residual"] >= 1.0
+
+    def test_interval_residual_is_the_worst_finite_end(self):
+        # sigma = (2, 0.5, I) moves the ends of (-1, 2) to -1.5 and 4.5:
+        # residuals 0.5 and 2.5. The real line has no finite end to move.
+        space = PseudoEuclideanSpace(np.eye(2))
+        A, profile = np.diag([1.0, -1.0]), PolynomialProfile([0.0, 1.0])
+        elem = SElement(2.0, 0.5, np.eye(2))
+        finite = ModelManifold.ecs(space, A, profile, (-1.0, 2.0))
+        assert s_membership(finite, elem)["interval_residual"] == 2.5
+        line = ModelManifold.ecs(space, A, profile)
+        assert s_membership(line, elem)["interval_residual"] == 0.0
 
     def test_sampled_elements_are_members(self, roster):
         # The library sampler on the roster, and on a homogeneous profile whose

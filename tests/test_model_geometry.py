@@ -348,6 +348,13 @@ class TestKappaAndMetric:
         v = np.array([0.0, 1.0, 0.0])     # <v,v> = 1, <Av,v> = 0
         assert hm.model.kappa(1.0, v) == pytest.approx(2.0)
 
+    def test_kappa_rejects_t_outside_the_interval(self):
+        model = HomogeneousModel.standard(2, 0.3).model      # I = (0, inf)
+        with pytest.raises(ValueError, match="lies outside"):
+            model.kappa(-1.0, np.ones(2))
+        with pytest.raises(ValueError, match="lies outside"):
+            model.kappa(np.array([0.5, 1.0, 0.0]), np.ones((3, 2)))
+
     def test_metric_block_structure(self, roster):
         rng = np.random.default_rng(21)
         for entry in roster:

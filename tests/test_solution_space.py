@@ -205,7 +205,7 @@ class TestFlow:
         B = generator_matrix(hm)
         zero = np.zeros((m, m))
         for t in (0.05, 0.2, 0.5, 0.9, 1.3, 3.0, 7.0, 20.0):
-            C = hm.c_matrix(t)
+            C = hm.dilation(t).C
             exact = np.block([[C, zero], [zero, C / t]]) @ expm(-np.log(t) * B)
             got = flow(hm.model).matrix(t)
             assert np.max(np.abs(got - exact)) < 1e-9 * np.max(np.abs(exact))
