@@ -32,7 +32,10 @@ to do so in advance: it stops at a small barrier before the endpoint, at a
 parameter given in closed form, and is integrated in x = log|t - endpoint|
 so that its steps need not shrink near the singularity; its samples,
 uniform in the parameter, crowd into the last steps in x. The geodesic
-right-hand side applies f v + A v rather than forming f + A.
+right-hand side applies f v + A v rather than forming f + A, and keeps the
+stepper's dispatch rule (`solution_space`): its products are `ndarray.dot`
+calls, with the bits of `@`, and it writes the derivative into one new
+array.
 """
 
 from __future__ import annotations
@@ -83,13 +86,16 @@ def _geodesic_rhs(model: ModelManifold, edge: Optional[float] = None,
     m = model.m
 
     def rhs(tau, y):
-        t, dt = float(y[0]), float(y[2 + m])
+        t, dt = y.item(0), y.item(2 + m)
         v, dv = y[2:2 + m], y[4 + m:]
         f, f1 = profile.value_slope(t)
-        fav = f * v + A @ v
+        fav = f * v + A.dot(v)
+        out = np.empty(y.size)
+        out[:2 + m] = y[2 + m:]
+        out[2 + m] = 0.0
         # s'' = -kappa_t t'^2 - 2 (kappa_v . v') t' with kappa_v = 2 gram fav
-        dds = -dt * (f1 * float(v @ gram @ v) * dt + 4.0 * float(fav @ gram @ dv))
-        out = np.concatenate((y[2 + m:], (0.0, dds), dt * dt * fav))
+        out[3 + m] = -dt * (f1 * v.dot(gram).dot(v) * dt + 4.0 * fav.dot(gram).dot(dv))
+        out[4 + m:] = dt * dt * fav
         if edge is not None:
             out *= (t - edge) / dt0
         return out

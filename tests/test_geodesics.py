@@ -293,6 +293,20 @@ class TestStepperMatchesScipy:
         table.append(geodesics.solve_ivp(rhs, span, y0, rtol=1e-12, atol=1e-12))
         assert np.array_equal(table(samples), sol.sol(samples).T)
 
+    @pytest.mark.parametrize("convert", [lambda f: f.tolist(),
+                                         lambda f: f.astype(np.float32)],
+                             ids=["list", "float32"])
+    def test_any_sequence_of_numbers(self, convert):
+        # The stepper writes each stage into a float row, as SciPy converts
+        # what the right-hand side returns: a Python list or a float32
+        # array gives SciPy's rows.
+        def rhs(t, y):
+            return convert(np.array([y[1], np.cos(t) - y[0]]))
+
+        sol = self.assert_rows_match_scipy(rhs, (0.0, 5.0), np.array([1.0, 0.3]),
+                                           rtol=1e-6, atol=1e-6)
+        assert sol.success and sol.t.size > 5
+
     def test_step_size_underflow_fails_as_scipy_does(self):
         # y' = y^2 from y(0) = 1 blows up at t = 1
         def rhs(t, y):
@@ -305,6 +319,46 @@ class TestStepperMatchesScipy:
         assert (ours.status, ours.success, ours.message) == \
             (sol.status, sol.success, sol.message) == \
             (-1, False, "Required step size is less than spacing between numbers.")
+
+
+def reference_geodesic_rhs(model, edge, dt0, y):
+    """The geodesic equations of `geodesics._geodesic_rhs` with `@`
+    products and one concatenation."""
+    m, gram = model.m, model.space.gram
+    t, dt = float(y[0]), float(y[2 + m])
+    v, dv = y[2:2 + m], y[4 + m:]
+    f, f1 = model.profile.value_slope(t)
+    fav = f * v + model.A @ v
+    dds = -dt * (f1 * float(v @ gram @ v) * dt + 4.0 * float(fav @ gram @ dv))
+    out = np.concatenate((y[2 + m:], (0.0, dds), dt * dt * fav))
+    if edge is not None:
+        out *= (t - edge) / dt0
+    return out
+
+
+class TestGeodesicRhsBits:
+    """`_geodesic_rhs` computes its products with `ndarray.dot`, the BLAS
+    call that `@` makes, at about half the dispatch cost. Its values keep
+    the bits of the `@` form on every roster model, in tau and in x =
+    log|t - edge|, at magnitudes 1e-8 to 1e8: a NumPy or BLAS that rounds
+    the two forms differently fails here."""
+
+    def test_matches_the_matmul_form(self, roster):
+        rng = np.random.default_rng(211)
+        for entry in roster:
+            model = entry.model
+            size = 2 * model.dim
+            for edge in (None, 0.0):    # 0.0 is the finite end of (0, inf)
+                for _ in range(200):
+                    y = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-8, 8, size)
+                    if entry.kind == "homogeneous":
+                        y[0] = abs(y[0])
+                    dt0 = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-8, 8)
+                    expected = reference_geodesic_rhs(model, edge, dt0, y)
+                    assert np.all(np.isfinite(expected))
+                    got = geodesics._geodesic_rhs(model, edge, dt0)(rng.uniform(-1, 1), y)
+                    assert got.dtype == np.float64
+                    assert np.array_equal(got, expected)
 
 
 class TestGeodesicBasics:
