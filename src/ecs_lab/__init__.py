@@ -34,7 +34,7 @@ from .model_geometry import (
     curvature_from_jet,
     parallel_weyl_residual,
     nabla_riemann_norm,
-    ricci_profile_residual,
+    ricci_profile_residuals,
     weyl_tidal_operator,
     olszak_span_check,
 )

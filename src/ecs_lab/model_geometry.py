@@ -253,19 +253,22 @@ class SumOfPowersProfile(ProfileF):
 
 @dataclass
 class ChartPoint:
-    """A point (t, s, v) of the model chart."""
+    """A point (t, s, v) of the model chart, or points stacked on leading
+    axes: t and s of shape (...), v of shape (..., m)."""
 
     t: float
     s: float
     v: np.ndarray
 
     def __post_init__(self):
-        self.t = float(self.t)
-        self.s = float(self.s)
-        self.v = np.asarray(self.v, dtype=float).reshape(-1)
+        self.t, self.s = (float(x) if np.ndim(x) == 0 else np.asarray(x, dtype=float)
+                          for x in (self.t, self.s))
+        self.v = np.asarray(self.v, dtype=float).reshape(np.shape(self.t) + (-1,))
 
     def coords(self) -> np.ndarray:
-        return np.concatenate([[self.t, self.s], self.v])
+        """Chart coordinates (t, s, v), shape (..., n)."""
+        return np.concatenate([np.asarray(self.t)[..., None],
+                               np.asarray(self.s)[..., None], self.v], axis=-1)
 
 
 @dataclass
@@ -402,42 +405,46 @@ def metric_jet(model: ModelManifold, point: ChartPoint):
     Layouts: dg[e,a,b] = d_e g_ab, ddg[e,f,a,b], dddg[e,f,h,a,b], symmetric
     in the derivative slots. Only the kappa corner of g depends on the point
     and only through (t, v), so the nonzero entries are the t/v derivatives
-    of kappa.
+    of kappa. A stacked point gives every array its leading axes.
     """
     n = model.dim
     gram = model.space.gram
     A = model.A
     t, v = point.t, point.v
+    lead = np.shape(t)
     f = model.profile
-    f1 = float(f.derivative(t, 1))
-    f2 = float(f.derivative(t, 2))
-    f3 = float(f.derivative(t, 3))
-    f0 = float(f.value(t))
+    f1 = f.derivative(t, 1)
+    f2 = f.derivative(t, 2)
+    f3 = f.derivative(t, 3)
+    f0 = f.value(t)
     vv = model.space.norm_sq(v)
-    gv = gram @ v
-    fa_gram = f0 * gram + gram @ A  # symmetric since gram A is symmetric
+    gv = (gram @ v[..., None])[..., 0]
+    # symmetric since gram A is symmetric
+    fa_gram = np.multiply.outer(f0, gram) + gram @ A
+    f1_gv = (2.0 * f1)[..., None] * gv
+    f2_gv = (2.0 * f2)[..., None] * gv
+    f1_gram = np.multiply.outer(2.0 * f1, gram)
 
     g = metric_at(model, point.coords())
 
-    dg = np.zeros((n, n, n))
-    dg[0, 0, 0] = f1 * vv
-    grad_v = 2.0 * (fa_gram @ v)
-    dg[2:, 0, 0] = grad_v
+    dg = np.zeros(lead + (n, n, n))
+    dg[..., 0, 0, 0] = f1 * vv
+    dg[..., 2:, 0, 0] = 2.0 * (fa_gram @ v[..., None])[..., 0]
 
-    ddg = np.zeros((n, n, n, n))
-    ddg[0, 0, 0, 0] = f2 * vv
-    ddg[0, 2:, 0, 0] = 2.0 * f1 * gv
-    ddg[2:, 0, 0, 0] = 2.0 * f1 * gv
-    ddg[2:, 2:, 0, 0] = 2.0 * fa_gram
+    ddg = np.zeros(lead + (n, n, n, n))
+    ddg[..., 0, 0, 0, 0] = f2 * vv
+    ddg[..., 0, 2:, 0, 0] = f1_gv
+    ddg[..., 2:, 0, 0, 0] = f1_gv
+    ddg[..., 2:, 2:, 0, 0] = 2.0 * fa_gram
 
-    dddg = np.zeros((n, n, n, n, n))
-    dddg[0, 0, 0, 0, 0] = f3 * vv
-    dddg[0, 0, 2:, 0, 0] = 2.0 * f2 * gv
-    dddg[0, 2:, 0, 0, 0] = 2.0 * f2 * gv
-    dddg[2:, 0, 0, 0, 0] = 2.0 * f2 * gv
-    dddg[0, 2:, 2:, 0, 0] = 2.0 * f1 * gram
-    dddg[2:, 0, 2:, 0, 0] = 2.0 * f1 * gram
-    dddg[2:, 2:, 0, 0, 0] = 2.0 * f1 * gram
+    dddg = np.zeros(lead + (n, n, n, n, n))
+    dddg[..., 0, 0, 0, 0, 0] = f3 * vv
+    dddg[..., 0, 0, 2:, 0, 0] = f2_gv
+    dddg[..., 0, 2:, 0, 0, 0] = f2_gv
+    dddg[..., 2:, 0, 0, 0, 0] = f2_gv
+    dddg[..., 0, 2:, 2:, 0, 0] = f1_gram
+    dddg[..., 2:, 0, 2:, 0, 0] = f1_gram
+    dddg[..., 2:, 2:, 0, 0, 0] = f1_gram
     return g, dg, ddg, dddg
 
 
@@ -447,10 +454,11 @@ def metric_jet(model: ModelManifold, point: ChartPoint):
 
 @dataclass
 class CurvaturePack:
-    """Curvature data at a point. All tensors are in coordinate components,
-    Riemann and Weyl fully lowered, covariant derivatives with the
-    derivative index first. `scale` = max(1, max |R|) is the curvature scale
-    that the characteristic checks divide by."""
+    """Curvature data at a point, or at points stacked on leading axes. All
+    tensors are in coordinate components, Riemann and Weyl fully lowered,
+    covariant derivatives with the derivative index first. `scale` =
+    max(1, max |R|) is the curvature scale that the characteristic checks
+    divide by, one per point."""
 
     g: np.ndarray
     g_inv: np.ndarray
@@ -460,20 +468,41 @@ class CurvaturePack:
     scalar: float
     weyl: np.ndarray             # W[a,b,c,d] lowered
     nabla_riemann: np.ndarray    # (nabla_e R)[a,b,c,d]
+    nabla_ricci: np.ndarray      # (nabla_e Ric)[b,d]
     nabla_weyl: np.ndarray       # (nabla_e W)[a,b,c,d]
 
     @cached_property
     def scale(self) -> float:
-        return max(1.0, float(np.max(np.abs(self.riemann))))
+        # fmax, like Python's max(1.0, x), reads a NaN peak as 1
+        return np.fmax(1.0, _peak(self.riemann, 4))
+
+
+def _peak(T, order: int):
+    """max |T| over its last `order` axes: one value per stacked point."""
+    return np.max(np.abs(T), axis=tuple(range(-order, 0)))
+
+
+def _tail_transpose(T, axes):
+    """T with its last len(axes) axes permuted as np.transpose(T, axes)
+    would permute them; leading point axes stay in front."""
+    k = T.ndim - len(axes)
+    return T.transpose(*range(k), *(k + a for a in axes))
 
 
 def _kn_with_g(g, P):
     """Kulkarni-Nomizu product g /\\ P over the last two axes of P,
-    (g /\\ P)_abcd = g_ac P_bd - g_ad P_bc + P_ac g_bd - P_ad g_bc; a leading
-    axis of P (a derivative index) is carried along."""
-    X = (g[:, None, :, None] * P[..., None, :, None, :]
-         + P[..., :, None, :, None] * g[None, :, None, :])
-    return X - np.swapaxes(X, -1, -2)
+    (g /\\ P)_abcd = g_ac P_bd - g_ad P_bc + P_ac g_bd - P_ad g_bc; leading
+    axes of g and P broadcast."""
+    X = g[..., :, None, :, None] * P[..., None, :, None, :]
+    X += P[..., :, None, :, None] * g[..., None, :, None, :]
+    return X - X.swapaxes(-1, -2)
+
+
+def _lower_christoffel(dg):
+    """S[d,b,c] = d_b g_dc + d_c g_db - d_d g_bc from dg[e,a,b] = d_e g_ab,
+    over the last three axes of dg; leading axes are carried along."""
+    X = dg.swapaxes(-3, -2)
+    return X + X.swapaxes(-1, -2) - dg
 
 
 def curvature_from_jet(g, dg, ddg, dddg) -> CurvaturePack:
@@ -483,6 +512,12 @@ def curvature_from_jet(g, dg, ddg, dddg) -> CurvaturePack:
     perturbed metrics to confirm the characteristic identities fail off the
     family. The jet must be symmetric: g is symmetric, and dg, ddg and dddg
     are symmetric in their derivative slots and in their last two slots.
+
+    Points may be stacked on leading axes of every array (g of shape
+    (..., n, n)); every field of the pack then carries them. Each matrix
+    product keeps the operand shapes of one point, so NumPy makes the same
+    BLAS call per point and a stacked pack equals the per-point packs bit
+    for bit.
 
     Every contraction is one matrix product on reshaped operands (batched
     over leading axes where an index is carried along), and the
@@ -506,112 +541,126 @@ def curvature_from_jet(g, dg, ddg, dddg) -> CurvaturePack:
     that is nabla W = nabla R - (g /\\ nabla Ric) / (n - 2)
     + (nabla scal) gg / ((n - 1) (n - 2)) with gg = (g /\\ g) / 2.
     """
-    n = g.shape[0]
+    lead = g.shape[:-2]
+    n = g.shape[-1]
     n2, n3 = n * n, n * n * n
     ginv = np.linalg.inv(g)
+    g_e = g[..., None, :, :]          # broadcast over a derivative index
 
-    S = np.transpose(dg, (1, 0, 2)) + np.transpose(dg, (1, 2, 0)) - dg
-    dS = (
-        np.transpose(ddg, (0, 2, 1, 3))
-        + np.transpose(ddg, (0, 2, 3, 1))
-        - ddg
-    )
-    ddS = (
-        np.transpose(dddg, (0, 1, 3, 2, 4))
-        + np.transpose(dddg, (0, 1, 3, 4, 2))
-        - dddg
-    )
+    S, dS, ddS = (_lower_christoffel(d) for d in (dg, ddg, dddg))
 
     # Gamma^a_{bc}, its derivatives [e,a,(bc)] and [e,f,a,(bc)].
-    gam = 0.5 * (ginv @ S.reshape(n, n2))
-    dgam = ginv @ (0.5 * dS.reshape(n, n, n2) - dg @ gam)
-    dg_dgam = dg[:, None] @ dgam[None]
-    ddgam = ginv @ (
-        0.5 * ddS.reshape(n, n, n, n2)
-        - ddg @ gam
+    gam = 0.5 * (ginv @ S.reshape(lead + (n, n2)))
+    gam_e = gam[..., None, :, :]
+    dgam = ginv[..., None, :, :] @ (0.5 * dS.reshape(lead + (n, n, n2)) - dg @ gam_e)
+    dg_dgam = dg[..., :, None, :, :] @ dgam[..., None, :, :, :]
+    ddgam = ginv[..., None, None, :, :] @ (
+        0.5 * ddS.reshape(lead + (n, n, n, n2))
+        - ddg @ gam_e[..., None, :, :]
         - dg_dgam
-        - np.transpose(dg_dgam, (1, 0, 2, 3))
+        - dg_dgam.swapaxes(-4, -3)
     )
-    gamma = gam.reshape(n, n, n)
-    # Fifth-order arrays are dropped after their last use: held to the end,
-    # they would set the peak memory of a verify-model run.
-    del ddS, dg_dgam
+    gamma = gam.reshape(lead + (n, n, n))
+    # Arrays of order four and five are dropped after their last use: held
+    # to the end, they would set the peak memory of a verify-model run.
+    del dS, ddS, dg_dgam
 
     # R^a_{bcd} = K[a,b,c,d] - K[a,b,d,c] with
     # K = d_c Gamma^a_{db} + Gamma^a_{cx} Gamma^x_{db}; likewise its derivative.
-    quad = (gamma.reshape(n2, n) @ gam).reshape(n, n, n, n)           # [a,c,d,b]
-    K = (np.transpose(dgam.reshape(n, n, n, n), (1, 3, 0, 2))
-         + np.transpose(quad, (0, 3, 1, 2)))
-    r_up = K - np.swapaxes(K, 2, 3)
-    dquad = ((dgam.reshape(n3, n) @ gam).reshape(n, n, n, n, n)
-             + (gamma.reshape(n2, n) @ dgam.reshape(n, n, n2)).reshape(n, n, n, n, n))
-    dK = (np.transpose(ddgam.reshape(n, n, n, n, n), (0, 2, 4, 1, 3))
-          + np.transpose(dquad, (0, 1, 4, 2, 3)))
-    dr_up = dK - np.swapaxes(dK, 3, 4)
-    del ddgam, dquad, dK
+    gam_rows = gam.reshape(lead + (n2, n))                           # [(a,c), x]
+    quad = (gam_rows @ gam).reshape(lead + (n, n, n, n))             # [a,c,d,b]
+    K = (_tail_transpose(dgam.reshape(lead + (n, n, n, n)), (1, 3, 0, 2))
+         + _tail_transpose(quad, (0, 3, 1, 2)))
+    r_up = K - K.swapaxes(-2, -1)
+    del quad, K
+    dquad = ((dgam.reshape(lead + (n3, n)) @ gam).reshape(lead + (n, n, n, n, n))
+             + (gam_rows[..., None, :, :] @ dgam.reshape(lead + (n, n, n2)))
+             .reshape(lead + (n, n, n, n, n)))
+    dK = (_tail_transpose(ddgam.reshape(lead + (n, n, n, n, n)), (0, 2, 4, 1, 3))
+          + _tail_transpose(dquad, (0, 1, 4, 2, 3)))
+    dr_up = dK - dK.swapaxes(-2, -1)
+    del dgam, ddgam, dquad, dK
 
-    r_flat = r_up.reshape(n, n3)
-    riem = (g @ r_flat).reshape(n, n, n, n)
-    ric = np.trace(r_up, axis1=0, axis2=2)
-    scal = float(np.vdot(ginv, ric))
-    weyl = riem - _kn_with_g(g, (ric - scal / (2 * (n - 1)) * g) / (n - 2))
+    r_flat = r_up.reshape(lead + (n, n3))
+    riem = (g @ r_flat).reshape(lead + (n, n, n, n))
+    ric = np.trace(r_up, axis1=-4, axis2=-2)
+    scal = (ginv.reshape(lead + (1, n2)) @ ric.reshape(lead + (n2, 1)))[..., 0, 0][()]
+    schouten = (ric - scal[..., None, None] / (2 * (n - 1)) * g) / (n - 2)
+    weyl = riem - _kn_with_g(g, schouten)
 
     # nabla_e R_abcd = d_e R_abcd - Gamma^x_{e.} R with x in each slot in turn.
-    nabla_riem = ((dg.reshape(n2, n) @ r_flat).reshape(n, n, n3)
-                  + g @ dr_up.reshape(n, n, n3)).reshape(n, n, n, n, n)
+    nabla_riem = ((dg.reshape(lead + (n2, n)) @ r_flat).reshape(lead + (n, n, n3))
+                  + g_e @ dr_up.reshape(lead + (n, n, n3)))
+    nabla_riem = nabla_riem.reshape(lead + (n, n, n, n, n))
     del dr_up
-    gamma_t = gam.T                                                   # [(e,i), x]
+    gamma_t = gam.swapaxes(-1, -2)                                   # [(e,i), x]
     for slot in range(4):
-        term = gamma_t @ np.moveaxis(riem, slot, 0).reshape(n, n3)
-        nabla_riem -= np.moveaxis(term.reshape(n, n, n, n, n), 1, slot + 1)
+        term = gamma_t @ np.moveaxis(riem, slot - 4, -4).reshape(lead + (n, n3))
+        nabla_riem -= np.moveaxis(term.reshape(lead + (n, n, n, n, n)), -4, slot - 4)
+    del term
 
-    nabla_ric = np.tensordot(nabla_riem, ginv, axes=([1, 3], [0, 1]))  # [e,b,d]
-    nabla_scal = nabla_ric.reshape(n, n2) @ ginv.reshape(n2)
+    ginv_col = ginv.reshape(lead + (n2, 1))
+    nabla_ric = (_tail_transpose(nabla_riem, (0, 2, 4, 1, 3)).reshape(lead + (n3, n2))
+                 @ ginv_col).reshape(lead + (n, n, n))                # [e,b,d]
+    nabla_scal = (nabla_ric.reshape(lead + (n, n2)) @ ginv_col)[..., 0]
     nabla_schouten = (nabla_ric
-                      - nabla_scal[:, None, None] / (2 * (n - 1)) * g) / (n - 2)
+                      - nabla_scal[..., None, None] / (2 * (n - 1)) * g_e) / (n - 2)
 
     return CurvaturePack(
         g=g, g_inv=ginv, christoffel=gamma, riemann=riem, ricci=ric,
-        scalar=scal, weyl=weyl, nabla_riemann=nabla_riem,
-        nabla_weyl=nabla_riem - _kn_with_g(g, nabla_schouten),
+        scalar=scal, weyl=weyl, nabla_riemann=nabla_riem, nabla_ricci=nabla_ric,
+        nabla_weyl=nabla_riem - _kn_with_g(g_e, nabla_schouten),
     )
 
 
 def curvature_at(model: ModelManifold, point: ChartPoint) -> CurvaturePack:
-    """Curvature of the model metric at a chart point."""
+    """Curvature of the model metric at a chart point, or at points stacked
+    on leading axes (bit-identical to evaluating them one by one)."""
     return curvature_from_jet(*metric_jet(model, point))
 
 
 # ---------------------------------------------------------------------------
 # characteristic checks
 # ---------------------------------------------------------------------------
+#
+# Each check reads a pack, and a point where the check needs one, and gives
+# one value per point: a float for a single point, an array of the leading
+# shape for stacked points.
 
 def parallel_weyl_residual(pack: CurvaturePack) -> float:
     """max |nabla W| relative to the curvature scale; 0 on the model family."""
-    return float(np.max(np.abs(pack.nabla_weyl))) / pack.scale
+    return _peak(pack.nabla_weyl, 5) / pack.scale
 
 
 def nabla_riemann_norm(pack: CurvaturePack) -> float:
     """max |nabla R| relative to the curvature scale; strictly positive off
     local symmetry, which is what separates these models from symmetric
     spaces."""
-    return float(np.max(np.abs(pack.nabla_riemann))) / pack.scale
+    return _peak(pack.nabla_riemann, 5) / pack.scale
 
 
-def ricci_profile_residual(model: ModelManifold, point: ChartPoint,
-                           pack: CurvaturePack) -> float:
-    """Residual of Ric = (2 - n) f dt x dt at the point."""
+def ricci_profile_residuals(model: ModelManifold, point: ChartPoint,
+                            pack: CurvaturePack) -> dict:
+    """Residuals of Ric = (2 - n) f dt x dt and, since dt is parallel
+    (Gamma^t_ab = 0), of nabla Ric = (2 - n) f' dt x dt x dt, each relative
+    to max(1, |its closed-form entry|). The second reads the third metric
+    derivatives, which Ric and nabla W do not constrain."""
     n = model.dim
-    expected = np.zeros((n, n))
-    expected[0, 0] = (2.0 - n) * float(model.profile.value(point.t))
-    scale = max(1.0, float(np.max(np.abs(expected))))
-    return float(np.max(np.abs(pack.ricci - expected))) / scale
+    ric = np.zeros(pack.ricci.shape)
+    ric[..., 0, 0] = (2.0 - n) * model.profile.value(point.t)
+    nabla_ric = np.zeros(pack.nabla_ricci.shape)
+    nabla_ric[..., 0, 0, 0] = (2.0 - n) * model.profile.derivative(point.t, 1)
+    return {
+        "ricci": _peak(pack.ricci - ric, 2) / np.fmax(1.0, _peak(ric, 2)),
+        "nabla_ricci": (_peak(pack.nabla_ricci - nabla_ric, 3)
+                        / np.fmax(1.0, _peak(nabla_ric, 3))),
+    }
 
 
 def weyl_nonzero_norm(pack: CurvaturePack) -> float:
     """max |W| relative to curvature scale; bounded away from 0 on the family
     because the Weyl V-block is the nonzero endomorphism A."""
-    return float(np.max(np.abs(pack.weyl))) / pack.scale
+    return _peak(pack.weyl, 4) / pack.scale
 
 
 def christoffel_pattern_residual(pack: CurvaturePack) -> float:
@@ -621,7 +670,7 @@ def christoffel_pattern_residual(pack: CurvaturePack) -> float:
     Christoffel symbol involve t. This is the structural fact behind the
     leaves being flat and totally geodesic with exp = coordinate addition.
     """
-    return float(np.max(np.abs(pack.christoffel[:, 1:, 1:])))
+    return _peak(pack.christoffel[..., :, 1:, 1:], 3)
 
 
 def weyl_tidal_operator(model: ModelManifold, point: ChartPoint,
@@ -634,7 +683,7 @@ def weyl_tidal_operator(model: ModelManifold, point: ChartPoint,
     1-form g(2 d/ds, .), i.e. dt(u) = u^t, so the operator is the V-block of
     W^a_{ttd}. Only pack is read.
     """
-    return (pack.g_inv @ pack.weyl[:, 0, 0, :])[2:, 2:]
+    return (pack.g_inv @ pack.weyl[..., :, 0, 0, :])[..., 2:, 2:]
 
 
 def olszak_span_check(pack: CurvaturePack) -> dict:
@@ -645,13 +694,12 @@ def olszak_span_check(pack: CurvaturePack) -> dict:
     dt_residual: the 1-form g(2 d/ds, .) equals dt entrywise.
     """
     g = pack.g
-    n = g.shape[0]
-    dt = np.zeros(n)
+    dt = np.zeros(g.shape[-1])
     dt[0] = 1.0
     return {
-        "null_residual": abs(float(g[1, 1])),
-        "parallel_residual": float(np.max(np.abs(pack.christoffel[:, :, 1]))),
-        "dt_residual": float(np.max(np.abs(2.0 * g[1, :] - dt))),
+        "null_residual": np.abs(g[..., 1, 1]),
+        "parallel_residual": _peak(pack.christoffel[..., :, :, 1], 2),
+        "dt_residual": _peak(2.0 * g[..., 1, :] - dt, 1),
     }
 
 
@@ -660,21 +708,18 @@ def curvature_identity_residuals(pack: CurvaturePack) -> dict:
     internal consistency oracle for the jet pipeline."""
     R = pack.riemann
     scale = pack.scale
-    pair_sym = float(np.max(np.abs(R - np.transpose(R, (2, 3, 0, 1)))))
-    skew_ab = float(np.max(np.abs(R + np.transpose(R, (1, 0, 2, 3)))))
-    skew_cd = float(np.max(np.abs(R + np.transpose(R, (0, 1, 3, 2)))))
-    first_bianchi = float(np.max(np.abs(
-        R + np.transpose(R, (0, 2, 3, 1)) + np.transpose(R, (0, 3, 1, 2))
-    )))
+    lead = R.shape[:-4]
+    n2 = R.shape[-1] ** 2
+    pair_sym = _peak(R - _tail_transpose(R, (2, 3, 0, 1)), 4)
+    skew_ab = _peak(R + R.swapaxes(-4, -3), 4)
+    skew_cd = _peak(R + R.swapaxes(-2, -1), 4)
+    first_bianchi = _peak(
+        R + _tail_transpose(R, (0, 2, 3, 1)) + _tail_transpose(R, (0, 3, 1, 2)), 4)
     nR = pack.nabla_riemann
-    second_bianchi = float(np.max(np.abs(
-        nR
-        + np.transpose(nR, (3, 1, 2, 4, 0))
-        + np.transpose(nR, (4, 1, 2, 0, 3))
-    )))
-    w_trace = float(np.max(np.abs(
-        np.tensordot(pack.weyl, pack.g_inv, axes=([1, 3], [0, 1]))
-    )))
+    second_bianchi = _peak(nR + _tail_transpose(nR, (3, 1, 2, 4, 0))
+                           + _tail_transpose(nR, (4, 1, 2, 0, 3)), 5)
+    w_trace = _peak(pack.weyl.swapaxes(-3, -2).reshape(lead + (n2, n2))
+                    @ pack.g_inv.reshape(lead + (n2, 1)), 2)
     return {
         "pair_symmetry": pair_sym / scale,
         "skew_first_pair": skew_ab / scale,

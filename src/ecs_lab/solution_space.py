@@ -102,9 +102,9 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol):
     for operation: its initial step choice, steps, error norm and
     interpolant terms. It keeps no solver or dense-output objects. Returns
     SciPy's nfev (the three extra interpolation stages of every step
-    included), status (0, or -1 when the step size underflows), success
-    and message, the end state y_end and one row per step, in the order
-    the steps were taken: its end t, t_old, h, y_old and the seven
+    included), status (0, or -1 when the step size underflows or is NaN),
+    success and message, the end state y_end and one row per step, in the
+    order the steps were taken: its end t, t_old, h, y_old and the seven
     interpolant terms (steps, 7, n) in SciPy's order, each bit-identical
     to what SciPy's Dop853DenseOutput of the step holds. `_StepTable`
     reads the rows at any time.
@@ -160,6 +160,9 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol):
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:
+            if h_abs != h_abs:    # a NaN step fails no comparison
+                return result(-1, "Step size is NaN: the start state or its "
+                                  "right-hand side is not finite.")
             if h_abs < min_step:
                 return result(-1, "Required step size is less than spacing "
                                   "between numbers.")

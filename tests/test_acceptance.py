@@ -58,7 +58,7 @@ from ecs_lab.model_geometry import (
     nabla_riemann_norm,
     parallel_weyl_residual,
     random_chart_point,
-    ricci_profile_residual,
+    ricci_profile_residuals,
     weyl_nonzero_norm,
     weyl_tidal_operator,
 )
@@ -143,7 +143,7 @@ def test_ac02_ricci_profile(curvature_survey, capsys):
     worst = 0.0
     for entry, recs in rows:
         for pt, pack in recs:
-            worst = max(worst, ricci_profile_residual(entry.model, pt, pack))
+            worst = max(worst, ricci_profile_residuals(entry.model, pt, pack)["ricci"])
     ok = worst < 1e-9
     _conclude(
         capsys,

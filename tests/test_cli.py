@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import ecs_lab.cli as cli
+import ecs_lab.model_geometry as model_geometry
 from ecs_lab.cli import TASK_PARAMS, build_model, main
 from ecs_lab.geodesics import energy_report, geodesic, t_affinity_report
 from ecs_lab.homogeneous import HomogeneousModel, sample_isometries
@@ -693,6 +694,30 @@ class TestPlantedFaults:
         assert code == 1
         assert [row["anchor"] for row in report["checks"] if not row["pass"]] == [
             "variation.terminal-geodesic"]
+
+
+    @pytest.mark.parametrize("name", ["homogeneous_m2", "polynomial_m3"])
+    def test_scaled_third_jet_fails_ricci_profile(self, tmp_path, monkeypatch, name):
+        # Scaling the third metric derivatives keeps nabla R pure trace, so
+        # nabla W stays 0 and Ric does not read them; only the nabla Ric
+        # part of the Ricci row compares them with a closed form.
+        payload = json.loads((SCENARIOS / f"{name}.json").read_text())
+        payload["tasks"] = [t for t in payload["tasks"] if t["task"] == "verify-model"]
+        code, report = run_cli(tmp_path, payload)
+        assert code == 0
+        metric_jet = model_geometry.metric_jet
+
+        def scaled(model, point):
+            g, dg, ddg, dddg = metric_jet(model, point)
+            return g, dg, ddg, dddg * (1 + 1e-6)
+
+        monkeypatch.setattr(model_geometry, "metric_jet", scaled)
+        code, report = run_cli(tmp_path, payload, report_name="faulty.json")
+        assert code == 1
+        [row] = [r for r in report["checks"] if not r["pass"]]
+        assert row["anchor"] == "curvature.ricci-profile"
+        assert row["detail"]["ricci"] < 1e-12
+        assert row["detail"]["nabla_ricci"] > 1e-7
 
 
 class TestLargeC:

@@ -7,6 +7,7 @@ fields with geodesic endpoint curves, and the straightening of transverse
 null geodesics by a Heisenberg isometry."""
 
 import importlib.util
+import time
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +47,13 @@ from ecs_lab.model_geometry import (
     random_chart_point,
 )
 from ecs_lab.pseudo_linear import PseudoEuclideanSpace
-from ecs_lab.solution_space import ENDPOINT_BARRIER, CauchyFlow, _StepTable, solution_at
+from ecs_lab.solution_space import (
+    ENDPOINT_BARRIER,
+    CauchyFlow,
+    IntegrationError,
+    _StepTable,
+    solution_at,
+)
 
 
 def random_velocity(model, rng, transverse=True):
@@ -124,6 +131,20 @@ class TestIntegratorPolicy:
         kinds = [tracer.RHS_KINDS.get(name) for name, _, _ in runs[:4]]
         assert kinds == ["geodesic"] * 4
 
+
+    def test_nan_start_state_ends_the_run(self):
+        # The right-hand side at this start is [1, 0, 0.1, 0.1, 0.1, 0, nan,
+        # inf, inf, inf], so the first step size is NaN. The run must end with
+        # status -1 instead of retrying a NaN step without end.
+        with np.errstate(all="ignore"):
+            model = ModelManifold.ecs(PseudoEuclideanSpace(np.diag([1.0, 1.0, -1.0])),
+                                      np.diag([1.0, 2.0, -3.0]),
+                                      PolynomialProfile([0, 1e300, 0, 1e300]))
+            start = time.perf_counter()
+            with pytest.raises(IntegrationError, match="Step size is NaN"):
+                geodesic(model, ChartPoint(1e3, 0.0, np.zeros(3)),
+                         np.array([1.0, 0.0, 0.1, 0.1, 0.1]), (0.0, 1.0))
+        assert time.perf_counter() - start < 1.0
 
 class TestStepperMatchesScipy:
     """The package's DOP853 (`solution_space.solve_ivp`) repeats SciPy's

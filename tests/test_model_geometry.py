@@ -9,10 +9,12 @@ that each identity genuinely fails off the family.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import ecs_lab.cli as cli
 from ecs_lab.model_geometry import (
     ChartPoint,
     CurvaturePack,
@@ -31,7 +33,7 @@ from ecs_lab.model_geometry import (
     olszak_span_check,
     parallel_weyl_residual,
     random_chart_point,
-    ricci_profile_residual,
+    ricci_profile_residuals,
     weyl_nonzero_norm,
     weyl_tidal_operator,
 )
@@ -161,16 +163,17 @@ def reference_curvature_from_jet(g, dg, ddg, dddg) -> CurvaturePack:
             - np.einsum("xed,abcx->eabcd", gamma, T)
         )
 
+    nabla_riem = nabla04(riem, driem)
     return CurvaturePack(
         g=g, g_inv=ginv, christoffel=gamma, riemann=riem, ricci=ric,
-        scalar=scal, weyl=weyl,
-        nabla_riemann=nabla04(riem, driem),
+        scalar=scal, weyl=weyl, nabla_riemann=nabla_riem,
+        nabla_ricci=np.einsum("ac,eabcd->ebd", ginv, nabla_riem),
         nabla_weyl=nabla04(weyl, dweyl),
     )
 
 
 PACK_FIELDS = ("g", "g_inv", "christoffel", "riemann", "ricci", "scalar",
-               "weyl", "nabla_riemann", "nabla_weyl")
+               "weyl", "nabla_riemann", "nabla_ricci", "nabla_weyl")
 
 
 def pack_distance(got, want):
@@ -194,6 +197,19 @@ def perturbed_jet(jet, rng, eps):
     random tensor with the jet's symmetries."""
     return tuple(J + eps * symmetrized(rng.standard_normal(J.shape), k)
                  for k, J in enumerate(jet))
+
+
+def stacked(points):
+    """The chart points stacked on one leading axis."""
+    return ChartPoint(*(np.array([getattr(pt, key) for pt in points]) for key in "tsv"))
+
+
+def assert_stack_of(got, per_point, fields):
+    """Each field of the stacked result equals the per-point results bit for
+    bit."""
+    for name in fields:
+        want = np.stack([np.asarray(getattr(p, name)) for p in per_point])
+        assert np.array_equal(np.asarray(getattr(got, name)), want), name
 
 
 def polynomial_model(n):
@@ -496,7 +512,8 @@ class TestCurvatureIdentities:
                 pt = random_chart_point(entry.model, rng)
                 pack = curvature_at(entry.model, pt)
                 assert parallel_weyl_residual(pack) < 1e-9
-                assert ricci_profile_residual(entry.model, pt, pack) < 1e-9
+                residuals = ricci_profile_residuals(entry.model, pt, pack)
+                assert max(residuals.values()) < 1e-9
                 assert nabla_riemann_norm(pack) > 1e-4
                 assert weyl_nonzero_norm(pack) > 1e-6
 
@@ -548,6 +565,90 @@ class TestAgainstEinsumReference:
             assert pack_distance(got, reference_curvature_from_jet(*jet)) < self.TOL
             assert parallel_weyl_residual(got) < 1e-9
 
+    @pytest.mark.parametrize("kind", ["roster", "perturbed", "n12"])
+    def test_stacked_points_equal_per_point_calls(self, roster, kind):
+        # Every matrix product keeps the operand shapes of one point, so a
+        # stack must reproduce the per-point results exactly, not to rounding.
+        rng = np.random.default_rng(74)
+        models = [polynomial_model(12)] if kind == "n12" else [e.model for e in roster]
+        for model in models:
+            count = 3 if kind == "n12" else 6
+            points = [random_chart_point(model, rng) for _ in range(count)]
+            jets = [metric_jet(model, pt) for pt in points]
+            stacked_jet = metric_jet(model, stacked(points))
+            for order in range(4):
+                assert np.array_equal(stacked_jet[order],
+                                      np.stack([jet[order] for jet in jets]))
+            if kind == "perturbed":
+                jets = [perturbed_jet(jet, rng, 0.05) for jet in jets]
+                stacked_jet = tuple(np.stack(arrays) for arrays in zip(*jets))
+            assert_stack_of(curvature_from_jet(*stacked_jet),
+                            [curvature_from_jet(*jet) for jet in jets],
+                            PACK_FIELDS)
+
+    def test_verify_model_rows_equal_a_per_point_fold(self, roster):
+        # The task evaluates blocks of stacked points; its rows must equal the
+        # fold of one-point evaluations drawn from the same stream.
+        for entry in roster[::2] + roster[1:2]:       # n = 4, 5, 7 and n4-homog
+            model = entry.model
+            rows = {row["anchor"]: row for row in cli.task_verify_model(
+                model, {"points": 7}, np.random.default_rng(75))}
+            rng = np.random.default_rng(75)
+            lows, highs = [], []
+            for _ in range(7):
+                pt = random_chart_point(model, rng)
+                pack = curvature_at(model, pt)
+                ricci = ricci_profile_residuals(model, pt, pack)
+                lows.append([nabla_riemann_norm(pack), weyl_nonzero_norm(pack)])
+                highs.append([
+                    max(ricci.values()), abs(pack.scalar),
+                    parallel_weyl_residual(pack), christoffel_pattern_residual(pack),
+                    np.max(np.abs(weyl_tidal_operator(model, pt, pack) - model.A)),
+                    max(olszak_span_check(pack).values()),
+                    max(curvature_identity_residuals(pack).values())])
+            want = dict(zip(["curvature.nonparallel-riemann", "curvature.weyl-nonzero"],
+                            np.min(lows, axis=0)))
+            want.update(zip(["curvature.ricci-profile", "curvature.scalar-zero",
+                             "curvature.parallel-weyl", "curvature.leaf-christoffel",
+                             "curvature.tidal-endomorphism", "curvature.olszak-line",
+                             "curvature.bianchi"], np.max(highs, axis=0)))
+            assert {anchor: rows[anchor]["value"] for anchor in want} == want
+
+
+class TestStackedMemory:
+    """verify-model stacks max(1, 2**14 // n**5) points per block, so that no
+    fifth-order array of a block is larger than one n = 7 point's."""
+
+    @staticmethod
+    def traced_peak(model, point):
+        tracemalloc.start()
+        try:
+            curvature_at(model, point)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_block_peak_is_that_of_one_n7_point(self, roster):
+        rng = np.random.default_rng(76)
+        by_dim = {entry.model.dim: entry.model for entry in roster[::2]}
+        one_n7 = self.traced_peak(by_dim[7], random_chart_point(by_dim[7], rng))
+        for n, size in ((4, 16), (5, 5)):
+            block = stacked([random_chart_point(by_dim[n], rng) for _ in range(size)])
+            assert self.traced_peak(by_dim[n], block) <= 1.1 * one_n7
+
+    @pytest.mark.parametrize("n,size", [(4, 16), (5, 5), (7, 1), (8, 1)])
+    def test_task_block_sizes(self, monkeypatch, n, size):
+        shapes = []
+
+        def recorder(model, point):
+            shapes.append(np.shape(point.t))
+            return curvature_at(model, point)
+
+        monkeypatch.setattr(cli, "curvature_at", recorder)
+        cli.task_verify_model(polynomial_model(n), {"points": 20},
+                              np.random.default_rng(77))
+        assert shapes == [(size,)] * (20 // size) + [(20 % size,)] * (20 % size > 0)
+
 
 class TestNegativeControls:
     """Each identity must fail when its hypothesis is removed."""
@@ -558,7 +659,8 @@ class TestNegativeControls:
                               PolynomialProfile([0.0, 1.0]),
                               (-np.inf, np.inf))
         pt = ChartPoint(0.8, 0.0, np.array([0.7, -0.4]))
-        assert ricci_profile_residual(model, pt, curvature_at(model, pt)) > 1e-3
+        residuals = ricci_profile_residuals(model, pt, curvature_at(model, pt))
+        assert residuals["ricci"] > 1e-3
 
     def test_zero_A_kills_weyl(self):
         space = PseudoEuclideanSpace(np.eye(2))
