@@ -37,7 +37,6 @@ import json
 import os
 import platform
 import sys
-from contextlib import suppress
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -84,6 +83,8 @@ from .isometry_group import (
     pullback_residual,
     s_membership,
     sigma_det_residual,
+    sigma_matrices,
+    stack_elements,
     straightening_element,
 )
 from .model_geometry import (
@@ -355,6 +356,11 @@ def _task_params(entry) -> dict:
 # stacked points: 16 at n = 4, 5 at n = 5 and 1 from n = 7 on. No fifth-order
 # array of a block then holds more doubles than one n = 7 point's (7**5), so
 # stacking leaves the peak memory where one point at a time puts it.
+# isometry-check moves its points by blocks of
+# max(1, _BLOCK_DOUBLES // (points * (2m)**2)) elements, whose flow matrices
+# then hold no more doubles than the same bound, or than one element's where
+# those are more: at 20 points, 51 elements at m = 2, 22 at m = 3, 8 at m = 5
+# and 1 from m = 11 on.
 _BLOCK_DOUBLES = 2 ** 14
 
 
@@ -458,44 +464,93 @@ def task_spectra(model: ModelManifold, params: dict,
     return rows
 
 
-def task_isometry_check(model: ModelManifold, params: dict,
-                        rng: np.random.Generator) -> list[dict]:
-    n_elements, n_points = params["elements"], params["points"]
+def _by_blocks(indices: list[int], size: int, run) -> list[int]:
+    """run(block) on consecutive blocks of at most `size` of the indices, in
+    order; returns the indices whose run succeeded. A block whose run meets a
+    sample failure runs again one index at a time, so only the samples that
+    fail alone drop out."""
+    done = []
+    for i in range(0, len(indices), size):
+        block = indices[i:i + size]
+        try:
+            run(block)
+            done.extend(block)
+        except _SAMPLE_FAILURES:
+            if len(block) > 1:
+                done.extend(_by_blocks(block, 1, run))
+    return done
+
+
+def _isometry_values(model: ModelManifold, n_elements: int, n_points: int,
+                     rng: np.random.Generator) -> dict[str, np.ndarray]:
+    """isometry-check's values, one row per sampled element (per pair for
+    "compat" and "composed", the composed images)."""
     elems = sample_isometries(model, rng, n_elements)
     pts = np.array([random_chart_point(model, rng).coords() for _ in range(n_points)])
-    # A value stays NaN when a flow lookup it needs fails, and worst() picks
+    pairs = [[(random_solution(model, rng), random_solution(model, rng))
+              for _ in range(3)] for _ in range(n_elements)]
+    member = np.array([max(s_membership(model, g.sigma).values()) for g in elems])
+    size = max(1, _BLOCK_DOUBLES // (n_points * (2 * model.m) ** 2))
+
+    def points_for(block):
+        return np.broadcast_to(pts, (len(block),) + pts.shape)
+
+    # Each check runs on the elements whose earlier checks got through. A
+    # value stays NaN when a flow lookup it needs fails, and worst() picks
     # NaN first, so the element fails its rows.
-    member = np.zeros(n_elements)
     omega_res = np.full(n_elements, np.nan)
     det = np.full(n_elements, np.nan)
     pull = np.full((n_elements, n_points), np.nan)
     images = np.full((n_elements, n_points, model.dim), np.nan)
     inverse = np.full(n_elements, np.nan)
     ident = iso_identity(model)
-    for k, g in enumerate(elems):
-        member[k] = max(s_membership(model, g.sigma).values())
-        pairs = [(random_solution(model, rng), random_solution(model, rng))
-                 for _ in range(3)]
-        with suppress(*_SAMPLE_FAILURES):
-            omega_res[k] = omega_scaling_residual(model, g.sigma, pairs)
-            det[k] = sigma_det_residual(model, g.sigma)
-            pull[k], images[k] = pullback_residual(model, g, pts)
-            g_inv = iso_inverse(model, g)
-            inverse[k] = max(iso_distance(iso_compose(model, g, g_inv), ident),
-                             iso_distance(iso_compose(model, g_inv, g), ident))
+
+    def sigma_checks(block):
+        # One lookup for every sigma matrix; the checks then reuse them.
+        sigma_matrices(model, [elems[k].sigma for k in block])
+        for k in block:
+            omega_res[k] = omega_scaling_residual(model, elems[k].sigma, pairs[k])
+            det[k] = sigma_det_residual(model, elems[k].sigma)
+
+    def pullbacks(block):
+        pull[block], images[block] = pullback_residual(
+            model, stack_elements([elems[k] for k in block]), points_for(block))
+
+    def inverse_law(block):
+        [k] = block
+        g = elems[k]
+        g_inv = iso_inverse(model, g)
+        inverse[k] = max(iso_distance(iso_compose(model, g, g_inv), ident),
+                         iso_distance(iso_compose(model, g_inv, g), ident))
+
+    checked = _by_blocks(list(range(n_elements)), n_elements, sigma_checks)
+    _by_blocks(_by_blocks(checked, size, pullbacks), 1, inverse_law)
+
     # Pair (g, h) = elements (2i, 2i + 1); h(x) is already in images, unless
     # h's lookups failed.
     n_pairs = n_elements // 2
     compat = np.full((n_pairs, n_points), np.nan)
     composed = np.full((n_pairs, n_points, model.dim), np.nan)
-    for i in range(n_pairs):
-        g, h = elems[2 * i], elems[2 * i + 1]
-        if np.isnan(images[2 * i + 1]).any():
-            continue
-        with suppress(*_SAMPLE_FAILURES):
-            composed[i] = iso_apply(model, iso_compose(model, g, h), pts)
-            compat[i] = np.max(np.abs(composed[i] - iso_apply(model, g, images[2 * i + 1])),
-                               axis=-1)
+
+    def compose_apply(block):
+        products = [iso_compose(model, elems[2 * i], elems[2 * i + 1]) for i in block]
+        composed[block] = iso_apply(model, stack_elements(products), points_for(block))
+
+    def stepwise(block):
+        gs = stack_elements([elems[2 * i] for i in block])
+        moved = iso_apply(model, gs, images[[2 * i + 1 for i in block]])
+        compat[block] = np.max(np.abs(composed[block] - moved), axis=-1)
+
+    live = [i for i in range(n_pairs) if not np.isnan(images[2 * i + 1]).any()]
+    _by_blocks(_by_blocks(live, size, compose_apply), size, stepwise)
+    return {"member": member, "pull": pull, "compat": compat, "composed": composed,
+            "inverse": inverse, "omega": omega_res, "det": det}
+
+
+def task_isometry_check(model: ModelManifold, params: dict,
+                        rng: np.random.Generator) -> list[dict]:
+    n_points = params["points"]
+    sampled = _isometry_values(model, params["elements"], n_points, rng)
 
     def worst(values, scale_of=None, stride=1):
         """The largest value and its element (row index times stride) and
@@ -514,18 +569,18 @@ def task_isometry_check(model: ModelManifold, params: dict,
 
     return [
         check("structural membership residuals",
-              "isometry.membership", *worst(member)),
+              "isometry.membership", *worst(sampled["member"])),
         check(f"metric pullback over {n_points} points",
-              "isometry.pullback", *worst(pull)),
+              "isometry.pullback", *worst(sampled["pull"])),
         check("composition law matches composed action",
               "isometry.action-compatibility",
-              *worst(compat, composed, stride=2)),
+              *worst(sampled["compat"], sampled["composed"], stride=2)),
         check("g g^-1 = g^-1 g = id",
-              "isometry.inverse", *worst(inverse)),
+              "isometry.inverse", *worst(sampled["inverse"])),
         check("pairing rescales by 1/q",
-              "isometry.omega-scaling", *worst(omega_res)),
+              "isometry.omega-scaling", *worst(sampled["omega"])),
         check("determinant on solutions is q^(2-n)",
-              "isometry.determinant-power", *worst(det)),
+              "isometry.determinant-power", *worst(sampled["det"])),
     ]
 
 

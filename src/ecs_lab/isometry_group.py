@@ -21,11 +21,14 @@ sigma . u = C u((. - p)/q) on solutions:
 The solution part u is a plain (2m,) array of Cauchy data at the model's
 base time, as in solution_space, so u + sigma . u' is array addition. In
 those coordinates sigma . is one matrix, `sigma_matrix`, and `sigma_act`
-applies it. The matrix costs a flow lookup, and one sigma acts many times
-(in its checks, its inverse and every product it enters), so an SElement
-keeps its matrix, read-only, for the model it was last asked about. Omega
-rescales under sigma by q^{-1} and the action of sigma on E has determinant
-q^{2 - n}; both show up as checks on that matrix here and in tests.
+applies it. One sigma acts many times (in its checks, its inverse and every
+product it enters), so an SElement keeps its matrix, read-only, for the
+model it was last asked about. `sigma_matrices` fills the matrices of many
+elements from one flow lookup of their source times; `sigma_matrix` is its
+case of one. A sigma that fixes the base time (q = 1, p = +-0) needs no
+lookup at all, since the flow there is the identity. Omega rescales under
+sigma by q^{-1} and the action of sigma on E has determinant q^{2 - n};
+both show up as checks on that matrix here and in tests.
 
 The Jacobian of the action is computed analytically (the map is affine in
 (s, v) and its t-derivative only needs u'' = (f + A) u), which keeps
@@ -34,15 +37,22 @@ accuracy.
 
 The action works on chart coordinates x = (t, s, v) stacked on leading
 axes, shape (..., n), so one call moves a whole point set; a single point
-is its `ChartPoint.coords()`. Each point costs one flow lookup of
-(u(T), u'(T)): `pullback_residual` shares it between the image and the
-Jacobian and returns the images, so a caller that needs Phi x as well does
-not look u up again.
+is its `ChartPoint.coords()`. Elements stack too: `stack_elements` puts k
+elements on a leading axis, and `iso_apply`, `iso_jacobian` and
+`pullback_residual` then move points x of shape (k, P, n), element i moving
+x[i]. A single element is the case in which (q, p, C, r, u) broadcast as
+they are; every product keeps one element's operand shapes, so a stacked
+call equals the k one-element calls bit for bit. One call costs one flow
+lookup of (u(T), u'(T)) for all its elements and points:
+`pullback_residual` shares it between the image and the Jacobian and
+returns the images, so a caller that needs Phi x as well does not look u
+up again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -86,6 +96,34 @@ class IsoElement:
         self.u = np.asarray(self.u, dtype=float).reshape(-1)
 
 
+class IsoStack(NamedTuple):
+    """(q, p, C, r, u) of k elements stacked on a leading axis, shaped to
+    broadcast over one point axis: q, p and r (k, 1), C (k, 1, m, m) and
+    u (k, 1, 2m)."""
+
+    q: np.ndarray
+    p: np.ndarray
+    C: np.ndarray
+    r: np.ndarray
+    u: np.ndarray
+
+
+def stack_elements(elems: Sequence[IsoElement]) -> IsoStack:
+    """The elements stacked, to move points x of shape (k, P, n) in one call."""
+    return IsoStack(np.array([[g.sigma.q] for g in elems]),
+                    np.array([[g.sigma.p] for g in elems]),
+                    np.array([[g.sigma.C] for g in elems]),
+                    np.array([[g.r] for g in elems]),
+                    np.array([[g.u] for g in elems]))
+
+
+def _parts(g: IsoElement | IsoStack):
+    """(q, p, C, r, u): a stack's arrays, or one element's own values."""
+    if isinstance(g, IsoStack):
+        return g
+    return g.sigma.q, g.sigma.p, g.sigma.C, g.r, g.u
+
+
 def s_membership(model: ModelManifold, elem: SElement) -> dict:
     """Residuals of the three structural conditions on (q, p, C).
 
@@ -122,30 +160,53 @@ def s_membership(model: ModelManifold, elem: SElement) -> dict:
     }
 
 
-def sigma_matrix(model: ModelManifold, elem: SElement) -> np.ndarray:
-    """Matrix of the induced action (sigma . u)(t) = C u((t - p)/q) on E in
-    Cauchy coordinates: the model's flow to (t0 - p)/q from its base time
-    t0, then C on values and C/q on derivatives (the chain rule divides by
-    q).
+def sigma_matrices(model: ModelManifold,
+                   sigmas: Sequence[SElement]) -> list[np.ndarray]:
+    """Matrices of the induced actions (sigma . u)(t) = C u((t - p)/q) on E
+    in Cauchy coordinates: the model's flow to (t0 - p)/q from its base
+    time t0, then C on values and C/q on derivatives (the chain rule
+    divides by q).
 
-    The element keeps the matrix, read-only, and returns it on later calls
+    Each element keeps its matrix, read-only, and returns it on later calls
     with the same model: its omega-scaling and determinant checks, its
     inverse and every composition it takes part in act by one matrix, and
-    each would otherwise look the flow up again. A lookup that raises
-    stores nothing.
+    each would otherwise look the flow up again. The elements that keep no
+    matrix yet share one flow lookup (`CauchyFlow.matrix` for one element),
+    and none when each fixes t0: the flow at t0 is the identity, which the
+    lookup would return bit for bit. A lookup that raises stores nothing.
     """
-    if elem._matrix is not None and elem._matrix[0] is model:
-        return elem._matrix[1]
-    m = model.m
-    fl = flow(model)
-    phi = fl.matrix((fl.base_t - elem.p) / elem.q)
-    block = np.zeros((2 * m, 2 * m))
-    block[:m, :m] = elem.C
-    block[m:, m:] = elem.C / elem.q
-    matrix = block @ phi
-    matrix.flags.writeable = False
-    elem._matrix = (model, matrix)
-    return matrix
+    todo = [s for s in sigmas if s._matrix is None or s._matrix[0] is not model]
+    if todo:
+        m = model.m
+        fl = flow(model)
+        ts = [(fl.base_t - s.p) / s.q for s in todo]
+        if all(t == fl.base_t for t in ts):
+            phi = np.eye(2 * m)     # the flow at t0, as a lookup returns it
+        elif len(ts) == 1:
+            phi = fl.matrix(ts[0])
+        else:
+            phi = fl.matrices(ts)
+        block = np.zeros((len(todo), 2 * m, 2 * m))
+        for s, b in zip(todo, block):
+            b[:m, :m] = s.C
+            b[m:, m:] = s.C / s.q
+        matrices = block @ phi
+        matrices.flags.writeable = False
+        for s, matrix in zip(todo, matrices):
+            s._matrix = (model, matrix)
+    return [s._matrix[1] for s in sigmas]
+
+
+def sigma_matrix(model: ModelManifold, elem: SElement) -> np.ndarray:
+    """The matrix of one element's induced action on E (`sigma_matrices`).
+
+    The kept matrix is read here first: `sigma_act` asks for it in every
+    product, and a call of `sigma_matrices` would add half a microsecond.
+    """
+    kept = elem._matrix
+    if kept is None or kept[0] is not model:
+        return sigma_matrices(model, [elem])[0]
+    return kept[1]
 
 
 def sigma_act(model: ModelManifold, elem: SElement, u: np.ndarray) -> np.ndarray:
@@ -174,60 +235,69 @@ def straightening_element(model: ModelManifold, point: ChartPoint,
     return IsoElement(iso_identity(model).sigma, r, data)
 
 
-def _lookup(model: ModelManifold, g: IsoElement, x: np.ndarray):
-    """T = q t + p, C v and (u(T), u'(T)) at stacked chart coordinates x: the
-    one flow lookup per point that the image and the Jacobian share."""
-    T = g.sigma.q * x[..., 0] + g.sigma.p
-    Cv = (g.sigma.C @ x[..., 2:, None])[..., 0]
-    return (T, Cv, *solution_at(model, g.u, T))
+def _lookup(model: ModelManifold, g: tuple, x: np.ndarray):
+    """T = q t + p, C v, (u(T), u'(T)) and 2 C v + u(T) at chart coordinates
+    x, for the element parts g = (q, p, C, r, u) broadcast against them: the
+    one flow lookup, and the terms that the image and the Jacobian share."""
+    q, p, C, _, u = g
+    T = q * x[..., 0] + p
+    Cv = (C @ x[..., 2:, None])[..., 0]
+    u_val, u_der = solution_at(model, u, T)
+    return T, Cv, u_val, u_der, 2.0 * Cv + u_val
 
 
-def _image(model: ModelManifold, g: IsoElement, x: np.ndarray,
-           T, Cv, u_val, u_der) -> np.ndarray:
-    new_s = -model.space.inner(u_der, 2.0 * Cv + u_val) + x[..., 1] / g.sigma.q + g.r
+def _image(model: ModelManifold, g: tuple, x: np.ndarray,
+           T, Cv, u_val, u_der, w) -> np.ndarray:
+    q, _, _, r, _ = g
+    new_s = -model.space.inner(u_der, w) + x[..., 1] / q + r
     return np.concatenate([T[..., None], new_s[..., None], Cv + u_val], axis=-1)
 
 
-def _jacobian(model: ModelManifold, g: IsoElement, x: np.ndarray,
-              T, Cv, u_val, u_der) -> np.ndarray:
+def _jacobian(model: ModelManifold, g: tuple, x: np.ndarray,
+              T, Cv, u_val, u_der, w) -> np.ndarray:
     """The map is affine in (s, v); the only curved direction is t, where the
     derivative of u(T) is q u'(T) and of u'(T) is q (f(T) + A) u(T)."""
-    q, C = g.sigma.q, g.sigma.C
+    q, _, C, _, _ = g
     n = model.dim
     space = model.space
     u_dd = model.profile.value(T)[..., None] * u_val + (model.A @ u_val[..., None])[..., 0]
     J = np.zeros(x.shape[:-1] + (n, n))
     J[..., 0, 0] = q
-    J[..., 1, 0] = -q * (space.inner(u_dd, 2.0 * Cv + u_val) + space.inner(u_der, u_der))
+    J[..., 1, 0] = -q * (space.inner(u_dd, w) + space.inner(u_der, u_der))
     J[..., 1, 1] = 1.0 / q
-    J[..., 1, 2:] = -2.0 * (C.T @ space.gram @ u_der[..., None])[..., 0]
-    J[..., 2:, 0] = q * u_der
+    J[..., 1, 2:] = -2.0 * (C.swapaxes(-1, -2) @ space.gram @ u_der[..., None])[..., 0]
+    J[..., 2:, 0] = J[..., 0, 0, None] * u_der    # q at each point
     J[..., 2:, 2:] = C
     return J
 
 
-def iso_apply(model: ModelManifold, g: IsoElement, x) -> np.ndarray:
-    """Images of chart coordinates x = (t, s, v), shape (..., n) -> (..., n)."""
+def iso_apply(model: ModelManifold, g: IsoElement | IsoStack, x) -> np.ndarray:
+    """Images of chart coordinates x = (t, s, v): shape (..., n) -> (..., n)
+    for one element, (k, P, n) -> (k, P, n) for a stack of k."""
     x = np.asarray(x, dtype=float)
+    g = _parts(g)
     return _image(model, g, x, *_lookup(model, g, x))
 
 
-def iso_jacobian(model: ModelManifold, g: IsoElement, x) -> np.ndarray:
-    """Analytic Jacobians of the action at chart coordinates x,
-    shape (..., n) -> (..., n, n)."""
+def iso_jacobian(model: ModelManifold, g: IsoElement | IsoStack, x) -> np.ndarray:
+    """Analytic Jacobians of the action at chart coordinates x: shape
+    (..., n) -> (..., n, n), with x as in `iso_apply`."""
     x = np.asarray(x, dtype=float)
+    g = _parts(g)
     return _jacobian(model, g, x, *_lookup(model, g, x))
 
 
-def pullback_residual(model: ModelManifold, g: IsoElement,
+def pullback_residual(model: ModelManifold, g: IsoElement | IsoStack,
                       x) -> tuple[np.ndarray, np.ndarray]:
     """max |J^T g(Phi x) J - g(x)|, the pointwise isometry defect, and the
-    images Phi x, at chart coordinates x of shape (..., n).
+    images Phi x, at chart coordinates x as in `iso_apply`.
 
-    Returns residuals of shape (...) and images of shape (..., n); the image
-    and the Jacobian share one lookup of u(T), u'(T) per point.
+    Returns residuals of the shape of x without its last axis, and images
+    of the shape of x; the image and the Jacobian share one lookup of u(T),
+    u'(T).
     """
     x = np.asarray(x, dtype=float)
+    g = _parts(g)
     shared = _lookup(model, g, x)
     image = _image(model, g, x, *shared)
     J = _jacobian(model, g, x, *shared)

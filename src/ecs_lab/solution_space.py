@@ -31,11 +31,11 @@ uses the model.
 
 An element of E is a plain (2m,) array of its Cauchy data, the value block
 followed by the derivative block, so the vector-space operations are array
-arithmetic. `solution_at` takes such a vector and a time or an array of
-times and makes one `CauchyFlow.matrices` lookup for all of them: one
-search of the step tables and one vectorized dense-output evaluation, each
-entry bit-identical to SciPy's dense output at its time. Callers that need
-u at many times pass them in one array.
+arithmetic. `solution_at` takes such a vector (or a stack of them, one per
+time) and a time or an array of times and makes one `CauchyFlow.matrices`
+lookup for all of them: one search of the step tables and one vectorized
+dense-output evaluation, each entry bit-identical to SciPy's dense output
+at its time. Callers that need u at many times pass them in one array.
 
 `solve_ivp` is the package's one DOP853 (Hairer, Norsett and Wanner,
 Solving ODEs I, II.10). It repeats SciPy's DOP853 to the bit and always
@@ -409,13 +409,14 @@ def solution_at(model: ModelManifold, data, t) -> tuple[np.ndarray, np.ndarray]:
     """(u(t), u'(t)) of the solution with Cauchy data `data` at the base
     time.
 
-    t is a time or an array of times; the values stack on its shape,
-    (...) -> (..., m). All times are one CauchyFlow.matrices lookup, and
-    an entry is bit-identical to asking for its time alone. Data of the
-    wrong size raises ValueError.
+    t is a time or an array of times, and data one (2m,) vector or a stack
+    of them, shape (..., 2m), broadcast against t's shape; the values stack
+    on the broadcast shape, (...) -> (..., m). All times are one
+    CauchyFlow.matrices lookup, and an entry is bit-identical to asking for
+    its time and data alone. Data of the wrong size raises ValueError.
     """
-    d = np.asarray(data, dtype=float).reshape(-1)
-    data = flow(model).matrices(t) @ d
+    d = np.asarray(data, dtype=float)
+    data = (flow(model).matrices(t) @ d[..., None])[..., 0]
     m = model.m
     return data[..., :m], data[..., m:]
 

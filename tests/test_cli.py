@@ -3,9 +3,12 @@ behavior."""
 
 import copy
 import json
+import math
 import re
 import subprocess
 import sys
+import tracemalloc
+from contextlib import suppress
 from pathlib import Path
 
 import numpy as np
@@ -23,13 +26,14 @@ from ecs_lab.isometry_group import (
     iso_distance,
     iso_identity,
     iso_inverse,
+    omega_scaling_residual,
     pullback_residual,
     s_membership,
     sigma_det_residual,
     straightening_element,
 )
 from ecs_lab.model_geometry import random_chart_point
-from ecs_lab.solution_space import CauchyFlow
+from ecs_lab.solution_space import CauchyFlow, IntegrationError, random_solution
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
@@ -760,6 +764,151 @@ class TestFlowLookups:
         assert len(rows) == 2 + 3 * len(q_values)
         assert all(row["pass"] for row in rows)
         assert calls == [1.0 / q for q in q_values]
+
+    def test_tcp_check_makes_no_identity_lookup(self, roster, monkeypatch):
+        # The central-commutator loop composes and inverts Heisenberg
+        # elements, whose sigma fixes the base time; the flow there is the
+        # identity, so none of them looks the flow up.
+        at_base = []
+        matrices = CauchyFlow.matrices
+
+        def recording(self, ts):
+            at_base.append(bool(np.all(np.asarray(ts) == self.base_t)))
+            return matrices(self, ts)
+
+        monkeypatch.setattr(CauchyFlow, "matrices", recording)
+        for entry in roster[1::2]:
+            cli.task_tcp_check(entry.model, cli._task_params({"task": "tcp-check"}),
+                               np.random.default_rng(11))
+        assert at_base and not any(at_base)
+
+
+def per_element_isometry_values(model, n_elements, n_points, rng):
+    """isometry-check's values computed one element at a time with the
+    one-element functions, from the task's draws in the task's order: each
+    element's checks stop at its first failing lookup."""
+    elems = sample_isometries(model, rng, n_elements)
+    pts = np.array([random_chart_point(model, rng).coords() for _ in range(n_points)])
+    n_pairs = n_elements // 2
+    values = {"member": np.zeros(n_elements), "omega": np.full(n_elements, np.nan),
+              "det": np.full(n_elements, np.nan), "inverse": np.full(n_elements, np.nan),
+              "pull": np.full((n_elements, n_points), np.nan),
+              "compat": np.full((n_pairs, n_points), np.nan),
+              "composed": np.full((n_pairs, n_points, model.dim), np.nan)}
+    images = np.full((n_elements, n_points, model.dim), np.nan)
+    ident = iso_identity(model)
+    for k, g in enumerate(elems):
+        values["member"][k] = max(s_membership(model, g.sigma).values())
+        pairs = [(random_solution(model, rng), random_solution(model, rng))
+                 for _ in range(3)]
+        with suppress(IntegrationError):
+            values["omega"][k] = omega_scaling_residual(model, g.sigma, pairs)
+            values["det"][k] = sigma_det_residual(model, g.sigma)
+            values["pull"][k], images[k] = pullback_residual(model, g, pts)
+            g_inv = iso_inverse(model, g)
+            values["inverse"][k] = max(iso_distance(iso_compose(model, g, g_inv), ident),
+                                       iso_distance(iso_compose(model, g_inv, g), ident))
+    for i in range(n_pairs):
+        g, h = elems[2 * i], elems[2 * i + 1]
+        if np.isnan(images[2 * i + 1]).any():
+            continue
+        with suppress(IntegrationError):
+            composed = values["composed"][i] = iso_apply(model, iso_compose(model, g, h), pts)
+            values["compat"][i] = np.max(np.abs(composed - iso_apply(model, g, images[2 * i + 1])),
+                                         axis=-1)
+    return values
+
+
+class TestIsometryBlocks:
+    """isometry-check moves its elements' points stacked, one flow lookup per
+    block of max(1, 2**14 // (points (2m)^2)) elements."""
+
+    AC05 = {"task": "isometry-check", "elements": 50, "points": 20}
+
+    @staticmethod
+    def block_size(model, points):
+        return max(1, cli._BLOCK_DOUBLES // (points * (2 * model.m) ** 2))
+
+    def test_lookups_per_block(self, roster, monkeypatch):
+        # One lookup for the sigma matrices, one per block for the pullbacks
+        # and for each side of the pairs, and one for each inverse's sigma
+        # when it does not fix the base time.
+        calls = []
+        matrices = CauchyFlow.matrices
+        monkeypatch.setattr(CauchyFlow, "matrices",
+                            lambda self, ts: calls.append(ts) or matrices(self, ts))
+        for entry in roster:
+            model = entry.model
+            calls.clear()
+            cli.task_isometry_check(model, cli._task_params(self.AC05),
+                                    np.random.default_rng(11))
+            inverses = 50 if entry.hm else 0
+            blocks = math.ceil(50 / self.block_size(model, 20))
+            assert len(calls) <= 1 + 3 * blocks + inverses
+
+    def test_values_equal_a_per_element_evaluation(self, roster):
+        for entry in roster:
+            model = entry.model
+            stacked = cli._isometry_values(model, 50, 20, np.random.default_rng(11))
+            alone = per_element_isometry_values(model, 50, 20, np.random.default_rng(11))
+            assert stacked.keys() == alone.keys()
+            for key in stacked:
+                assert np.array_equal(stacked[key], alone[key]), (entry.name, key)
+
+    @pytest.mark.parametrize("cut,partial", [(2.6, ("pull", "compat")),
+                                             (1.5, ("omega", "det"))])
+    def test_partial_flow_failure_fails_only_its_elements(self, roster, monkeypatch,
+                                                          cut, partial):
+        # Lookups past t = cut raise. At 2.6 the pullbacks of 6 of 12
+        # elements and two of the six pairs fail; at 1.5 the sigma lookups
+        # of 3 elements fail (and every pullback). A block that fails runs
+        # again one element at a time, so exactly the elements that fail
+        # alone read NaN, and the others keep their values.
+        model = roster[3].model
+        monkeypatch.setattr(cli, "_BLOCK_DOUBLES", 3 * 2 * (2 * model.m) ** 2)
+        matrices = CauchyFlow.matrices
+
+        def failing(self, ts):
+            if np.max(ts) > cut:
+                raise IntegrationError("planted failure")
+            return matrices(self, ts)
+
+        monkeypatch.setattr(CauchyFlow, "matrices", failing)
+        sizes = []
+        stack = cli.stack_elements
+        monkeypatch.setattr(cli, "stack_elements",
+                            lambda elems: sizes.append(len(elems)) or stack(elems))
+        stacked = cli._isometry_values(model, 12, 2, np.random.default_rng(78))
+        alone = per_element_isometry_values(model, 12, 2, np.random.default_rng(78))
+        for key in stacked:
+            assert np.array_equal(stacked[key], alone[key], equal_nan=True), key
+        for key in partial:
+            failed = np.isnan(stacked[key]).reshape(len(stacked[key]), -1).any(axis=1)
+            assert 0 < failed.sum() < len(failed), key
+        assert max(sizes) == 3 and 1 in sizes
+
+    @pytest.mark.parametrize("m", [5, 16])
+    def test_peak_memory_stays_bounded(self, monkeypatch, m):
+        # Stacking adds no more than eight block budgets of doubles (1 MB) to
+        # the peak of one element at a time, as m grows: 0.33 -> 0.76 MB at
+        # m = 5 and 1.71 -> 1.71 MB at m = 16, where a block holds one
+        # element. Blocks four times as large read 2.18 and 3.30 MB.
+        model = HomogeneousModel.standard(m, 0.25).model
+        params = cli._task_params(self.AC05)
+
+        def traced_peak():
+            tracemalloc.start()
+            try:
+                cli.task_isometry_check(model, params, np.random.default_rng(5))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        cli.task_isometry_check(model, params, np.random.default_rng(5))  # the flow
+        stacked = traced_peak()
+        monkeypatch.setattr(cli, "_BLOCK_DOUBLES", 1)
+        one_at_a_time = traced_peak()
+        assert stacked <= one_at_a_time + 8 * 8 * 2 ** 14
 
 
 class TestNoVacuousPass:

@@ -8,6 +8,8 @@ from ecs_lab.homogeneous import HomogeneousModel, sample_isometries
 from ecs_lab.isometry_group import (
     IsoElement,
     SElement,
+    _lookup,
+    _parts,
     classify_holonomy,
     iso_apply,
     iso_compose,
@@ -20,7 +22,9 @@ from ecs_lab.isometry_group import (
     s_membership,
     sigma_act,
     sigma_det_residual,
+    sigma_matrices,
     sigma_matrix,
+    stack_elements,
 )
 from ecs_lab.model_geometry import (
     ChartPoint,
@@ -30,7 +34,7 @@ from ecs_lab.model_geometry import (
     random_chart_point,
 )
 from ecs_lab.pseudo_linear import PseudoEuclideanSpace
-from ecs_lab.solution_space import CauchyFlow, random_solution, solution_at
+from ecs_lab.solution_space import CauchyFlow, flow, random_solution, solution_at
 
 
 class TestSMembership:
@@ -214,6 +218,85 @@ class TestElementMatrix:
             with pytest.raises(ValueError, match="outside the model interval"):
                 sigma_act(hm.model, elem, np.zeros(2 * hm.m))
         assert elem._matrix is None
+
+
+class TestStackedElements:
+    """k stacked elements give what k one-element calls give, bit for bit:
+    every product keeps one element's operand shapes."""
+
+    @pytest.mark.parametrize("size", [1, 2])
+    def test_stacked_calls_equal_one_element_calls(self, roster, iso_sampler, size):
+        # Five elements in blocks of `size`: with 2, the last block holds one.
+        rng = np.random.default_rng(75)
+        for entry in roster:
+            model = entry.model
+            elems = iso_sampler(entry, rng, 5)
+            X = np.array([random_chart_point(model, rng).coords() for _ in range(4)])
+            for i in range(0, len(elems), size):
+                block = elems[i:i + size]
+                g = stack_elements(block)
+                x = np.broadcast_to(X, (len(block),) + X.shape)
+                shared = _lookup(model, g, x)
+                images = iso_apply(model, g, x)
+                jacobians = iso_jacobian(model, g, x)
+                residuals, pull_images = pullback_residual(model, g, x)
+                matrices = sigma_matrices(model, [SElement(e.sigma.q, e.sigma.p, e.sigma.C)
+                                                  for e in block])
+                for k, e in enumerate(block):
+                    one = _lookup(model, _parts(e), X)
+                    assert all(np.array_equal(a[k], b) for a, b in zip(shared, one))
+                    res, img = pullback_residual(model, e, X)
+                    for stacked, single in ((images[k], iso_apply(model, e, X)),
+                                            (jacobians[k], iso_jacobian(model, e, X)),
+                                            (residuals[k], res),
+                                            (pull_images[k], img)):
+                        assert np.array_equal(stacked, single)
+                    fresh = SElement(e.sigma.q, e.sigma.p, e.sigma.C)
+                    assert np.array_equal(matrices[k], sigma_matrix(model, fresh))
+
+    def test_stacked_sigma_matrices_fill_each_element(self, roster, monkeypatch):
+        # One lookup fills every element's kept matrix; kept ones add none.
+        hm = roster[3].hm
+        model = hm.model
+        sigmas = [hm.dilation(q) for q in (0.5, 0.8, 1.7)]
+        sigma_matrix(model, sigmas[1])
+        used = []
+        matrices = CauchyFlow.matrices
+        monkeypatch.setattr(CauchyFlow, "matrices",
+                            lambda self, ts: used.append(np.shape(ts)) or matrices(self, ts))
+        out = sigma_matrices(model, sigmas)
+        assert used == [(2,)]
+        for sigma, matrix in zip(sigmas, out):
+            assert sigma._matrix[1] is matrix and not matrix.flags.writeable
+        assert sigma_matrices(model, sigmas) == out and used == [(2,)]
+
+    def test_base_time_sigma_needs_no_lookup(self, roster, monkeypatch):
+        # q = 1 and p = +-0 read the flow at t0, the identity: the matrix is
+        # the looked-up one bit for bit, without a lookup.
+        looked_up = {}
+        for entry in roster:
+            model = entry.model
+            m = model.m
+            phi = flow(model).matrix(flow(model).base_t)
+            for sign in (1.0, -1.0):
+                block = np.zeros((2 * m, 2 * m))
+                block[:m, :m] = block[m:, m:] = sign * np.eye(m)
+                looked_up[entry.name, sign] = block @ phi
+        calls = []
+        monkeypatch.setattr(CauchyFlow, "matrices", lambda self, ts: calls.append(ts))
+        for entry in roster:
+            model = entry.model
+            for sign in (1.0, -1.0):
+                for p in (0.0, -0.0):
+                    sigma = SElement(1.0, p, sign * np.eye(model.m))
+                    assert (sigma_matrix(model, sigma).tobytes()
+                            == looked_up[entry.name, sign].tobytes())
+            # Heisenberg products and inverses fix t0 too.
+            h1 = IsoElement(iso_identity(model).sigma, 0.5, np.ones(2 * model.m))
+            h2 = IsoElement(iso_identity(model).sigma, -1.0, np.arange(2.0 * model.m))
+            iso_compose(model, iso_compose(model, h1, h2),
+                        iso_compose(model, iso_inverse(model, h1), iso_inverse(model, h2)))
+        assert calls == []
 
 
 class TestChartAction:
