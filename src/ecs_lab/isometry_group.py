@@ -332,11 +332,7 @@ def iso_distance(a: IsoElement, b: IsoElement) -> float:
 
 def classify_holonomy(elements: list[IsoElement]) -> str:
     """'dilational' when some element rescales t (|q - 1| > 1e-12), else
-    'translational'. Raises on nonpositive q, which cannot occur in the
-    group as constructed."""
-    for g in elements:
-        if g.sigma.q <= 0:
-            raise ValueError("isometry with nonpositive q is outside the group")
+    'translational'."""
     if any(abs(g.sigma.q - 1.0) > 1e-12 for g in elements):
         return "dilational"
     return "translational"

@@ -51,7 +51,9 @@ integration, and they keep one dispatch rule. Their small products call
 with the same bits at about half the per-call cost at these sizes. The
 step control (t, h, the direction and the stage nodes) runs on Python
 floats. nfev is counted by the stepper, not by a wrapper around the
-right-hand side, and still equals SciPy's.
+right-hand side, and still equals SciPy's. It is also the one evaluation
+budget: past `_MAX_EVALS` any run (a flow segment, geodesic, plunge or
+transport run) ends with status -1.
 """
 
 from __future__ import annotations
@@ -72,9 +74,9 @@ ENDPOINT_BARRIER = 1e-8
 _RTOL = 1e-13
 _ATOL = 1e-13
 
-# A flow segment fails after this many right-hand-side evaluations (the
-# shipped models need a few hundred): on an overflowing profile the steps
-# can shrink without end while the solver never reports a failure.
+# Any run of the stepper fails after this many evaluations (scenario runs
+# need a few thousand): on an overflowing or stiff profile the steps can
+# shrink without end while the solver never reports a failure.
 _MAX_EVALS = 100_000
 
 _DONE = "The solver successfully reached the end of the integration interval."
@@ -102,9 +104,10 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol):
     for operation: its initial step choice, steps, error norm and
     interpolant terms. It keeps no solver or dense-output objects. Returns
     SciPy's nfev (the three extra interpolation stages of every step
-    included), status (0, or -1 when the step size underflows or is NaN),
-    success and message, the end state y_end and one row per step, in the
-    order the steps were taken: its end t, t_old, h, y_old and the seven
+    included), status (0, or -1 when the step size underflows or is NaN or
+    a step attempt starts past `_MAX_EVALS` evaluations), success and
+    message, the end state y_end and one row per step, in the order the
+    steps were taken: its end t, t_old, h, y_old and the seven
     interpolant terms (steps, 7, n) in SciPy's order, each bit-identical
     to what SciPy's Dop853DenseOutput of the step holds. `_StepTable`
     reads the rows at any time.
@@ -166,6 +169,9 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol):
             if h_abs < min_step:
                 return result(-1, "Required step size is less than spacing "
                                   "between numbers.")
+            if nfev > _MAX_EVALS:
+                return result(-1, f"more than {_MAX_EVALS} evaluations in one "
+                                  f"segment")
             t_new = t + h_abs * direction
             if direction * (t_new - t_bound) > 0:
                 t_new = t_bound
@@ -284,9 +290,10 @@ class CauchyFlow:
     t0 doubles (1, 2, 4, ...), toward a finite end the distance left to it
     halves, down to the endpoint barrier. A segment is integrated once, on
     first use, from the end state of the segment before it, and its steps
-    are copied into the direction's step table; one that fails is not kept,
-    and every later query past its start raises its IntegrationError again
-    without integrating. A lookup is a search over the step ends and one
+    are copied into the direction's step table; one that fails (status -1,
+    over the stepper's evaluation budget too) is not kept, and every later
+    query past its start raises its IntegrationError again without
+    integrating. A lookup is a search over the step ends and one
     dense-output evaluation, vectorized over a batch of times, so Phi(t) is
     the same whatever was queried before and whatever else is in the batch.
     """
@@ -309,10 +316,6 @@ class CauchyFlow:
         self._A_diag = self._fa_diag.copy()
 
     def _rhs(self, t, y):
-        self._evals += 1
-        if self._evals > _MAX_EVALS:
-            raise IntegrationError(f"flow integration failed: more than "
-                                   f"{_MAX_EVALS} evaluations in one segment")
         # Phi = [[U], [U']] flattened has derivative [[U'], [(f + A) U]].
         m, half = self.m, y.size // 2
         np.add(self._A_diag, self.model.profile.value_slope(t)[0], out=self._fa_diag)
@@ -341,15 +344,11 @@ class CauchyFlow:
             if self._failed[sign]:
                 raise IntegrationError(self._failed[sign])
             start = sign * ends[-1] if ends else self.base_t
-            self._evals = 0
-            try:
-                sol = solve_ivp(self._rhs, (start, stop), steps.tip,
-                                rtol=_RTOL, atol=_ATOL)
-                if not sol.success:
-                    raise IntegrationError(f"flow integration failed: {sol.message}")
-            except IntegrationError as exc:
-                self._failed[sign] = str(exc)
-                raise
+            sol = solve_ivp(self._rhs, (start, stop), steps.tip,
+                            rtol=_RTOL, atol=_ATOL)
+            if not sol.success:
+                self._failed[sign] = f"flow integration failed: {sol.message}"
+                raise IntegrationError(self._failed[sign])
             steps.append(sol)
             ends.append(sign * stop)
 

@@ -7,6 +7,7 @@ fields with geodesic endpoint curves, and the straightening of transverse
 null geodesics by a Heisenberg isometry."""
 
 import importlib.util
+import json
 import time
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from scipy.linalg import expm
 
 import ecs_lab.geodesics as geodesics
 import ecs_lab.solution_space as solution_space
+from ecs_lab.cli import main
 from ecs_lab.geodesics import (
     GeodesicResult,
     PolyCurve,
@@ -146,6 +148,49 @@ class TestIntegratorPolicy:
                          np.array([1.0, 0.0, 0.1, 0.1, 0.1]), (0.0, 1.0))
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("kind", ["flow", "regular", "plunge", "transport"])
+    def test_every_kind_of_run_is_bounded(self, roster, monkeypatch, kind):
+        # The stepper owns the one evaluation budget, so a run of any kind
+        # that needs more than it ends in IntegrationError, named by its
+        # kind, instead of running on. The budget is checked once per step
+        # attempt, so a run may end up to 15 evaluations past it: transport
+        # on the homogeneous model takes 62 and completes, and the transport
+        # run is test_transport's, which takes 167.
+        model = HomogeneousModel.standard(2, 0.3).model     # a fresh flow
+        poly = roster[2].model
+        pt = ChartPoint(1.0, 0.2, np.array([0.3, -0.4]))
+        runs = {
+            "flow": lambda: solution_at(model, np.ones(4), 3.0),
+            "regular": lambda: geodesic(model, pt, np.array([0.5, 0.1, 0.2, -0.3]),
+                                        (0.0, 1.0)),
+            "plunge": lambda: geodesic(model, pt, np.array([-1.0, 0.1, 0.2, -0.3]),
+                                       (0.0, 2.0)),
+            "transport": lambda: affine_transport_residual(
+                poly, leaf_circle(poly, t0=0.5 * sum(poly.compact_window())),
+                np.array([1.0, 0.5, -0.3, 0.8, 0.2])),
+        }
+        what = "geodesic" if kind in ("regular", "plunge") else kind
+        monkeypatch.setattr(solution_space, "_MAX_EVALS", 50)
+        with pytest.raises(IntegrationError,
+                           match=f"^{what} integration failed: .* 50 evaluations"):
+            runs[kind]()
+
+    def test_budget_fails_the_geodesic_rows(self, tmp_path, monkeypatch):
+        # Through the CLI, geodesic runs over the budget fail their rows
+        # with NaN and the run exits 1.
+        scenarios = Path(__file__).resolve().parent.parent / "scenarios"
+        payload = json.loads((scenarios / "homogeneous_m2.json").read_text())
+        payload["tasks"] = [task for task in payload["tasks"]
+                            if task["task"] == "geodesic"]
+        scenario, report = tmp_path / "scenario.json", tmp_path / "report.json"
+        scenario.write_text(json.dumps(payload))
+        monkeypatch.setattr(solution_space, "_MAX_EVALS", 50)
+        assert main(["run", "--scenario", str(scenario), "--report", str(report)]) == 1
+        rows = json.loads(report.read_text())["checks"]
+        assert rows
+        assert all(row["value"] == "nan" and not row["pass"] for row in rows)
+
+
 class TestStepperMatchesScipy:
     """The package's DOP853 (`solution_space.solve_ivp`) repeats SciPy's
     operation for operation: every step's row holds the bits of SciPy's
@@ -154,12 +199,11 @@ class TestStepperMatchesScipy:
     dense output at the same times."""
 
     @staticmethod
-    def assert_rows_match_scipy(fun, t_span, y0, *, rtol, atol, reset=lambda: None):
+    def assert_rows_match_scipy(fun, t_span, y0, *, rtol, atol):
         """The rows of one run against SciPy's `sol.sol.interpolants`;
         returns SciPy's result. On an empty span SciPy holds one constant
         interpolant, which is no step, and the run has no row."""
         ours = solution_space.solve_ivp(fun, t_span, y0, rtol=rtol, atol=atol)
-        reset()
         sol = scipy_solve_ivp(fun, t_span, y0, method="DOP853", rtol=rtol, atol=atol,
                               dense_output=True)
         steps = [step for step in sol.sol.interpolants if hasattr(step, "F")]
@@ -206,11 +250,7 @@ class TestStepperMatchesScipy:
         assert len(segments) > 6 * 6
         rejected = 0
         for fun, t_span, y0, kwargs in segments:
-            def reset(fl=fun.__self__):
-                fl._evals = 0
-
-            reset()
-            sol = self.assert_rows_match_scipy(fun, t_span, y0, reset=reset, **kwargs)
+            sol = self.assert_rows_match_scipy(fun, t_span, y0, **kwargs)
             rejected += self.rejected_attempts(sol)
         assert rejected > 0
 

@@ -4,8 +4,9 @@ benchmark references each name it imports; the package imports nothing
 from scipy.linalg, neither calls SciPy's solve_ivp nor reads its private
 dense-output state, takes no sample times (`t_eval`) in any integration,
 looks solutions up in the geodesics module only through the group action,
-defines no function, method or class that nothing reads, and loads SciPy's
-heavy subpackages only when a task needs them.
+reads the evaluation budget only in the stepper, defines no function,
+method or class that nothing reads, and loads SciPy's heavy subpackages
+only when a task needs them.
 
 The scan uses only the standard library's ast, so it needs no linter.
 """
@@ -175,10 +176,12 @@ def test_package_samples_only_from_step_tables():
 
 def name_reads(source: str, name: str) -> list[int]:
     """Lines that import `name` from a module, under any alias, or read it
-    as an attribute."""
+    by name or as an attribute."""
     return sorted(node.lineno for node in ast.walk(ast.parse(source))
                   if (isinstance(node, ast.ImportFrom)
                       and any(alias.name == name for alias in node.names))
+                  or (isinstance(node, ast.Name) and node.id == name
+                      and isinstance(node.ctx, ast.Load))
                   or (isinstance(node, ast.Attribute) and node.attr == name))
 
 
@@ -190,8 +193,9 @@ def test_scan_finds_name_reads():
         "ss.solution_at(model, u, t)\n"
         "from .isometry_group import iso_apply\n"
         "solution_at = iso_apply\n"
+        "lookup = solution_at\n"
     )
-    assert name_reads(source, "solution_at") == [1, 2, 4]
+    assert name_reads(source, "solution_at") == [1, 2, 4, 7]
 
 
 def test_geodesics_reads_solutions_through_the_group_action():
@@ -199,6 +203,39 @@ def test_geodesics_reads_solutions_through_the_group_action():
     # so the ODE layer has no solution lookup of its own.
     source = (ROOT / "src" / "ecs_lab" / "geodesics.py").read_text()
     assert name_reads(source, "solution_at") == []
+
+
+def reads_outside(source: str, name: str, owner: str) -> list[int]:
+    """Lines of `name_reads` that lie outside the module-level function
+    `owner`."""
+    spans = [(node.lineno, node.end_lineno) for node in ast.parse(source).body
+             if isinstance(node, ast.FunctionDef) and node.name == owner]
+    return [line for line in name_reads(source, name)
+            if not any(lo <= line <= hi for lo, hi in spans)]
+
+
+def test_scan_finds_budget_reads_outside_the_stepper():
+    source = (
+        "_MAX_EVALS = 100\n"
+        "def solve_ivp(fun):\n"
+        "    return nfev > _MAX_EVALS\n"
+        "class Flow:\n"
+        "    def _rhs(self, t, y):\n"
+        "        if self._evals > _MAX_EVALS:\n"
+        "            raise RuntimeError\n"
+        "from .solution_space import _MAX_EVALS as budget\n"
+        "limit = solution_space._MAX_EVALS\n"
+    )
+    assert reads_outside(source, "_MAX_EVALS", "solve_ivp") == [6, 8, 9]
+
+
+def test_only_the_stepper_reads_the_evaluation_budget():
+    # Every run of the stepper has one evaluation budget, and solve_ivp is
+    # its one owner: no right-hand side or caller counts evaluations.
+    found = {p.relative_to(ROOT).as_posix():
+             reads_outside(p.read_text(), "_MAX_EVALS", "solve_ivp")
+             for p in MODULES + [ROOT / "src" / "ecs_lab" / "__init__.py"]}
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 

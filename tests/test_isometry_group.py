@@ -450,10 +450,3 @@ class TestClassifyHolonomy:
                for _ in range(5)]
         assert classify_holonomy(els) == "translational"
         assert classify_holonomy([]) == "translational"
-
-    def test_nonpositive_q_rejected(self, roster):
-        model = roster[0].model
-        g = iso_identity(model)
-        g.sigma.q = -1.0
-        with pytest.raises(ValueError):
-            classify_holonomy([g])

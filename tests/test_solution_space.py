@@ -277,7 +277,6 @@ class TestFlowLookupMatchesScipy:
         y0, start, sols = np.eye(2 * fl.m).ravel(), fl.base_t, []
         for k in range(len(fl._ends[sign])):
             stop = fl._edge(sign, k)
-            ref._evals = 0
             sol = scipy_solve_ivp(
                 ref._rhs, (start, stop), y0, method="DOP853",
                 rtol=solution_space._RTOL, atol=solution_space._ATOL,
