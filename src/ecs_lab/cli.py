@@ -464,27 +464,27 @@ def task_spectra(model: ModelManifold, params: dict,
     return rows
 
 
-def _by_blocks(indices: list[int], size: int, run) -> list[int]:
+def _by_blocks(indices: list[int], size: int, run):
     """run(block) on consecutive blocks of at most `size` of the indices, in
-    order; returns the indices whose run succeeded. A block whose run meets a
-    sample failure runs again one index at a time, so only the samples that
-    fail alone drop out."""
-    done = []
+    order. A block whose run meets a sample failure runs again one index at
+    a time, so only the samples that fail alone keep NaN values."""
     for i in range(0, len(indices), size):
         block = indices[i:i + size]
         try:
             run(block)
-            done.extend(block)
         except _SAMPLE_FAILURES:
             if len(block) > 1:
-                done.extend(_by_blocks(block, 1, run))
-    return done
+                _by_blocks(block, 1, run)
 
 
 def _isometry_values(model: ModelManifold, n_elements: int, n_points: int,
                      rng: np.random.Generator) -> dict[str, np.ndarray]:
     """isometry-check's values, one row per sampled element (per pair for
-    "compat" and "composed", the composed images)."""
+    "compat" and "composed", the composed images), in two passes over blocks
+    of elements and of pairs. Per element block: one lookup for its sigma
+    matrices, each element's Omega-scaling and determinant, one stacked
+    pullback, then each element's inverse law. Per pair block: the products
+    applied, then compared with the stepwise images."""
     elems = sample_isometries(model, rng, n_elements)
     pts = np.array([random_chart_point(model, rng).coords() for _ in range(n_points)])
     pairs = [[(random_solution(model, rng), random_solution(model, rng))
@@ -495,9 +495,9 @@ def _isometry_values(model: ModelManifold, n_elements: int, n_points: int,
     def points_for(block):
         return np.broadcast_to(pts, (len(block),) + pts.shape)
 
-    # Each check runs on the elements whose earlier checks got through. A
-    # value stays NaN when a flow lookup it needs fails, and worst() picks
-    # NaN first, so the element fails its rows.
+    # A value stays NaN when a flow lookup it or an earlier check of its
+    # element needs fails, and worst() picks NaN first, so the element fails
+    # its rows.
     omega_res = np.full(n_elements, np.nan)
     det = np.full(n_elements, np.nan)
     pull = np.full((n_elements, n_points), np.nan)
@@ -505,26 +505,17 @@ def _isometry_values(model: ModelManifold, n_elements: int, n_points: int,
     inverse = np.full(n_elements, np.nan)
     ident = iso_identity(model)
 
-    def sigma_checks(block):
-        # One lookup for every sigma matrix; the checks then reuse them.
+    def element_checks(block):
         sigma_matrices(model, [elems[k].sigma for k in block])
         for k in block:
             omega_res[k] = omega_scaling_residual(model, elems[k].sigma, pairs[k])
             det[k] = sigma_det_residual(model, elems[k].sigma)
-
-    def pullbacks(block):
         pull[block], images[block] = pullback_residual(
             model, stack_elements([elems[k] for k in block]), points_for(block))
-
-    def inverse_law(block):
-        [k] = block
-        g = elems[k]
-        g_inv = iso_inverse(model, g)
-        inverse[k] = max(iso_distance(iso_compose(model, g, g_inv), ident),
-                         iso_distance(iso_compose(model, g_inv, g), ident))
-
-    checked = _by_blocks(list(range(n_elements)), n_elements, sigma_checks)
-    _by_blocks(_by_blocks(checked, size, pullbacks), 1, inverse_law)
+        for k in block:
+            g, g_inv = elems[k], iso_inverse(model, elems[k])
+            inverse[k] = max(iso_distance(iso_compose(model, g, g_inv), ident),
+                             iso_distance(iso_compose(model, g_inv, g), ident))
 
     # Pair (g, h) = elements (2i, 2i + 1); h(x) is already in images, unless
     # h's lookups failed.
@@ -532,17 +523,16 @@ def _isometry_values(model: ModelManifold, n_elements: int, n_points: int,
     compat = np.full((n_pairs, n_points), np.nan)
     composed = np.full((n_pairs, n_points, model.dim), np.nan)
 
-    def compose_apply(block):
+    def pair_checks(block):
         products = [iso_compose(model, elems[2 * i], elems[2 * i + 1]) for i in block]
         composed[block] = iso_apply(model, stack_elements(products), points_for(block))
-
-    def stepwise(block):
         gs = stack_elements([elems[2 * i] for i in block])
         moved = iso_apply(model, gs, images[[2 * i + 1 for i in block]])
         compat[block] = np.max(np.abs(composed[block] - moved), axis=-1)
 
+    _by_blocks(list(range(n_elements)), size, element_checks)
     live = [i for i in range(n_pairs) if not np.isnan(images[2 * i + 1]).any()]
-    _by_blocks(_by_blocks(live, size, compose_apply), size, stepwise)
+    _by_blocks(live, size, pair_checks)
     return {"member": member, "pull": pull, "compat": compat, "composed": composed,
             "inverse": inverse, "omega": omega_res, "det": det}
 
@@ -626,7 +616,7 @@ def task_tcp_check(model: ModelManifold, params: dict,
     agreement_pairs = params["agreement_pairs"]
     disagreements = 0.0
     for k in range(agreement_pairs):
-        if k % 3 == 0 and classes:
+        if k % 3 == 0:
             members = classes[k % n_classes]
             disagreements += _or_nan(disagree, members[0], members[-1])
         else:

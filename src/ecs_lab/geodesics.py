@@ -177,9 +177,9 @@ def geodesic(model: ModelManifold, point: ChartPoint, velocity,
 def energy_report(model: ModelManifold, result: GeodesicResult) -> dict:
     """Conservation of g(x', x') along the run.
 
-    Returns the absolute drift and the drift relative to the largest term
-    magnitude encountered, which keeps the measure honest on runs into the
-    singular end where individual terms blow up.
+    Returns the drift relative to the largest term magnitude encountered,
+    which keeps the measure honest on runs into the singular end where
+    individual terms blow up.
     """
     m = model.m
     X = result.states
@@ -191,7 +191,7 @@ def energy_report(model: ModelManifold, result: GeodesicResult) -> dict:
     energies = term1 + term2 + term3
     scale = max(1.0, float(np.max(np.abs(term1) + np.abs(term2) + np.abs(term3))))
     drift = float(np.max(np.abs(energies - energies[0])))
-    return {"drift_abs": drift, "drift_rel": drift / scale, "energy0": float(energies[0])}
+    return {"drift_rel": drift / scale}
 
 
 def t_affinity_report(result: GeodesicResult) -> dict:
@@ -207,8 +207,7 @@ def t_affinity_report(result: GeodesicResult) -> dict:
     fit = A @ coef
     residual = float(np.max(np.abs(ts - fit)))
     t_range = float(np.max(ts) - np.min(ts))
-    return {"residual": residual, "t_range": t_range,
-            "slope": float(coef[0]), "intercept": float(coef[1])}
+    return {"residual": residual, "t_range": t_range, "slope": float(coef[0])}
 
 
 def affine_transport_residual(model: ModelManifold,

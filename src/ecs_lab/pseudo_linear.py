@@ -133,7 +133,6 @@ def validate_A(space: PseudoEuclideanSpace, A) -> AValidation:
 class GenericityResult:
     rank: int
     expected_rank: int
-    singular_values: np.ndarray
     is_generic: bool
     isotropy_dim: int
 
@@ -159,14 +158,13 @@ def genericity_test(space: PseudoEuclideanSpace, A) -> GenericityResult:
     basis = space.skew_basis()
     expected = len(basis)
     if expected == 0:
-        return GenericityResult(0, 0, np.zeros(0), True, 0)
+        return GenericityResult(0, 0, True, 0)
     cols = np.column_stack([(A @ B - B @ A).ravel() for B in basis])
     sv = np.linalg.svd(cols, compute_uv=False)
     rank = int(np.sum(sv > RANK_RTOL * sv[0])) if sv[0] > 0 else 0
     return GenericityResult(
         rank=rank,
         expected_rank=expected,
-        singular_values=sv,
         is_generic=(rank == expected),
         isotropy_dim=expected - rank,
     )

@@ -830,9 +830,9 @@ class TestIsometryBlocks:
         return max(1, cli._BLOCK_DOUBLES // (points * (2 * model.m) ** 2))
 
     def test_lookups_per_block(self, roster, monkeypatch):
-        # One lookup for the sigma matrices, one per block for the pullbacks
-        # and for each side of the pairs, and one for each inverse's sigma
-        # when it does not fix the base time.
+        # One lookup per block for the sigma matrices, one per block for the
+        # pullbacks and for each side of the pairs, and one for each
+        # inverse's sigma when it does not fix the base time.
         calls = []
         matrices = CauchyFlow.matrices
         monkeypatch.setattr(CauchyFlow, "matrices",
@@ -885,6 +885,40 @@ class TestIsometryBlocks:
         for key in partial:
             failed = np.isnan(stacked[key]).reshape(len(stacked[key]), -1).any(axis=1)
             assert 0 < failed.sum() < len(failed), key
+        assert max(sizes) == 3 and 1 in sizes
+
+    def test_inverse_failure_fails_only_its_inverse(self, roster, monkeypatch):
+        # Inverses that fail after their block's sigma lookup and pullback got
+        # through: the block runs again one element at a time, so only those
+        # inverses read NaN and every other value stays. A planted time cut
+        # cannot single the inverses out, since the reference looks sigmas up
+        # one element at a time and the task one block at a time.
+        model = roster[3].model
+        monkeypatch.setattr(cli, "_BLOCK_DOUBLES", 3 * 2 * (2 * model.m) ** 2)
+        clean = cli._isometry_values(model, 12, 2, np.random.default_rng(78))
+        assert not any(np.isnan(values).any() for values in clean.values())
+        inverse = iso_inverse
+
+        def failing(model, g):
+            if g.sigma.q > 1.3:
+                raise IntegrationError("planted failure")
+            return inverse(model, g)
+
+        monkeypatch.setattr(cli, "iso_inverse", failing)
+        monkeypatch.setattr(sys.modules[__name__], "iso_inverse", failing)
+        sizes = []
+        stack = cli.stack_elements
+        monkeypatch.setattr(cli, "stack_elements",
+                            lambda elems: sizes.append(len(elems)) or stack(elems))
+        stacked = cli._isometry_values(model, 12, 2, np.random.default_rng(78))
+        alone = per_element_isometry_values(model, 12, 2, np.random.default_rng(78))
+        for key in stacked:
+            assert np.array_equal(stacked[key], alone[key], equal_nan=True), key
+        failed = np.isnan(stacked["inverse"])
+        assert 0 < failed.sum() < len(failed)
+        assert np.array_equal(stacked["inverse"][~failed], clean["inverse"][~failed])
+        for key in clean.keys() - {"inverse"}:
+            assert np.array_equal(stacked[key], clean[key]), key
         assert max(sizes) == 3 and 1 in sizes
 
     @pytest.mark.parametrize("m", [5, 16])
