@@ -480,16 +480,19 @@ def _by_blocks(indices: list[int], size: int, run):
 def _isometry_values(model: ModelManifold, n_elements: int, n_points: int,
                      rng: np.random.Generator) -> dict[str, np.ndarray]:
     """isometry-check's values, one row per sampled element (per pair for
-    "compat" and "composed", the composed images), in two passes over blocks
-    of elements and of pairs. Per element block: one lookup for its sigma
-    matrices, each element's Omega-scaling and determinant, one stacked
-    pullback, then each element's inverse law. Per pair block: the products
-    applied, then compared with the stepwise images."""
+    "compat" and "composed", the composed images): the membership of every
+    element in one call, then two passes over blocks of elements and of
+    pairs. Per element block: one lookup for its sigma matrices, each
+    element's Omega-scaling and determinant, one stacked pullback, one
+    lookup for the matrices of its inverse sigmas, then each element's
+    inverse law. Per pair block: the products applied, then compared with
+    the stepwise images."""
     elems = sample_isometries(model, rng, n_elements)
     pts = np.array([random_chart_point(model, rng).coords() for _ in range(n_points)])
     pairs = [[(random_solution(model, rng), random_solution(model, rng))
               for _ in range(3)] for _ in range(n_elements)]
-    member = np.array([max(s_membership(model, g.sigma).values()) for g in elems])
+    member = np.array([max(res.values())
+                       for res in s_membership(model, [g.sigma for g in elems])])
     size = max(1, _BLOCK_DOUBLES // (n_points * (2 * model.m) ** 2))
 
     def points_for(block):
@@ -512,6 +515,7 @@ def _isometry_values(model: ModelManifold, n_elements: int, n_points: int,
             det[k] = sigma_det_residual(model, elems[k].sigma)
         pull[block], images[block] = pullback_residual(
             model, stack_elements([elems[k] for k in block]), points_for(block))
+        sigma_matrices(model, [elems[k].sigma.inverse for k in block])
         for k in block:
             g, g_inv = elems[k], iso_inverse(model, elems[k])
             inverse[k] = max(iso_distance(iso_compose(model, g, g_inv), ident),
@@ -613,18 +617,23 @@ def task_tcp_check(model: ModelManifold, params: dict,
         for j in range(i + 1, n_classes):
             across.append(_or_nan(direct, classes[i][0], classes[j][0]))
 
+    # Every third pair is the ends of a class, the others are drawn; the
+    # drawn dilations share one flow lookup, and a pair whose lookup fails
+    # looks up again alone in commute_test.
     agreement_pairs = params["agreement_pairs"]
-    disagreements = 0.0
+    pairs = []
     for k in range(agreement_pairs):
         if k % 3 == 0:
             members = classes[k % n_classes]
-            disagreements += _or_nan(disagree, members[0], members[-1])
+            pairs.append((members[0], members[-1]))
         else:
-            g1 = IsoElement(hm.dilation(away_from_one(rng)),
-                            float(rng.standard_normal()), rng.standard_normal(m2))
-            g2 = IsoElement(hm.dilation(away_from_one(rng)),
-                            float(rng.standard_normal()), rng.standard_normal(m2))
-            disagreements += _or_nan(disagree, g1, g2)
+            pairs.append(tuple(
+                IsoElement(hm.dilation(away_from_one(rng)),
+                           float(rng.standard_normal()), rng.standard_normal(m2))
+                for _ in range(2)))
+    _or_nan(sigma_matrices, model,
+            [g.sigma for k, pair in enumerate(pairs) if k % 3 for g in pair])
+    disagreements = sum(_or_nan(disagree, g1, g2) for g1, g2 in pairs)
 
     n_triples = params["triples"]
     nan = float("nan")

@@ -44,7 +44,14 @@ from .pseudo_linear import (
     scaling_isometry,
 )
 from .solution_space import omega, omega_matrix, random_solution
-from .isometry_group import IsoElement, SElement, iso_compose, sigma_act, sigma_matrix
+from .isometry_group import (
+    IsoElement,
+    SElement,
+    iso_compose,
+    sigma_act,
+    sigma_matrices,
+    sigma_matrix,
+)
 
 # Relative cutoff separating the kernel of the generator from its range: an
 # eigenvalue of B (an exponent kappa) at most KERNEL_RTOL times its spectral
@@ -165,7 +172,7 @@ def generator_matrix(hm: HomogeneousModel) -> np.ndarray:
     """
     m = hm.m
     P = hm.fit.vectors
-    D = P @ np.diag([m + 1.0 - 2 * j for j in range(1, m + 1)]) @ np.linalg.inv(P)
+    D = P @ np.diag([m + 1.0 - 2 * j for j in range(1, m + 1)]) @ hm.fit.inverse
     eye = np.eye(m)
     return np.block([[D, -eye], [-hm.model.f_plus_A(1.0), D - eye]])
 
@@ -375,14 +382,16 @@ def conjugation_spectrum_check(hm: HomogeneousModel, g: IsoElement) -> SpectrumC
     return _spectrum_check(predicted, conjugation_matrix(hm, g))
 
 
-def class_map(hm: HomogeneousModel, a: float, z_data, q: float, w_data) -> IsoElement:
+def class_map(hm: HomogeneousModel, a: float, z_data, sigma: SElement,
+              w_data) -> IsoElement:
     """J(a, z, q, w): the element of the commuting class labeled (a, z) with
-    dilation q and kernel displacement w, both given as Cauchy-data arrays."""
-    model = hm.model
-    sq = hm.dilation(q)
-    sz = sigma_act(model, sq, z_data)
+    the dilation sigma = sigma_q (`hm.dilation(q)`) and kernel displacement
+    w; z and w are Cauchy-data arrays. The element takes sigma as its
+    structural part, with the matrix sigma keeps."""
+    model, q = hm.model, sigma.q
+    sz = sigma_act(model, sigma, z_data)
     r = a * (1.0 - 1.0 / q) + omega(model, z_data, sz + (1.0 + 1.0 / q) * w_data)
-    return IsoElement(sq, r, (sz - z_data) + w_data)
+    return IsoElement(sigma, r, (sz - z_data) + w_data)
 
 
 def class_map_inverse(hm: HomogeneousModel, g: IsoElement,
@@ -474,7 +483,9 @@ def away_from_one(rng: np.random.Generator) -> float:
 def sample_class(hm: HomogeneousModel, split: SpectralSplit, rng: np.random.Generator,
                  size: int) -> tuple[float, np.ndarray, list, list[IsoElement]]:
     """`size` members of one random commuting class. Draws the labels a and
-    z in E_plus, then for each member w in E_0 and q = away_from_one.
+    z in E_plus, then for each member w in E_0 and q = away_from_one. The
+    members' dilations share one flow lookup (`sigma_matrices`) before
+    class_map builds each member.
     Returns (a, z, [(q, w), ...], [J(a, z, q, w), ...])."""
     a = float(rng.standard_normal())
     z = split.eplus @ rng.standard_normal(split.eplus.shape[1])
@@ -482,4 +493,7 @@ def sample_class(hm: HomogeneousModel, split: SpectralSplit, rng: np.random.Gene
     for _ in range(size):
         w = split.e0 @ rng.standard_normal(split.kernel_dim)
         labels.append((away_from_one(rng), w))
-    return a, z, labels, [class_map(hm, a, z, q, w) for q, w in labels]
+    sigmas = [hm.dilation(q) for q, _ in labels]
+    sigma_matrices(hm.model, sigmas)
+    return a, z, labels, [class_map(hm, a, z, sigma, w)
+                          for sigma, (_, w) in zip(sigmas, labels)]

@@ -23,8 +23,9 @@ base time, as in solution_space, so u + sigma . u' is array addition. In
 those coordinates sigma . is one matrix, `sigma_matrix`, and `sigma_act`
 applies it. One sigma acts many times (in its checks, its inverse and every
 product it enters), so an SElement keeps its matrix, read-only, for the
-model it was last asked about. `sigma_matrices` fills the matrices of many
-elements from one flow lookup of their source times; `sigma_matrix` is its
+model it was last asked about, and keeps its inverse (`SElement.inverse`)
+once built. `sigma_matrices` fills the matrices of many elements from one
+flow lookup of their source times, inverses included; `sigma_matrix` is its
 case of one. A sigma that fixes the base time (q = 1, p = +-0) needs no
 lookup at all, since the flow there is the identity. Omega rescales under
 sigma by q^{-1} and the action of sigma on E has determinant q^{2 - n};
@@ -66,7 +67,8 @@ class SElement:
     """Structural part (q, p, C) of an isometry.
 
     The element keeps its action matrix on E (`sigma_matrix`) for the last
-    model it was asked about, as (model, matrix).
+    model it was asked about, as (model, matrix), and its inverse once it
+    is asked for, which keeps a matrix of its own.
     """
 
     q: float
@@ -74,6 +76,8 @@ class SElement:
     C: np.ndarray
     _matrix: tuple | None = field(default=None, init=False, repr=False,
                                   compare=False)
+    _inverse: SElement | None = field(default=None, init=False, repr=False,
+                                      compare=False)
 
     def __post_init__(self):
         self.q = float(self.q)
@@ -81,6 +85,15 @@ class SElement:
         self.C = _as_matrix(self.C)
         if self.q <= 0:
             raise ValueError("q must be positive")
+
+    @property
+    def inverse(self) -> SElement:
+        """(1/q, -p/q, C^-1), the inverse affine map of I with the inverse
+        isometry of V; built on first use and kept."""
+        if self._inverse is None:
+            self._inverse = SElement(1.0 / self.q, -self.p / self.q,
+                                     np.linalg.inv(self.C))
+        return self._inverse
 
 
 @dataclass
@@ -124,40 +137,46 @@ def _parts(g: IsoElement | IsoStack):
     return g.sigma.q, g.sigma.p, g.sigma.C, g.r, g.u
 
 
-def s_membership(model: ModelManifold, elem: SElement) -> dict:
-    """Residuals of the three structural conditions on (q, p, C).
+def s_membership(model: ModelManifold, elems: Sequence[SElement]) -> list[dict]:
+    """Residuals of the three structural conditions on (q, p, C), one dict
+    per element.
 
     f-equivariance |f(t) - q^2 f(q t + p)| is sampled on 64 Chebyshev nodes
     of the model's compact window and is infinite when their image leaves I;
     interval equivariance is checked exactly on endpoints. Since q > 0, each
     end maps to an end of its own kind, so only the finite ends have a
-    residual |q e + p - e|.
+    residual |q e + p - e|. The nodes, f on them and its scale depend on the
+    model alone and are computed once per call, and f is evaluated on the
+    images of every element that stays in I in one call; a call with one
+    element is the case of one.
     """
-    q, p, C = elem.q, elem.p, elem.C
+    q = np.array([e.q for e in elems])
+    p = np.array([e.p for e in elems])
+    C = np.array([e.C for e in elems])
     gram = model.space.gram
-    conj = float(np.max(np.abs(C @ model.A @ np.linalg.inv(C) - q * q * model.A)))
-    iso = float(np.max(np.abs(C.T @ gram @ C - gram)))
-    interval_res = max((abs(q * e + p - e) for e in model.interval if np.isfinite(e)),
-                       default=0.0)
+    q2 = q * q
+    conj = np.max(np.abs(C @ model.A @ np.linalg.inv(C) - q2[:, None, None] * model.A),
+                  axis=(1, 2))
+    iso = np.max(np.abs(C.swapaxes(1, 2) @ gram @ C - gram), axis=(1, 2))
+    ends = np.array([e for e in model.interval if np.isfinite(e)])
+    interval_res = np.max(np.abs(q[:, None] * ends + p[:, None] - ends), axis=1,
+                          initial=0.0)
 
     w0, w1 = model.compact_window()
     k = np.arange(64)
     ts = 0.5 * (w0 + w1) + 0.5 * (w1 - w0) * np.cos((2 * k + 1) * np.pi / 128)
-    images = q * ts + p
+    images = q[:, None] * ts + p[:, None]
     lo, hi = model.interval
-    if np.any(images <= lo) or np.any(images >= hi):
-        equiv = float("inf")
-    else:
+    inside = ~np.any((images <= lo) | (images >= hi), axis=1)
+    equiv = np.full(len(elems), np.inf)
+    if inside.any():
         fv = np.asarray(model.profile.value(ts), dtype=float)
-        fi = np.asarray(model.profile.value(images), dtype=float)
+        fi = np.asarray(model.profile.value(images[inside]), dtype=float)
         scale = max(1.0, float(np.max(np.abs(fv))))
-        equiv = float(np.max(np.abs(fv - q * q * fi))) / scale
-    return {
-        "conjugation_residual": conj,
-        "isometry_residual": iso,
-        "interval_residual": interval_res,
-        "equivariance_residual": equiv,
-    }
+        equiv[inside] = np.max(np.abs(fv - q2[inside, None] * fi), axis=1) / scale
+    return [{"conjugation_residual": float(a), "isometry_residual": float(b),
+             "interval_residual": float(c), "equivariance_residual": float(d)}
+            for a, b, c, d in zip(conj, iso, interval_res, equiv)]
 
 
 def sigma_matrices(model: ModelManifold,
@@ -315,11 +334,11 @@ def iso_compose(model: ModelManifold, a: IsoElement, b: IsoElement) -> IsoElemen
 
 
 def iso_inverse(model: ModelManifold, a: IsoElement) -> IsoElement:
-    """Inverse element; sigma inverts as an affine map and u pulls back."""
-    sa = a.sigma
-    inv_sigma = SElement(1.0 / sa.q, -sa.p / sa.q, np.linalg.inv(sa.C))
+    """Inverse element; sigma inverts as an affine map (the kept
+    `SElement.inverse`, with its kept matrix) and u pulls back."""
+    inv_sigma = a.sigma.inverse
     u_star = -sigma_act(model, inv_sigma, a.u)
-    return IsoElement(inv_sigma, -sa.q * a.r, u_star)
+    return IsoElement(inv_sigma, -a.sigma.q * a.r, u_star)
 
 
 def iso_distance(a: IsoElement, b: IsoElement) -> float:

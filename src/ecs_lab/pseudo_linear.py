@@ -10,7 +10,7 @@ Everything here is plain numpy on small dense matrices (dim V = m, typically
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -131,8 +131,6 @@ def validate_A(space: PseudoEuclideanSpace, A) -> AValidation:
 
 @dataclass
 class GenericityResult:
-    rank: int
-    expected_rank: int
     is_generic: bool
     isotropy_dim: int
 
@@ -158,13 +156,11 @@ def genericity_test(space: PseudoEuclideanSpace, A) -> GenericityResult:
     basis = space.skew_basis()
     expected = len(basis)
     if expected == 0:
-        return GenericityResult(0, 0, True, 0)
+        return GenericityResult(True, 0)
     cols = np.column_stack([(A @ B - B @ A).ravel() for B in basis])
     sv = np.linalg.svd(cols, compute_uv=False)
     rank = int(np.sum(sv > RANK_RTOL * sv[0])) if sv[0] > 0 else 0
     return GenericityResult(
-        rank=rank,
-        expected_rank=expected,
         is_generic=(rank == expected),
         isotropy_dim=expected - rank,
     )
@@ -197,11 +193,17 @@ class FitBasis:
     Properties (up to numerical residuals, see tests):
       A v_j = v_{j-1} (with v_0 = 0), and <v_i, v_j> = epsilon when
       i + j = m + 1 and 0 otherwise. Columns of `vectors` are the v_j in the
-      reference basis; epsilon is +1 or -1.
+      reference basis; epsilon is +1 or -1. `inverse` is the inverse of
+      `vectors`, computed once: every scaling isometry and the generator
+      change basis through it.
     """
 
     vectors: np.ndarray
     epsilon: float
+    inverse: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.inverse = np.linalg.inv(self.vectors)
 
     @property
     def dim(self) -> int:
@@ -273,7 +275,8 @@ def scaling_isometry(space: PseudoEuclideanSpace, fit: FitBasis, q: float,
     Returned in the reference basis. It preserves the form because the
     adapted Gram couples v_j with v_{m+1-j} and the exponents there cancel,
     and it conjugates A to q^2 A because the exponent steps by 2 along the
-    shift. delta must be +1 or -1.
+    shift. delta must be +1 or -1. The change of basis back is the fit's
+    kept `inverse`, so a call inverts nothing.
     """
     if q <= 0:
         raise ValueError("scaling parameter q must be positive")
@@ -281,8 +284,7 @@ def scaling_isometry(space: PseudoEuclideanSpace, fit: FitBasis, q: float,
         raise ValueError("delta must be +1 or -1")
     m = fit.dim
     d = delta * np.array([q ** (m + 1 - 2 * j) for j in range(1, m + 1)])
-    P = fit.vectors
-    return P @ np.diag(d) @ np.linalg.inv(P)
+    return fit.vectors @ np.diag(d) @ fit.inverse
 
 
 def random_self_adjoint(space: PseudoEuclideanSpace,

@@ -422,10 +422,11 @@ def solution_at(model: ModelManifold, data, t) -> tuple[np.ndarray, np.ndarray]:
 
 def omega(model: ModelManifold, x, y) -> float:
     """Symplectic pairing <u', w> - <u, w'> of the solutions with Cauchy
-    data x and y, evaluated at the base time."""
+    data x and y, evaluated at the base time. `ndarray.dot` gives the bits
+    of `@` in about half the time on these small operands."""
     m = model.m
     gram = model.space.gram
-    return float(x[m:] @ gram @ y[:m] - x[:m] @ gram @ y[m:])
+    return float(x[m:].dot(gram).dot(y[:m]) - x[:m].dot(gram).dot(y[m:]))
 
 
 def omega_matrix(model: ModelManifold) -> np.ndarray:

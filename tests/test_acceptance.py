@@ -338,7 +338,7 @@ def test_ac09_commuting_class_suite(spectral_grid, capsys):
             z = split.eplus @ rng.standard_normal(split.eplus.shape[1])
             q = away_from_one()
             w = kernel_vec()
-            g = class_map(hm, a, z, q, w)
+            g = class_map(hm, a, z, hm.dilation(q), w)
             a2, z2, q2, w2 = class_map_inverse(hm, g, split)
             scale = max(1.0, abs(a), float(np.max(np.abs(z))))
             worst_rt = max(
@@ -352,8 +352,8 @@ def test_ac09_commuting_class_suite(spectral_grid, capsys):
         for _ in range(50):
             g = IsoElement(hm.dilation(away_from_one()), float(rng.standard_normal()),
                            rng.standard_normal(m2))
-            labels = class_map_inverse(hm, g, split)
-            back = class_map(hm, *labels)
+            a, z, q, w = class_map_inverse(hm, g, split)
+            back = class_map(hm, a, z, hm.dilation(q), w)
             scale = max(1.0, abs(g.r), float(np.max(np.abs(g.u))))
             worst_rt = max(worst_rt, iso_distance(g, back) / scale)
             round_trips += 1
@@ -369,8 +369,8 @@ def test_ac09_commuting_class_suite(spectral_grid, capsys):
         for _ in range(125):
             a = float(rng.standard_normal())
             z = split.eplus @ rng.standard_normal(split.eplus.shape[1])
-            g1 = class_map(hm, a, z, away_from_one(), kernel_vec())
-            g2 = class_map(hm, a, z, away_from_one(), kernel_vec())
+            g1 = class_map(hm, a, z, hm.dilation(away_from_one()), kernel_vec())
+            g2 = class_map(hm, a, z, hm.dilation(away_from_one()), kernel_vec())
             if not commute_test(hm, g1, g2).agree:
                 disagreements += 1
             pair_count += 1

@@ -590,7 +590,7 @@ class TestWorstRunDetail:
                 pts[detail.get("worst_point", 0)], detail
 
         row, g, _, _ = witness("isometry.membership")
-        assert max(s_membership(model, g.sigma).values()) == row["value"]
+        assert max(s_membership(model, [g.sigma])[0].values()) == row["value"]
         row, g, _, _ = witness("isometry.determinant-power")
         assert sigma_det_residual(model, g.sigma) == row["value"]
         row, g, x, _ = witness("isometry.pullback")
@@ -798,7 +798,7 @@ def per_element_isometry_values(model, n_elements, n_points, rng):
     images = np.full((n_elements, n_points, model.dim), np.nan)
     ident = iso_identity(model)
     for k, g in enumerate(elems):
-        values["member"][k] = max(s_membership(model, g.sigma).values())
+        values["member"][k] = max(s_membership(model, [g.sigma])[0].values())
         pairs = [(random_solution(model, rng), random_solution(model, rng))
                  for _ in range(3)]
         with suppress(IntegrationError):
@@ -821,7 +821,9 @@ def per_element_isometry_values(model, n_elements, n_points, rng):
 
 class TestIsometryBlocks:
     """isometry-check moves its elements' points stacked, one flow lookup per
-    block of max(1, 2**14 // (points (2m)^2)) elements."""
+    block of max(1, 2**14 // (points (2m)^2)) elements for each of the
+    sigma matrices, the pullbacks and the inverse sigmas, and the same per
+    block of pairs for each side of the pairs."""
 
     AC05 = {"task": "isometry-check", "elements": 50, "points": 20}
 
@@ -830,9 +832,10 @@ class TestIsometryBlocks:
         return max(1, cli._BLOCK_DOUBLES // (points * (2 * model.m) ** 2))
 
     def test_lookups_per_block(self, roster, monkeypatch):
-        # One lookup per block for the sigma matrices, one per block for the
-        # pullbacks and for each side of the pairs, and one for each
-        # inverse's sigma when it does not fix the base time.
+        # Per element block one lookup for the sigma matrices, one for the
+        # pullbacks and one for the inverse sigmas, and per pair block one
+        # for each side of the pairs; the homogeneous models need them all.
+        # On the polynomial models every sigma fixes the base time.
         calls = []
         matrices = CauchyFlow.matrices
         monkeypatch.setattr(CauchyFlow, "matrices",
@@ -842,9 +845,9 @@ class TestIsometryBlocks:
             calls.clear()
             cli.task_isometry_check(model, cli._task_params(self.AC05),
                                     np.random.default_rng(11))
-            inverses = 50 if entry.hm else 0
             blocks = math.ceil(50 / self.block_size(model, 20))
-            assert len(calls) <= 1 + 3 * blocks + inverses
+            assert len(calls) <= 1 + 4 * blocks
+            assert entry.hm is None or len(calls) == 1 + 4 * blocks
 
     def test_values_equal_a_per_element_evaluation(self, roster):
         for entry in roster:

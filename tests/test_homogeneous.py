@@ -29,6 +29,7 @@ from ecs_lab.homogeneous import (
     exponential_consistency_residual,
     generator_matrix,
     generator_spectrum_check,
+    sample_class,
     shifted_invertibility,
     spectral_exponents,
     spectral_split,
@@ -298,8 +299,8 @@ class TestCommuteTest:
             w = split.e0 @ rng.standard_normal(split.kernel_dim) \
                 if split.kernel_dim else np.zeros(2 * hm.m)
             a_label = 0.8
-            x = class_map(hm, a_label, z, 2.0, w)
-            y = class_map(hm, a_label, z, 0.3, w)
+            x = class_map(hm, a_label, z, hm.dilation(2.0), w)
+            y = class_map(hm, a_label, z, hm.dilation(0.3), w)
             chk = commute_test(hm, x, y)
             assert chk.direct and chk.criterion
             assert chk.direct_residual < 1e-10
@@ -315,9 +316,9 @@ class TestCommuteTest:
             z = split.eplus @ rng.standard_normal(split.eplus.shape[1])
             w = split.e0 @ rng.standard_normal(split.kernel_dim) \
                 if split.kernel_dim else np.zeros(2 * hm.m)
-            x = class_map(hm, 0.8, z, 2.0, w)
-            y = class_map(hm, 0.8, z, 0.3, w)
-            other = class_map(hm, -0.5, z, 0.3, w)
+            x = class_map(hm, 0.8, z, hm.dilation(2.0), w)
+            y = class_map(hm, 0.8, z, hm.dilation(0.3), w)
+            other = class_map(hm, -0.5, z, hm.dilation(0.3), w)
 
             def defect(g, h, pts):
                 gh = iso_apply(model, g, iso_apply(model, h, pts))
@@ -371,7 +372,7 @@ class TestClassMap:
                 q = float(np.exp(rng.uniform(-np.log(4.0), np.log(4.0))))
                 if abs(q - 1.0) < 0.05:
                     q *= 1.3
-                g = class_map(hm, a, z, q, w)
+                g = class_map(hm, a, z, hm.dilation(q), w)
                 a2, z2, q2, w2 = class_map_inverse(hm, g, split)
                 assert abs(a2 - a) < 1e-8
                 assert q2 == q
@@ -386,7 +387,7 @@ class TestClassMap:
             g = IsoElement(hm.dilation(float(np.exp(rng.uniform(0.1, 1.0)))),
                            float(rng.normal()), rng.standard_normal(4))
             a, z, q, w = class_map_inverse(hm, g, split)
-            back = class_map(hm, a, z, q, w)
+            back = class_map(hm, a, z, hm.dilation(q), w)
             assert iso_distance(back, g) < 1e-8
 
     def test_q_one_rejected(self):
@@ -395,13 +396,27 @@ class TestClassMap:
         with pytest.raises(ValueError):
             class_map_inverse(hm, g, spectral_split(hm))
 
+    def test_class_members_share_one_lookup(self, monkeypatch):
+        # sample_class looks the members' dilations up together, and
+        # class_map then reads each member's kept matrix.
+        hm = model_for(3, 0.25)
+        split = spectral_split(hm)
+        sizes = []
+        matrices = CauchyFlow.matrices
+        monkeypatch.setattr(CauchyFlow, "matrices",
+                            lambda self, ts: sizes.append(np.size(ts)) or matrices(self, ts))
+        for size in (2, 3, 7):
+            sizes.clear()
+            members = sample_class(hm, split, np.random.default_rng(size), size)[3]
+            assert sizes == [size] and len(members) == size
+
     def test_inverse_acts_through_the_element(self, monkeypatch):
         # class_map already looked up the dilation's matrix on g.sigma, so
         # the inverse reads that matrix instead of the flow.
         hm = model_for(2, 0.3)
         split = spectral_split(hm)
-        g = class_map(hm, 0.4, split.eplus @ np.ones(split.eplus.shape[1]), 2.0,
-                      np.zeros(4))
+        g = class_map(hm, 0.4, split.eplus @ np.ones(split.eplus.shape[1]),
+                      hm.dilation(2.0), np.zeros(4))
         calls = []
         lookup = CauchyFlow.matrix
         monkeypatch.setattr(CauchyFlow, "matrix",
@@ -412,21 +427,35 @@ class TestClassMap:
 
 class TestConjugation:
     def test_matrix_matches_group_conjugation(self):
+        # (r, u) of g h g^-1 for Heisenberg elements h = (id, r, u) against
+        # the matrix applied to (r, u), for class members g. The spectrum
+        # check cannot see the matrix's r-row (its eigenvalues do not depend
+        # on it), so the r-row is tested here, with both faults planted.
         rng = np.random.default_rng(99)
-        hm = model_for(2, 0.3)
-        model = hm.model
-        g = IsoElement(hm.dilation(1.7), 0.4, rng.standard_normal(4))
-        M = conjugation_matrix(hm, g)
-        ginv = iso_inverse(model, g)
-        for _ in range(5):
-            h = IsoElement(hm.dilation(1.0), float(rng.normal()),
-                           rng.standard_normal(4))
-            conj = iso_compose(model, iso_compose(model, g, h), ginv)
-            assert abs(conj.sigma.q - 1.0) < 1e-12
-            vec = np.concatenate([[h.r], h.u])
-            out = M @ vec
-            assert abs(out[0] - conj.r) < 1e-9
-            assert np.max(np.abs(out[1:] - conj.u)) < 1e-9
+        gaps = {"matrix": [], "r-row zeroed": [], "r-row x 1e3": []}
+        for m, c in GRID + [(5, 1.5)]:
+            hm = model_for(m, c)
+            model = hm.model
+            for g in sample_class(hm, spectral_split(hm), rng, 10)[3]:
+                h = IsoElement(iso_identity(model).sigma, float(rng.normal()),
+                               rng.standard_normal(2 * m))
+                conj = iso_compose(model, iso_compose(model, g, h),
+                                   iso_inverse(model, g))
+                assert abs(conj.sigma.q - 1.0) < 1e-12
+                got = np.concatenate([[conj.r], conj.u])
+                vec = np.concatenate([[h.r], h.u])
+                M = conjugation_matrix(hm, g)
+                for name, factor in [("matrix", 1.0), ("r-row zeroed", 0.0),
+                                     ("r-row x 1e3", 1e3)]:
+                    planted = M.copy()
+                    planted[0, 1:] *= factor
+                    gaps[name].append(np.max(np.abs(planted @ vec - got))
+                                      / np.max(np.abs(got)))
+        # Relative to max |(r, u)| of g h g^-1: at most 1.8e-11 for the
+        # matrix, and every sample sees each fault (at least 0.015 and 15).
+        assert max(gaps["matrix"]) < 1e-10
+        assert min(gaps["r-row zeroed"]) > 1e-3
+        assert min(gaps["r-row x 1e3"]) > 1.0
 
     def test_spectrum_prediction(self):
         rng = np.random.default_rng(100)

@@ -5,7 +5,7 @@ from scipy.linalg, neither calls SciPy's solve_ivp nor reads its private
 dense-output state, takes no sample times (`t_eval`) in any integration,
 looks solutions up in the geodesics module only through the group action,
 reads the evaluation budget only in the stepper, defines no function,
-method or class that nothing reads, and loads SciPy's heavy subpackages
+method, class or class field that nothing reads, and loads SciPy's heavy subpackages
 only when a task needs them.
 
 The scan uses only the standard library's ast, so it needs no linter.
@@ -241,10 +241,18 @@ def test_only_the_stepper_reads_the_evaluation_budget():
 
 def definitions(source: str) -> dict[str, int]:
     """Name -> line of every function, method and class a module defines,
-    dunders excepted."""
-    return {node.name: node.lineno for node in ast.walk(ast.parse(source))
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and not (node.name.startswith("__") and node.name.endswith("__"))}
+    dunders excepted, and of every annotated field in a class body (a
+    dataclass or NamedTuple field)."""
+    out = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+                and not (node.name.startswith("__") and node.name.endswith("__")):
+            out[node.name] = node.lineno
+        if isinstance(node, ast.ClassDef):
+            out.update((stmt.target.id, stmt.lineno) for stmt in node.body
+                       if isinstance(stmt, ast.AnnAssign)
+                       and isinstance(stmt.target, ast.Name))
+    return out
 
 
 def reads(source: str) -> set[str]:
@@ -285,13 +293,20 @@ def test_scan_finds_unread_definitions():
         "    return 2\n"
         "def exported():\n"
         "    return 3\n"
+        "@dataclass\n"
+        "class Result:\n"
+        "    value: float\n"
+        "    unread_field: int\n"
+        "    total = 0\n"
     )}
     readers = [*package.values(),
-               "from mod import Used as U, exported\n"
+               "from mod import Used as U, exported, Result\n"
                "U().method()\n"
-               "orphan = U.orphan_method = None\n"]
+               "orphan = U.orphan_method = None\n"
+               "Result(1.0, unread_field=2).value\n"]
     assert unread_definitions(package, readers) == [
-        "mod.py: orphan (line 10)", "mod.py: orphan_method (line 4)"]
+        "mod.py: orphan (line 10)", "mod.py: orphan_method (line 4)",
+        "mod.py: unread_field (line 17)"]
 
 
 def test_every_package_definition_is_read():

@@ -37,36 +37,80 @@ from ecs_lab.pseudo_linear import PseudoEuclideanSpace
 from ecs_lab.solution_space import CauchyFlow, flow, random_solution, solution_at
 
 
+def membership_alone(model, elem):
+    """s_membership's residuals for one element, as the formulas read: the
+    reference for the stacked call."""
+    q, p, C = elem.q, elem.p, elem.C
+    gram = model.space.gram
+    conj = float(np.max(np.abs(C @ model.A @ np.linalg.inv(C) - q * q * model.A)))
+    iso = float(np.max(np.abs(C.T @ gram @ C - gram)))
+    interval_res = max((abs(q * e + p - e) for e in model.interval if np.isfinite(e)),
+                       default=0.0)
+    w0, w1 = model.compact_window()
+    k = np.arange(64)
+    ts = 0.5 * (w0 + w1) + 0.5 * (w1 - w0) * np.cos((2 * k + 1) * np.pi / 128)
+    images = q * ts + p
+    lo, hi = model.interval
+    if np.any(images <= lo) or np.any(images >= hi):
+        equiv = float("inf")
+    else:
+        fv = model.profile.value(ts)
+        scale = max(1.0, float(np.max(np.abs(fv))))
+        equiv = float(np.max(np.abs(fv - q * q * model.profile.value(images)))) / scale
+    return {"conjugation_residual": conj, "isometry_residual": iso,
+            "interval_residual": interval_res, "equivariance_residual": equiv}
+
+
 class TestSMembership:
+    def test_stacked_call_equals_each_element_alone(self, roster):
+        # The roster's sampled elements (q = 1 and C = +-Id on the polynomial
+        # models) with, on the homogeneous ones, a dilation shifted so that
+        # its images leave I, and a stretch of a finite interval next to a
+        # member: one call per model equals each element alone, bit for bit.
+        rng = np.random.default_rng(46)
+        finite = ModelManifold.ecs(PseudoEuclideanSpace(np.eye(2)), np.diag([1.0, -1.0]),
+                                   PolynomialProfile([0.0, 1.0]), (-1.0, 2.0))
+        cases = [(entry.model, [g.sigma for g in sample_isometries(entry.model, rng, 12)]
+                  + ([SElement(2.0, -1.0, entry.hm.dilation(2.0).C)] if entry.hm else []))
+                 for entry in roster]
+        cases.append((finite, [SElement(2.0, 0.5, np.eye(2)), SElement(1.0, 0.0, -np.eye(2))]))
+        leaving = 0
+        for model, elems in cases:
+            stacked = s_membership(model, elems)
+            assert stacked == [membership_alone(model, e) for e in elems]
+            assert stacked == [s_membership(model, [e])[0] for e in elems]
+            leaving += sum(r["equivariance_residual"] == np.inf for r in stacked)
+        assert leaving == 4
+
     def test_dilation_is_structural(self, roster):
         hm = roster[1].hm
         for q in (0.25, 0.5, 2.0, 4.0):
-            res = s_membership(hm.model, hm.dilation(q))
+            res = s_membership(hm.model, [hm.dilation(q)])[0]
             assert max(res.values()) < 1e-12
 
     def test_sign_diagonal_on_polynomial(self, roster):
         model = roster[0].model
         elem = SElement(1.0, 0.0, np.diag([1.0, -1.0]))
-        res = s_membership(model, elem)
+        res = s_membership(model, [elem])[0]
         assert max(res.values()) < 1e-14
 
     def test_dilation_fails_on_polynomial_profile(self, roster):
         model = roster[0].model
         elem = SElement(2.0, 0.0, np.eye(2))
-        res = s_membership(model, elem)
+        res = s_membership(model, [elem])[0]
         assert res["equivariance_residual"] > 1e-2
 
     def test_non_isometric_c_detected(self, roster):
         model = roster[0].model
         elem = SElement(1.0, 0.0, np.diag([2.0, 0.5]))
-        res = s_membership(model, elem)
+        res = s_membership(model, [elem])[0]
         assert res["isometry_residual"] > 1.0
         assert res["conjugation_residual"] < 1e-14
 
     def test_q_without_matching_c_detected(self, roster):
         hm = roster[1].hm
         elem = SElement(2.0, 0.0, np.eye(2))
-        res = s_membership(hm.model, elem)
+        res = s_membership(hm.model, [elem])[0]
         assert res["conjugation_residual"] > 1.0
         assert res["equivariance_residual"] < 1e-14
 
@@ -74,7 +118,7 @@ class TestSMembership:
         hm = roster[1].hm          # interval (0, inf)
         good = hm.dilation(2.0)
         elem = SElement(good.q, 1.0, good.C)
-        res = s_membership(hm.model, elem)
+        res = s_membership(hm.model, [elem])[0]
         assert res["interval_residual"] >= 1.0
 
     def test_interval_residual_is_the_worst_finite_end(self):
@@ -84,9 +128,9 @@ class TestSMembership:
         A, profile = np.diag([1.0, -1.0]), PolynomialProfile([0.0, 1.0])
         elem = SElement(2.0, 0.5, np.eye(2))
         finite = ModelManifold.ecs(space, A, profile, (-1.0, 2.0))
-        assert s_membership(finite, elem)["interval_residual"] == 2.5
+        assert s_membership(finite, [elem])[0]["interval_residual"] == 2.5
         line = ModelManifold.ecs(space, A, profile)
-        assert s_membership(line, elem)["interval_residual"] == 0.0
+        assert s_membership(line, [elem])[0]["interval_residual"] == 0.0
 
     def test_sampled_elements_are_members(self, roster):
         # The library sampler on the roster, and on a homogeneous profile whose
@@ -96,7 +140,7 @@ class TestSMembership:
                                      np.diag([1.0, -1.0]), HomogeneousProfile(0.3))
         for model in [entry.model for entry in roster] + [diagonal]:
             for g in sample_isometries(model, rng, 10):
-                assert max(s_membership(model, g.sigma).values()) < 1e-9
+                assert max(s_membership(model, [g.sigma])[0].values()) < 1e-9
         assert {g.sigma.q for g in sample_isometries(diagonal, rng, 6)} == {1.0}
 
     def test_nonpositive_q_rejected(self):
