@@ -47,7 +47,7 @@ from .isometry_group import (
     SElement,
     IsoElement,
     s_membership,
-    sigma_act,
+    sigma_matrix,
     iso_apply,
     iso_compose,
     iso_inverse,
@@ -66,7 +66,8 @@ from .homogeneous import (
     spectral_split,
     class_map,
     class_map_inverse,
-    commute_test,
+    commutator_residual,
+    commute_criterion_residual,
     transitive_commutation_check,
     conjugation_matrix,
     sample_isometries,

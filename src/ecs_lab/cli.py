@@ -55,11 +55,13 @@ from .geodesics import (
     variation_field,
 )
 from .homogeneous import (
+    COMMUTE_TOL,
     HomogeneousModel,
     TransitivityReport,
     away_from_one,
     class_map_inverse,
-    commute_test,
+    commutator_residual,
+    commute_criterion_residual,
     transitive_commutation_check,
     conjugation_spectrum_check,
     dilation_spectrum_check,
@@ -591,17 +593,14 @@ def task_tcp_check(model: ModelManifold, params: dict,
     # class that cannot be built is None in each of its pairs; the
     # transitivity check counts as one sample.
     def round_trip():
-        a, z, [(q, w)], [g] = sample_class(hm, split, rng, 1)
-        a2, z2, q2, w2 = class_map_inverse(hm, g, split)
-        err = np.max([abs(a2 - a), np.max(np.abs(z2 - z)),
-                      abs(q2 - q), np.max(np.abs(w2 - w))])
+        a, z, [(_, w)], [g] = sample_class(hm, split, rng, 1)
+        a2, z2, w2 = class_map_inverse(hm, g, split)
+        err = np.max([abs(a2 - a), np.max(np.abs(z2 - z)), np.max(np.abs(w2 - w))])
         return err / max(1.0, abs(a), float(np.max(np.abs(z))))
 
-    def direct(g1, g2):
-        return commute_test(hm, g1, g2).direct_residual
-
     def disagree(g1, g2):
-        return float(not commute_test(hm, g1, g2).agree)
+        return float((commutator_residual(model, g1, g2) <= COMMUTE_TOL)
+                     != (commute_criterion_residual(model, g1, g2) <= COMMUTE_TOL))
 
     round_errors = [_or_nan(round_trip) for _ in range(round_trips)]
     within, across = [], []
@@ -612,14 +611,16 @@ def task_tcp_check(model: ModelManifold, params: dict,
         classes.append(members)
         for i in range(per_class):
             for j in range(i + 1, per_class):
-                within.append(_or_nan(direct, members[i], members[j]))
+                within.append(_or_nan(commutator_residual, model,
+                                      members[i], members[j]))
     for i in range(n_classes):
         for j in range(i + 1, n_classes):
-            across.append(_or_nan(direct, classes[i][0], classes[j][0]))
+            across.append(_or_nan(commutator_residual, model,
+                                  classes[i][0], classes[j][0]))
 
     # Every third pair is the ends of a class, the others are drawn; the
     # drawn dilations share one flow lookup, and a pair whose lookup fails
-    # looks up again alone in commute_test.
+    # looks up again alone in the residuals.
     agreement_pairs = params["agreement_pairs"]
     pairs = []
     for k in range(agreement_pairs):

@@ -46,7 +46,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from numpy.polynomial import polynomial as _P
 
-from .isometry_group import IsoElement, iso_apply, iso_jacobian, straightening_element
+from .isometry_group import IsoElement, iso_action, iso_apply, straightening_element
 from .model_geometry import ChartPoint, ModelManifold
 from .solution_space import ENDPOINT_BARRIER, IntegrationError, _StepTable, solve_ivp
 
@@ -301,8 +301,8 @@ def geodesic_closed_form(model: ModelManifold, point: ChartPoint, sdot0: float,
     line[..., 1] = energy * (ts - point.t)
     tangent = np.zeros(model.dim)
     tangent[:2] = 1.0, energy
-    return np.concatenate([iso_apply(model, g, line),
-                           iso_jacobian(model, g, line) @ tangent], axis=-1)
+    image, jacobian = iso_action(model, g, line)
+    return np.concatenate([image, jacobian @ tangent], axis=-1)
 
 
 def variation_field(model: ModelManifold, curve: PolyCurve,

@@ -26,8 +26,8 @@ q, q' != 1 commute exactly when they share (a, z). Elements of G_0 are
 plain isometry_group.IsoElement values IsoElement(hm.dilation(q), r, data),
 with u given as Cauchy data, and they compose by iso_compose. This module
 carries the dilations, the generator, the splitting, J and its inverse, the
-commutation test, the conjugation spectrum, and the samplers of group
-elements and commuting classes.
+two commutation residuals, the conjugation spectrum, and the samplers of
+group elements and commuting classes.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from .isometry_group import (
     IsoElement,
     SElement,
     iso_compose,
-    sigma_act,
     sigma_matrices,
     sigma_matrix,
 )
@@ -60,8 +59,8 @@ from .isometry_group import (
 # eigenvalue at roundoff (near 1e-16 relative), so 1e-4 splits the gap safely.
 KERNEL_RTOL = 1e-4
 
-# Residual at or below which commute_test counts a pair as commuting, by
-# either route.
+# Residual at or below which a pair counts as commuting, by either route
+# (commutator_residual or commute_criterion_residual).
 COMMUTE_TOL = 1e-8
 
 
@@ -241,7 +240,8 @@ class SpectralSplit:
         return np.hstack([self.eplus, self.e0])
 
     def decompose(self, data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Coefficients (plus_part, zero_part) of data in the split basis."""
+        """Coefficients (plus_part, zero_part) in the split basis of data, a
+        vector or a matrix of columns."""
         coeff = np.linalg.solve(self.combined(), data)
         k = self.eplus.shape[1]
         return coeff[:k], coeff[k:]
@@ -276,51 +276,27 @@ def spectral_split(hm: HomogeneousModel) -> SpectralSplit:
 # the subgroup G_0 and its commuting classes
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CommuteTest:
-    """Outcome of the two commutation routes for a pair of group elements.
-
-    `direct` compares the coordinates of ab and ba. `criterion` evaluates
-    the closed-form characterization: the solution parts must satisfy
-    (sigma_q - 1) u_hat = (sigma_qhat - 1) u, and the central parts the
-    matching scalar equation. The two booleans agree up to roundoff at
-    COMMUTE_TOL.
-    """
-
-    direct: bool
-    criterion: bool
-    direct_residual: float
-    criterion_residual: float
-
-    @property
-    def agree(self) -> bool:
-        return self.direct == self.criterion
-
-
-def commute_test(hm: HomogeneousModel, a: IsoElement, b: IsoElement) -> CommuteTest:
-    model = hm.model
-    # The dilation parts of G_0 commute, so ab = ba is decided by r and u.
+def commutator_residual(model: ModelManifold, a: IsoElement, b: IsoElement) -> float:
+    """Largest difference of the r and u coordinates of ab and ba: the
+    dilation parts of G_0 commute, so ab = ba is decided by r and u."""
     ab = iso_compose(model, a, b)
     ba = iso_compose(model, b, a)
-    direct_residual = max(
-        abs(ab.r - ba.r),
-        float(np.max(np.abs(ab.u - ba.u))),
-    )
+    return max(abs(ab.r - ba.r), float(np.max(np.abs(ab.u - ba.u))))
 
-    moved_b = sigma_act(model, a.sigma, b.u)
-    moved_a = sigma_act(model, b.sigma, a.u)
+
+def commute_criterion_residual(model: ModelManifold, a: IsoElement,
+                               b: IsoElement) -> float:
+    """The closed-form route to ab = ba: the solution parts must satisfy
+    (sigma_q - 1) u_hat = (sigma_qhat - 1) u, and the central parts the
+    matching scalar equation; the larger of the two residuals. It agrees
+    with `commutator_residual` up to roundoff at COMMUTE_TOL."""
+    moved_b = sigma_matrix(model, a.sigma) @ b.u
+    moved_a = sigma_matrix(model, b.sigma) @ a.u
     solution_eq = float(np.max(np.abs((moved_b - b.u) - (moved_a - a.u))))
     central_eq = abs(
         a.r * (1.0 - 1.0 / b.sigma.q) - b.r * (1.0 - 1.0 / a.sigma.q)
         - omega(model, a.u, moved_b) + omega(model, b.u, moved_a))
-    criterion_residual = max(solution_eq, central_eq)
-
-    return CommuteTest(
-        direct=bool(direct_residual <= COMMUTE_TOL),
-        criterion=bool(criterion_residual <= COMMUTE_TOL),
-        direct_residual=direct_residual,
-        criterion_residual=criterion_residual,
-    )
+    return max(solution_eq, central_eq)
 
 
 @dataclass
@@ -344,17 +320,19 @@ def transitive_commutation_check(hm: HomogeneousModel,
                                  split: SpectralSplit,
                                  n_triples: int,
                                  rng: np.random.Generator) -> TransitivityReport:
+    model = hm.model
     premise_failures = 0
     counterexamples = 0
     worst = 0.0
     for _ in range(n_triples):
         x, y, z = sample_class(hm, split, rng, 3)[3]
-        if not (commute_test(hm, x, y).direct and commute_test(hm, y, z).direct):
+        if not (commutator_residual(model, x, y) <= COMMUTE_TOL
+                and commutator_residual(model, y, z) <= COMMUTE_TOL):
             premise_failures += 1
             continue
-        conclusion = commute_test(hm, x, z)
-        worst = max(worst, conclusion.direct_residual)
-        if not conclusion.direct:
+        conclusion = commutator_residual(model, x, z)
+        worst = max(worst, conclusion)
+        if not conclusion <= COMMUTE_TOL:
             counterexamples += 1
     return TransitivityReport(n_triples, premise_failures, counterexamples, worst)
 
@@ -389,14 +367,14 @@ def class_map(hm: HomogeneousModel, a: float, z_data, sigma: SElement,
     w; z and w are Cauchy-data arrays. The element takes sigma as its
     structural part, with the matrix sigma keeps."""
     model, q = hm.model, sigma.q
-    sz = sigma_act(model, sigma, z_data)
+    sz = sigma_matrix(model, sigma) @ z_data
     r = a * (1.0 - 1.0 / q) + omega(model, z_data, sz + (1.0 + 1.0 / q) * w_data)
     return IsoElement(sigma, r, (sz - z_data) + w_data)
 
 
 def class_map_inverse(hm: HomogeneousModel, g: IsoElement,
-                      split: SpectralSplit) -> tuple[float, np.ndarray, float, np.ndarray]:
-    """Recover (a, z, q, w) from an element with q != 1.
+                      split: SpectralSplit) -> tuple[float, np.ndarray, np.ndarray]:
+    """Recover the labels (a, z, w) of an element with q = g.sigma.q != 1.
 
     u decomposes along E = E_plus + E_0; z solves (sigma_q - 1) z = u_plus on
     E_plus (invertible there for q != 1), w is the kernel part, and a is read
@@ -419,7 +397,7 @@ def class_map_inverse(hm: HomogeneousModel, g: IsoElement,
     sz = M @ z_data
     off = omega(model, z_data, sz + (1.0 + 1.0 / q) * w_data)
     a = (g.r - off) / (1.0 - 1.0 / q)
-    return a, z_data, q, w_data
+    return a, z_data, w_data
 
 
 def shifted_invertibility(hm: HomogeneousModel, sigma: SElement,
@@ -428,11 +406,8 @@ def shifted_invertibility(hm: HomogeneousModel, sigma: SElement,
     and the norm of (sigma_q - 1) on E_0, for the dilation sigma = sigma_q;
     the first must stay away from 0 for q != 1, the second near 0 always."""
     shifted = sigma_matrix(hm.model, sigma) - np.eye(2 * hm.m)
-    img = shifted @ split.eplus
-    coeff = np.linalg.solve(split.combined(), img)
-    k = split.eplus.shape[1]
-    on_plus = coeff[:k, :]
-    leak = float(np.max(np.abs(coeff[k:, :]))) if split.kernel_dim else 0.0
+    on_plus, on_zero = split.decompose(shifted @ split.eplus)
+    leak = float(np.max(np.abs(on_zero))) if split.kernel_dim else 0.0
     sv = np.linalg.svd(on_plus, compute_uv=False)
     kernel_norm = float(np.max(np.abs(shifted @ split.e0))) if split.kernel_dim else 0.0
     return {

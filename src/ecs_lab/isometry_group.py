@@ -20,16 +20,17 @@ sigma . u = C u((. - p)/q) on solutions:
 
 The solution part u is a plain (2m,) array of Cauchy data at the model's
 base time, as in solution_space, so u + sigma . u' is array addition. In
-those coordinates sigma . is one matrix, `sigma_matrix`, and `sigma_act`
-applies it. One sigma acts many times (in its checks, its inverse and every
-product it enters), so an SElement keeps its matrix, read-only, for the
-model it was last asked about, and keeps its inverse (`SElement.inverse`)
-once built. `sigma_matrices` fills the matrices of many elements from one
-flow lookup of their source times, inverses included; `sigma_matrix` is its
-case of one. A sigma that fixes the base time (q = 1, p = +-0) needs no
-lookup at all, since the flow there is the identity. Omega rescales under
-sigma by q^{-1} and the action of sigma on E has determinant q^{2 - n};
-both show up as checks on that matrix here and in tests.
+those coordinates sigma . is one matrix, `sigma_matrix`, and sigma . u is
+that matrix times u. One sigma acts many times (in its checks, its inverse
+and every product it enters), so an SElement keeps its matrix, read-only,
+for the model it was last asked about, and keeps its inverse
+(`SElement.inverse`) once built. `sigma_matrices` fills the matrices of
+many elements from one flow lookup of their source times, inverses
+included; `sigma_matrix` is its case of one. A sigma that fixes the base
+time (q = 1, p = +-0) needs no lookup at all, since the flow there is the
+identity. Omega rescales under sigma by q^{-1} and the action of sigma on
+E has determinant q^{2 - n}; both show up as checks on that matrix here
+and in tests.
 
 The Jacobian of the action is computed analytically (the map is affine in
 (s, v) and its t-derivative only needs u'' = (f + A) u), which keeps
@@ -39,15 +40,15 @@ accuracy.
 The action works on chart coordinates x = (t, s, v) stacked on leading
 axes, shape (..., n), so one call moves a whole point set; a single point
 is its `ChartPoint.coords()`. Elements stack too: `stack_elements` puts k
-elements on a leading axis, and `iso_apply`, `iso_jacobian` and
+elements on a leading axis, and `iso_apply`, `iso_action` and
 `pullback_residual` then move points x of shape (k, P, n), element i moving
 x[i]. A single element is the case in which (q, p, C, r, u) broadcast as
 they are; every product keeps one element's operand shapes, so a stacked
 call equals the k one-element calls bit for bit. One call costs one flow
-lookup of (u(T), u'(T)) for all its elements and points:
-`pullback_residual` shares it between the image and the Jacobian and
-returns the images, so a caller that needs Phi x as well does not look u
-up again.
+lookup of (u(T), u'(T)) for all its elements and points: `iso_action`
+shares it between the image and the Jacobian, and `pullback_residual`
+returns the images it read from there, so a caller that needs Phi x as
+well does not look u up again.
 """
 
 from __future__ import annotations
@@ -219,18 +220,13 @@ def sigma_matrices(model: ModelManifold,
 def sigma_matrix(model: ModelManifold, elem: SElement) -> np.ndarray:
     """The matrix of one element's induced action on E (`sigma_matrices`).
 
-    The kept matrix is read here first: `sigma_act` asks for it in every
-    product, and a call of `sigma_matrices` would add half a microsecond.
+    The kept matrix is read here first: every composition asks for it, and
+    a call of `sigma_matrices` would add half a microsecond.
     """
     kept = elem._matrix
     if kept is None or kept[0] is not model:
         return sigma_matrices(model, [elem])[0]
     return kept[1]
-
-
-def sigma_act(model: ModelManifold, elem: SElement, u: np.ndarray) -> np.ndarray:
-    """sigma . u, as Cauchy data."""
-    return sigma_matrix(model, elem) @ u
 
 
 def iso_identity(model: ModelManifold) -> IsoElement:
@@ -298,12 +294,15 @@ def iso_apply(model: ModelManifold, g: IsoElement | IsoStack, x) -> np.ndarray:
     return _image(model, g, x, *_lookup(model, g, x))
 
 
-def iso_jacobian(model: ModelManifold, g: IsoElement | IsoStack, x) -> np.ndarray:
-    """Analytic Jacobians of the action at chart coordinates x: shape
-    (..., n) -> (..., n, n), with x as in `iso_apply`."""
+def iso_action(model: ModelManifold, g: IsoElement | IsoStack,
+               x) -> tuple[np.ndarray, np.ndarray]:
+    """Images and analytic Jacobians of the action at chart coordinates x
+    as in `iso_apply`, shapes (..., n) and (..., n, n), from one lookup of
+    u(T), u'(T)."""
     x = np.asarray(x, dtype=float)
     g = _parts(g)
-    return _jacobian(model, g, x, *_lookup(model, g, x))
+    shared = _lookup(model, g, x)
+    return _image(model, g, x, *shared), _jacobian(model, g, x, *shared)
 
 
 def pullback_residual(model: ModelManifold, g: IsoElement | IsoStack,
@@ -312,14 +311,10 @@ def pullback_residual(model: ModelManifold, g: IsoElement | IsoStack,
     images Phi x, at chart coordinates x as in `iso_apply`.
 
     Returns residuals of the shape of x without its last axis, and images
-    of the shape of x; the image and the Jacobian share one lookup of u(T),
-    u'(T).
+    of the shape of x, both from one `iso_action`.
     """
     x = np.asarray(x, dtype=float)
-    g = _parts(g)
-    shared = _lookup(model, g, x)
-    image = _image(model, g, x, *shared)
-    J = _jacobian(model, g, x, *shared)
+    image, J = iso_action(model, g, x)
     pulled = np.swapaxes(J, -1, -2) @ metric_at(model, image) @ J
     return np.max(np.abs(pulled - metric_at(model, x)), axis=(-2, -1)), image
 
@@ -328,7 +323,7 @@ def iso_compose(model: ModelManifold, a: IsoElement, b: IsoElement) -> IsoElemen
     """Group law (sigma, r, u)(sigma', r', u')."""
     sa, sb = a.sigma, b.sigma
     sigma = SElement(sa.q * sb.q, sa.q * sb.p + sa.p, sa.C @ sb.C)
-    moved = sigma_act(model, sa, b.u)
+    moved = sigma_matrix(model, sa) @ b.u
     r = a.r + b.r / sa.q - omega(model, a.u, moved)
     return IsoElement(sigma, r, a.u + moved)
 
@@ -337,7 +332,7 @@ def iso_inverse(model: ModelManifold, a: IsoElement) -> IsoElement:
     """Inverse element; sigma inverts as an affine map (the kept
     `SElement.inverse`, with its kept matrix) and u pulls back."""
     inv_sigma = a.sigma.inverse
-    u_star = -sigma_act(model, inv_sigma, a.u)
+    u_star = -(sigma_matrix(model, inv_sigma) @ a.u)
     return IsoElement(inv_sigma, -a.sigma.q * a.r, u_star)
 
 

@@ -516,6 +516,34 @@ class TestExitCodes:
         assert code == 2
 
 
+class TestOneSidedIntervals:
+    # A half-line interval samples in a window next to its finite end and
+    # takes the window's centre as base time; geodesics leave through that
+    # end.
+    @pytest.mark.parametrize("interval, window", [([0.5, None], (1.0, 3.0)),
+                                                  ([None, 1.0], (-1.5, 0.5))])
+    def test_polynomial_model_passes_every_row(self, tmp_path, interval, window):
+        payload = json.loads((SCENARIOS / "polynomial_m3.json").read_text())
+        payload["model"]["interval"] = interval
+        payload["tasks"] = [
+            {"task": "verify-model", "points": 5},
+            {"task": "isometry-check", "elements": 6, "points": 4},
+            {"task": "geodesic", "count": 6, "tau": 4},
+            {"task": "appendix-a", "count": 2},
+            {"task": "appendix-b", "count": 2},
+            {"task": "classify-group"},
+        ]
+        model = build_model(payload["model"])
+        assert model.compact_window() == window
+        assert model.default_base_t() == sum(window) / 2
+        code, report = run_cli(tmp_path, payload)
+        assert code == 0
+        assert [row["anchor"] for row in report["checks"] if not row["pass"]] == []
+        exits = next(row for row in report["checks"]
+                     if row["anchor"] == "geodesic.boundary-exit")
+        assert exits["detail"]["hits"] >= 1
+
+
 class TestReportSchema:
     def test_check_row_keys(self, tmp_path):
         _, report = run_cli(tmp_path, HOMOGENEOUS)
@@ -781,6 +809,22 @@ class TestFlowLookups:
             cli.task_tcp_check(entry.model, cli._task_params({"task": "tcp-check"}),
                                np.random.default_rng(11))
         assert at_base and not any(at_base)
+
+    def test_tcp_check_evaluates_the_criterion_on_agreement_pairs_only(
+            self, roster, monkeypatch):
+        # Only the agreement row compares the two commutation routes; the
+        # within-class, across-class and transitivity rows read the
+        # commutator alone.
+        calls = []
+        criterion = cli.commute_criterion_residual
+        monkeypatch.setattr(cli, "commute_criterion_residual",
+                            lambda *args: calls.append(1) or criterion(*args))
+        params = cli._task_params({"task": "tcp-check"})
+        for entry in roster[1::2]:
+            calls.clear()
+            rows = cli.task_tcp_check(entry.model, params, np.random.default_rng(11))
+            assert len(calls) == params["agreement_pairs"] == 30
+            assert all(row["pass"] for row in rows), entry.name
 
 
 def per_element_isometry_values(model, n_elements, n_points, rng):

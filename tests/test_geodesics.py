@@ -569,6 +569,24 @@ class TestClosedForm:
                 gaps = np.max(np.abs(got - want), axis=1)
                 assert np.all(gaps <= 1e-13 * np.max(np.abs(want), axis=1)), entry.name
 
+    def test_line_is_looked_up_once(self, roster, monkeypatch):
+        # The straightening element solves for its Cauchy data at the
+        # point's time; the image and the Jacobian of the line then share
+        # one lookup of all its times.
+        shapes = []
+        matrices = CauchyFlow.matrices
+        monkeypatch.setattr(CauchyFlow, "matrices",
+                            lambda self, ts: shapes.append(np.shape(ts)) or matrices(self, ts))
+        rng = np.random.default_rng(198)
+        for entry in roster:
+            model = entry.model
+            ts = np.linspace(*model.compact_window(), 9)
+            pt = random_chart_point(model, rng)
+            vel = random_velocity(model, rng)
+            shapes.clear()
+            geodesic_closed_form(model, pt, vel[1], vel[2:], ts)
+            assert shapes == [(), ts.shape], entry.name
+
 
 class TestFlowOracle:
     """t is affine, so a run with t' = a != 0 is the t' = 1 geodesic with

@@ -5,13 +5,15 @@ from scipy.linalg, neither calls SciPy's solve_ivp nor reads its private
 dense-output state, takes no sample times (`t_eval`) in any integration,
 looks solutions up in the geodesics module only through the group action,
 reads the evaluation budget only in the stepper, defines no function,
-method, class or class field that nothing reads, and loads SciPy's heavy subpackages
-only when a task needs them.
+method, class or class field that nothing reads, keeps every name that the
+benchmark reads from it, and loads SciPy's heavy subpackages only when a
+task needs them.
 
 The scan uses only the standard library's ast, so it needs no linter.
 """
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -315,6 +317,85 @@ def test_every_package_definition_is_read():
     package = {p.name: p.read_text() for p in (ROOT / "src" / "ecs_lab").glob("*.py")}
     readers = [p.read_text() for p in MODULES] + [package["__init__.py"]]
     assert unread_definitions(package, readers) == []
+
+
+def bench_reads(source: str) -> set[tuple[str, str]]:
+    """(module, dotted name) pairs that a benchmark file reads from the
+    package: the names it imports from an ecs_lab module, the attributes it
+    reads on a name bound to one (by `import ecs_lab.m as x` or
+    `x = importlib.import_module("ecs_lab.m")`, also as `self.x`), and the
+    (layer, class, method) entries of a `METHODS` tuple."""
+    tree = ast.parse(source)
+    out, aliases = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("ecs_lab"):
+            out.update((node.module, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Import):
+            aliases.update((alias.asname, alias.name) for alias in node.names
+                           if alias.asname and alias.name.startswith("ecs_lab."))
+        elif isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+            target, value = node.targets[0].id, node.value
+            if target == "METHODS":
+                out.update((f"ecs_lab.{layer}", f"{cls}.{method}")
+                           for layer, cls, method in ast.literal_eval(value))
+            elif (isinstance(value, ast.Call)
+                  and ast.unparse(value.func) == "importlib.import_module"
+                  and isinstance(value.args[0], ast.Constant)):
+                aliases[target] = value.args[0].value
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            owner = node.value
+            name = owner.id if isinstance(owner, ast.Name) else \
+                owner.attr if isinstance(owner, ast.Attribute) else None
+            if name in aliases:
+                out.add((aliases[name], node.attr))
+    return out
+
+
+def unresolved(pairs: set[tuple[str, str]]) -> list[str]:
+    """`module.name` for each pair whose dotted name the module lacks."""
+    missing = []
+    for module, name in sorted(pairs):
+        obj = importlib.import_module(module)
+        for part in name.split("."):
+            obj = getattr(obj, part, None)
+        if obj is None:
+            missing.append(f"{module}.{name}")
+    return missing
+
+
+def test_scan_finds_missing_bench_names():
+    source = (
+        "import importlib\n"
+        "import ecs_lab.geodesics as geodesics\n"
+        "from ecs_lab.cli import build_model, no_such_runner\n"
+        "cli = importlib.import_module('ecs_lab.cli')\n"
+        "tables = (cli.TASK_RUNNERS, cli.no_such_table, geodesics.solve_ivp)\n"
+        "self.cli.main(['run'])\n"
+        "METHODS = (('solution_space', 'CauchyFlow', 'matrix'),\n"
+        "           ('homogeneous', 'HomogeneousModel', 'no_such_method'))\n"
+    )
+    assert bench_reads(source) == {
+        ("ecs_lab.cli", "build_model"), ("ecs_lab.cli", "no_such_runner"),
+        ("ecs_lab.cli", "TASK_RUNNERS"), ("ecs_lab.cli", "no_such_table"),
+        ("ecs_lab.cli", "main"), ("ecs_lab.geodesics", "solve_ivp"),
+        ("ecs_lab.solution_space", "CauchyFlow.matrix"),
+        ("ecs_lab.homogeneous", "HomogeneousModel.no_such_method")}
+    assert unresolved(bench_reads(source)) == [
+        "ecs_lab.cli.no_such_runner", "ecs_lab.cli.no_such_table",
+        "ecs_lab.homogeneous.HomogeneousModel.no_such_method"]
+
+
+def test_every_name_the_benchmark_reads_resolves():
+    # The benchmark runs against the package as it is checked out; a name it
+    # reads that a change removes would show only as a failed benchmark run.
+    reads = set().union(*(bench_reads((ROOT / "bench" / name).read_text())
+                          for name in ("run.py", "setup_probe.py", "test_bench.py",
+                                       "tracer.py")))
+    assert {("ecs_lab.cli", "main"), ("ecs_lab.cli", "TASK_RUNNERS"),
+            ("ecs_lab.cli", "Scenario"), ("ecs_lab.geodesics", "solve_ivp"),
+            ("ecs_lab.homogeneous", "HomogeneousModel.sigma_q_matrix")} <= reads
+    assert unresolved(reads) == []
 
 
 # SciPy subpackages that cost most of a cold start. Importing the CLI and a

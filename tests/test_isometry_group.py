@@ -11,16 +11,15 @@ from ecs_lab.isometry_group import (
     _lookup,
     _parts,
     classify_holonomy,
+    iso_action,
     iso_apply,
     iso_compose,
     iso_distance,
     iso_identity,
     iso_inverse,
-    iso_jacobian,
     omega_scaling_residual,
     pullback_residual,
     s_membership,
-    sigma_act,
     sigma_det_residual,
     sigma_matrices,
     sigma_matrix,
@@ -160,7 +159,7 @@ class TestSigmaAction:
         u = random_solution(model, rng)
         for q in (0.5, 3.0):
             elem = hm.dilation(q)
-            moved = sigma_act(model, elem, u)
+            moved = sigma_matrix(model, elem) @ u
             for t in (0.4, 1.7, 5.0):
                 mv, md = solution_at(model, moved, t)
                 uv, ud = solution_at(model, u, (t - elem.p) / q)
@@ -260,7 +259,7 @@ class TestElementMatrix:
             with pytest.raises(ValueError, match="outside the model interval"):
                 sigma_matrix(hm.model, elem)
             with pytest.raises(ValueError, match="outside the model interval"):
-                sigma_act(hm.model, elem, np.zeros(2 * hm.m))
+                sigma_matrices(hm.model, [elem])
         assert elem._matrix is None
 
 
@@ -282,7 +281,7 @@ class TestStackedElements:
                 x = np.broadcast_to(X, (len(block),) + X.shape)
                 shared = _lookup(model, g, x)
                 images = iso_apply(model, g, x)
-                jacobians = iso_jacobian(model, g, x)
+                action_images, jacobians = iso_action(model, g, x)
                 residuals, pull_images = pullback_residual(model, g, x)
                 matrices = sigma_matrices(model, [SElement(e.sigma.q, e.sigma.p, e.sigma.C)
                                                   for e in block])
@@ -290,8 +289,10 @@ class TestStackedElements:
                     one = _lookup(model, _parts(e), X)
                     assert all(np.array_equal(a[k], b) for a, b in zip(shared, one))
                     res, img = pullback_residual(model, e, X)
+                    single_images, single_jacobians = iso_action(model, e, X)
                     for stacked, single in ((images[k], iso_apply(model, e, X)),
-                                            (jacobians[k], iso_jacobian(model, e, X)),
+                                            (action_images[k], single_images),
+                                            (jacobians[k], single_jacobians),
                                             (residuals[k], res),
                                             (pull_images[k], img)):
                         assert np.array_equal(stacked, single)
@@ -392,15 +393,16 @@ class TestChartAction:
             g = iso_sampler(entry, rng, 1)[0]
             X = np.array([random_chart_point(model, rng).coords() for _ in range(5)])
             images = iso_apply(model, g, X)
-            jacobians = iso_jacobian(model, g, X)
+            action_images, jacobians = iso_action(model, g, X)
             residuals, pull_images = pullback_residual(model, g, X)
             assert images.shape == X.shape and residuals.shape == (5,)
             assert np.array_equal(pull_images, images)
+            assert np.array_equal(action_images, images)
             for k, x in enumerate(X):
                 res, img = pullback_residual(model, g, x)
                 for stacked, single in ((images[k], iso_apply(model, g, x)),
                                         (pull_images[k], img),
-                                        (jacobians[k], iso_jacobian(model, g, x))):
+                                        (jacobians[k], iso_action(model, g, x)[1])):
                     scale = np.max(np.abs(single))
                     assert np.max(np.abs(stacked - single)) <= 1e-14 * scale
                 assert abs(residuals[k] - res) <= 1e-14 * max(res, 1.0)
@@ -415,7 +417,7 @@ class TestChartAction:
             model = entry.model
             g = iso_sampler(entry, rng, 1)[0]
             x0 = random_chart_point(model, rng).coords()
-            J = iso_jacobian(model, g, x0)
+            J = iso_action(model, g, x0)[1]
             n = model.dim
             fd = np.zeros((n, n))
             for e in range(n):
